@@ -13,9 +13,13 @@ use ser_spice::GateParams;
 /// a failed operation.
 pub const U_TOLERANCE: f64 = 0.10;
 
-/// Estimator and optimizer worker threads (the load is sized for a
-/// two-core machine).
+/// Estimator worker threads (the load is sized for a two-core machine).
 pub const THREADS: usize = 2;
+
+/// Optimizer worker threads. On two cores the optimizer's parallel
+/// candidate batches ran no faster than one thread, and joining both
+/// workers after every batch doubled the run-to-run spread.
+pub const OPTIMIZER_THREADS: usize = 1;
 
 /// What one workload run measured.
 #[derive(Default)]
@@ -111,6 +115,7 @@ mod glibc {
     /// which allocations get their own mapping.
     pub const M_ARENA_MAX: c_int = -8;
     pub const M_MMAP_THRESHOLD: c_int = -3;
+    pub const M_TRIM_THRESHOLD: c_int = -1;
 
     extern "C" {
         pub fn mallopt(param: c_int, value: c_int) -> c_int;
@@ -131,6 +136,22 @@ pub fn steady_allocator() {
     unsafe {
         glibc::mallopt(glibc::M_ARENA_MAX, 1);
         glibc::mallopt(glibc::M_MMAP_THRESHOLD, 128 << 10);
+    }
+}
+
+/// Keeps freed memory in the heap for reuse, as a long-lived process's
+/// heap ends up: blocks up to glibc's 32 MiB ceiling come from the heap
+/// rather than from their own mappings, and the heap's top is not
+/// returned to the system. Repeated builds then reuse their scratch
+/// buffers instead of mapping and faulting them in afresh each time, so
+/// their timings do not depend on how costly page faults are on the
+/// host.
+pub fn reuse_heap() {
+    // SAFETY: as in `steady_allocator`: plain tuning parameters.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    unsafe {
+        glibc::mallopt(glibc::M_MMAP_THRESHOLD, 32 << 20);
+        glibc::mallopt(glibc::M_TRIM_THRESHOLD, 1 << 30);
     }
 }
 

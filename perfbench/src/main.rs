@@ -192,7 +192,7 @@ fn print_result(args: &Args, r: &mut Report) {
     let env = [
         ("env.nproc", nproc() as f64),
         ("env.estimator_threads", common::engine().threads() as f64),
-        ("env.optimizer_threads", common::THREADS as f64),
+        ("env.optimizer_threads", common::OPTIMIZER_THREADS as f64),
         ("env.daemon_workers", serve::WORKERS as f64),
     ];
     let ops = r.op_times.len() as f64;

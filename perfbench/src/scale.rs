@@ -125,6 +125,7 @@ fn probe(circuit: &Circuit, session: &AnalysisSession<'_>, lib: &Library, t: &mu
 }
 
 pub fn run(seed: u64, seconds: f64, t: &mut Tracer) -> Report {
+    crate::common::reuse_heap();
     let refs = References::load();
     let mut r = Report::default();
     let mut state = None;

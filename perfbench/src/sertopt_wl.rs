@@ -17,7 +17,7 @@ use sertopt::{
     size_for_speed, Algorithm, AllowedParams, OptimizeRequest, OptimizerConfig, Outcome,
 };
 
-use crate::common::{engine, median, timed, Report, Rng, THREADS};
+use crate::common::{engine, median, timed, Report, Rng, OPTIMIZER_THREADS, THREADS};
 use crate::refs::{REF_SEED, REF_VECTORS};
 use crate::trace::Tracer;
 
@@ -35,7 +35,7 @@ fn config(algorithm: Algorithm) -> OptimizerConfig {
     OptimizerConfig {
         algorithm,
         allowed: AllowedParams::table1_dual(),
-        threads: THREADS,
+        threads: OPTIMIZER_THREADS,
         ..OptimizerConfig::default()
     }
 }
