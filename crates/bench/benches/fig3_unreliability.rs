@@ -5,7 +5,8 @@
 use aserta::{analyze, AsertaConfig, CircuitCells};
 use criterion::{criterion_group, criterion_main, Criterion};
 use ser_cells::{CharGrids, Library};
-use ser_logicsim::sensitize::sensitization_probabilities;
+use ser_logicsim::sensitize::sensitization_probabilities_cfg;
+use ser_logicsim::EngineConfig;
 use ser_netlist::generate;
 use ser_spice::Technology;
 use std::hint::black_box;
@@ -15,7 +16,18 @@ fn bench_fig3(c: &mut Criterion) {
     let cells = CircuitCells::nominal(&circuit);
     let mut library = Library::new(Technology::ptm70(), CharGrids::coarse());
     let cfg = AsertaConfig::default();
-    let pij = sensitization_probabilities(&circuit, cfg.sensitization_vectors, cfg.seed);
+    let e = EngineConfig::new();
+    let estimate = |vectors, seed| {
+        sensitization_probabilities_cfg(
+            &circuit,
+            vectors,
+            seed,
+            e.threads(),
+            e.cone_chunk(),
+            &e.pij(),
+        )
+    };
+    let pij = estimate(cfg.sensitization_vectors, cfg.seed);
     // Warm the lazy library so the timer sees pure analysis.
     let _ = analyze(&circuit, &cells, &mut library, &pij, &cfg);
 
@@ -33,7 +45,7 @@ fn bench_fig3(c: &mut Criterion) {
         })
     });
     group.bench_function("pij_10000_vectors_c432", |b| {
-        b.iter(|| black_box(sensitization_probabilities(&circuit, 10_000, 7)))
+        b.iter(|| black_box(estimate(10_000, 7)))
     });
     group.finish();
 }

@@ -6,7 +6,8 @@
 use aserta::{analyze, AsertaConfig, CircuitCells};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ser_cells::{CharGrids, Library};
-use ser_logicsim::sensitize::sensitization_probabilities;
+use ser_logicsim::sensitize::sensitization_probabilities_cfg;
+use ser_logicsim::EngineConfig;
 use ser_netlist::generate;
 use ser_spice::circuit_sim::{
     static_values, strike_po_widths, CircuitElectrical, CircuitSimConfig,
@@ -26,7 +27,15 @@ fn bench_runtime(c: &mut Criterion) {
             sensitization_vectors: 2048,
             ..AsertaConfig::default()
         };
-        let pij = sensitization_probabilities(&circuit, cfg.sensitization_vectors, cfg.seed);
+        let e = EngineConfig::new();
+        let pij = sensitization_probabilities_cfg(
+            &circuit,
+            cfg.sensitization_vectors,
+            cfg.seed,
+            e.threads(),
+            e.cone_chunk(),
+            &e.pij(),
+        );
         let _ = analyze(&circuit, &cells, &mut library, &pij, &cfg);
         group.bench_with_input(BenchmarkId::from_parameter(name), name, |b, _| {
             b.iter(|| black_box(analyze(&circuit, &cells, &mut library, &pij, &cfg)))

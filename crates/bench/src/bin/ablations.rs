@@ -17,7 +17,8 @@ use aserta::glitch::AttenuationModel;
 use aserta::AsertaConfig;
 use ser_cells::{characterize_cell, CharGrids, Library};
 use ser_logicsim::probability::static_probabilities_analytic;
-use ser_logicsim::sensitize::sensitization_probabilities;
+use ser_logicsim::sensitize::sensitization_probabilities_cfg;
+use ser_logicsim::EngineConfig;
 use ser_netlist::GateKind;
 use ser_spice::measure::pearson_correlation;
 use ser_spice::transient::{gate_delay, TransientConfig};
@@ -73,7 +74,15 @@ fn ablate_attenuation_model() {
     println!("## ablation 2: Eq. 1 vs smooth attenuation (c432 U_i correlation)");
     let circuit = ser_bench::bundled_iscas85("c432");
     let cfg = AsertaConfig::default();
-    let pij = sensitization_probabilities(&circuit, 4096, cfg.seed);
+    let e = EngineConfig::new();
+    let pij = sensitization_probabilities_cfg(
+        &circuit,
+        4096,
+        cfg.seed,
+        e.threads(),
+        e.cone_chunk(),
+        &e.pij(),
+    );
     let probs = static_probabilities_analytic(&circuit, 0.5);
     let delays = vec![18.0 * PS; circuit.node_count()];
     let grid = cfg.sample_width_grid();

@@ -35,6 +35,10 @@ fn main() {
         let (report, secs) = ser_bench::timed(|| {
             validate::correlate_with_reference(&tech, &circuit, &cells, &mut lib, &cfg, vectors, 5)
         });
+        let report = report.unwrap_or_else(|e| {
+            eprintln!("error: analyzing {name}: {e}");
+            std::process::exit(1);
+        });
         println!("\n# Fig. 3 — {name}: ASERTA vs transistor-level U_i, nodes <= 5 levels from POs");
         println!(
             "# {} nodes, {} reference vectors, {:.1} s",

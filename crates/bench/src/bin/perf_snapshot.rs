@@ -35,11 +35,16 @@
 //! baseline ratio — the section is new and self-judging.
 //!
 //! A `pij_kernel` section ablates the estimator modes on layered1k at a
-//! multi-block budget: the pre-PR scalar fixed-budget path against the
-//! wide kernels alone (asserted bitwise identical), adaptive sampling
-//! alone, exact small-cone mode alone, and the default combination —
-//! whose speedup over scalar is held to an **absolute**
-//! [`PIJ_KERNEL_SPEEDUP_FLOOR`] under `--gate`, serve-style.
+//! multi-block budget: the fixed-budget path ([`PijConfig::fixed`])
+//! against adaptive sampling alone, exact small-cone mode alone, and
+//! the default combination — whose speedup over fixed is held to an
+//! **absolute** [`PIJ_KERNEL_SPEEDUP_FLOOR`] under `--gate`,
+//! serve-style.
+//!
+//! Every estimate runs on the `SER_*` environment overlay
+//! ([`EngineConfig::from_env`]); a malformed variable is fatal. The
+//! output's `snapshot` label is the `--out` file stem without its
+//! `BENCH_` prefix (`--out BENCH_pr13.json` records `"pr13"`).
 //!
 //! ```text
 //! cargo run --release -p ser-bench --bin perf_snapshot -- \
@@ -79,10 +84,9 @@ use ser_bench::timed;
 use ser_cells::{CharGrids, Library};
 use ser_logicsim::probability::static_probabilities_analytic;
 use ser_logicsim::sensitize::{
-    cone_chunk_size, sensitization_probabilities, sensitization_probabilities_cfg,
-    sensitization_probabilities_with_stats, sensitization_probabilities_with_stats_cfg,
-    simulation_threads, PijConfig,
+    sensitization_probabilities_cfg, sensitization_probabilities_with_stats_cfg, PijConfig,
 };
+use ser_logicsim::{EngineConfig, SensitizationMatrix};
 use ser_netlist::generate::{self, LayeredSpec, TiledSpec};
 use ser_netlist::Circuit;
 use ser_serve::api::AnalyzeResult;
@@ -113,8 +117,10 @@ fn checked_analyze(
 }
 
 /// The committed smoke baseline CI gates against (regenerate by running
-/// `perf_snapshot --smoke --out crates/bench/baselines/smoke.json` on
-/// the reference machine after an intentional perf change).
+/// `perf_snapshot --smoke --scaling --out crates/bench/baselines/smoke.json`
+/// on the reference machine after an intentional perf change; without
+/// `--scaling` the baseline loses the section the CI scaling gate
+/// compares against).
 const EMBEDDED_SMOKE_BASELINE: &str = include_str!("../../baselines/smoke.json");
 
 /// Allowed wall-time regression before `--gate` fails the run. Generous:
@@ -152,13 +158,14 @@ const TIMED_KEYS: [&str; 8] = [
 /// warm.
 const SERVE_SPEEDUP_FLOOR: f64 = 5.0;
 
-/// Hard floor on the default-mode `P_ij` speedup (wide kernels +
-/// adaptive sampling + exact small cones, at default accuracy) over the
-/// pre-PR scalar fixed-budget path on layered1k under `--gate`.
-/// **Absolute**, serve-style: the estimator rewrite's reason to exist
-/// is a multiple-× cut of the dominant `analyze_fresh` term, so a
-/// ratio below this means one of the three levers stopped pulling.
-const PIJ_KERNEL_SPEEDUP_FLOOR: f64 = 3.0;
+/// Hard floor on the default-mode `P_ij` speedup (adaptive sampling +
+/// exact small cones, at default accuracy) over the fixed-budget path
+/// on layered1k under `--gate`. **Absolute**, serve-style: the
+/// estimator modes' reason to exist is a multiple-× cut of the
+/// dominant `analyze_fresh` term, so a ratio below this means one of
+/// the levers stopped pulling. Six runs on a 2-vCPU VM measured
+/// 3.06–4.21×; the floor sits below the lowest.
+const PIJ_KERNEL_SPEEDUP_FLOOR: f64 = 2.5;
 
 /// Allowed additive increase of the fitted log-log `analyze_fresh` slope
 /// over the baseline's before the scaling gate fails. A slope step of
@@ -171,7 +178,11 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let gate = args.iter().any(|a| a == "--gate");
     let scaling_mode = args.iter().any(|a| a == "--scaling");
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_pr7.json".to_owned());
+    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "perf_snapshot.json".to_owned());
+    let label = std::path::Path::new(&out_path)
+        .file_stem()
+        .map(|s| s.to_string_lossy().trim_start_matches("BENCH_").to_owned())
+        .unwrap_or_default();
     let baseline_path = flag_value(&args, "--baseline");
 
     // A sample image of the current format version, e.g. for CI to
@@ -204,12 +215,13 @@ fn main() {
     let runs = |section: &str| only.as_deref().is_none_or(|o| o == section);
 
     let (vectors, reps) = if smoke { (512, 3) } else { (4096, 3) };
-    let threads = simulation_threads();
+    let engine = EngineConfig::from_env().unwrap_or_else(|e| die("reading SER_* settings", e));
+    let threads = engine.threads();
 
     let mut rows: Vec<Value> = Vec::new();
     if runs("circuits") {
         for circuit in snapshot_circuits() {
-            let mut row = measure(&circuit, vectors, reps);
+            let mut row = measure(&circuit, &engine, vectors, reps);
             merge(&mut row, measure_optimize(&circuit, smoke));
             merge(&mut row, measure_corners(&circuit, smoke));
             merge(&mut row, measure_snapshot_restore(&circuit, smoke));
@@ -217,9 +229,9 @@ fn main() {
             rows.push(row);
         }
     }
-    let scaling_doc = (scaling_mode && runs("scaling")).then(|| measure_scaling(smoke));
+    let scaling_doc = (scaling_mode && runs("scaling")).then(|| measure_scaling(&engine, smoke));
     let serve_doc = runs("serve").then(|| measure_serve(smoke));
-    let pij_kernel_doc = runs("pij_kernel").then(measure_pij_kernel);
+    let pij_kernel_doc = runs("pij_kernel").then(|| measure_pij_kernel(&engine));
 
     // An explicit --baseline is embedded in the document; the committed
     // smoke baseline is only *printed* (embedding it would nest forever
@@ -290,7 +302,7 @@ fn main() {
     }
 
     let mut doc: Vec<(String, Value)> = vec![
-        ("snapshot".into(), serde_json::to_value(&"pr7")),
+        ("snapshot".into(), serde_json::to_value(&label)),
         ("smoke".into(), serde_json::to_value(&smoke)),
         ("threads".into(), serde_json::to_value(&(threads as u64))),
         ("vectors".into(), serde_json::to_value(&(vectors as u64))),
@@ -343,7 +355,7 @@ fn snapshot_circuits() -> Vec<Circuit> {
 /// Times the three analysis hot paths on one circuit, keeping the best
 /// of `reps` runs (first `analyze_fresh` call outside the clock warms
 /// the library's characterization cache).
-fn measure(circuit: &Circuit, vectors: usize, reps: usize) -> Value {
+fn measure(circuit: &Circuit, engine: &EngineConfig, vectors: usize, reps: usize) -> Value {
     let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
     let cells = CircuitCells::nominal(circuit);
     let cfg = AsertaConfig {
@@ -356,9 +368,9 @@ fn measure(circuit: &Circuit, vectors: usize, reps: usize) -> Value {
     let report = checked_analyze(circuit, &cells, &mut lib, &cfg);
 
     // The first timed run doubles as the matrix used by the widths pass.
-    let (pij, first_s) = timed(|| sensitization_probabilities(circuit, vectors, SEED));
+    let (pij, first_s) = timed(|| estimate(circuit, engine, vectors));
     let rest_s = best_of(reps.saturating_sub(1), || {
-        timed(|| sensitization_probabilities(circuit, vectors, SEED)).1
+        timed(|| estimate(circuit, engine, vectors)).1
     });
     let pij_s = first_s.min(rest_s);
 
@@ -401,6 +413,18 @@ fn measure(circuit: &Circuit, vectors: usize, reps: usize) -> Value {
         ("widths_s".into(), serde_json::to_value(&widths_s)),
         ("analyze_fresh_s".into(), serde_json::to_value(&analyze_s)),
     ])
+}
+
+/// `P_ij` of `circuit` at [`SEED`] on `engine`'s settings.
+fn estimate(circuit: &Circuit, engine: &EngineConfig, vectors: usize) -> SensitizationMatrix {
+    sensitization_probabilities_cfg(
+        circuit,
+        vectors,
+        SEED,
+        engine.threads(),
+        engine.cone_chunk(),
+        &engine.pij(),
+    )
 }
 
 /// Times the same fixed-seed SERTOPT run under both evaluation engines
@@ -728,25 +752,19 @@ fn measure_serve(smoke: bool) -> Value {
 /// block boundaries, so the 512-vector smoke budget — a single partial
 /// block — would show no adaptivity at all):
 ///
-/// * `scalar_fixed` — one lane, tolerance 0, exact mode off: the
-///   pre-PR estimator, and the baseline every ratio is against;
-/// * `wide_fixed` — default lane width only; asserted **bitwise
-///   identical** to `scalar_fixed` (the CI-pin contract);
-/// * `adaptive` / `exact` — each remaining lever alone, on wide lanes;
-/// * `default` — all three levers at default accuracy; its deviation
-///   from scalar is reported (`max_abs_delta_p`) and sanity-bounded.
-fn measure_pij_kernel() -> Value {
+/// * `fixed` — tolerance 0, exact mode off ([`PijConfig::fixed`]): the
+///   baseline every ratio is against;
+/// * `adaptive` / `exact` — each lever alone;
+/// * `default` — both levers at default accuracy; its deviation from
+///   fixed is reported (`max_abs_delta_p`) and sanity-bounded.
+fn measure_pij_kernel(engine: &EngineConfig) -> Value {
     let circuit = generate::layered(&LayeredSpec::new("layered1k", 40, 12, 1000));
     let vectors = 200_000;
     let reps = 3;
-    let threads = simulation_threads();
-    let chunk = cone_chunk_size();
+    let threads = engine.threads();
+    let chunk = engine.cone_chunk();
 
-    let scalar_cfg = PijConfig::fixed();
-    let wide_cfg = PijConfig {
-        lanes: PijConfig::default().lanes,
-        ..PijConfig::fixed()
-    };
+    let fixed_cfg = PijConfig::fixed();
     let adaptive_cfg = PijConfig {
         exact_support: 0,
         ..PijConfig::default()
@@ -766,12 +784,7 @@ fn measure_pij_kernel() -> Value {
         });
         (first, first_s.min(rest_s))
     };
-    let (scalar, scalar_s) = run(&scalar_cfg);
-    let (wide, wide_s) = run(&wide_cfg);
-    assert_eq!(
-        wide, scalar,
-        "wide kernels must be bitwise identical to scalar at tolerance 0"
-    );
+    let (fixed, fixed_s) = run(&fixed_cfg);
     let (_, adaptive_s) = run(&adaptive_cfg);
     let (_, exact_s) = run(&exact_cfg);
     let (default_m, default_s) = run(&default_cfg);
@@ -791,7 +804,7 @@ fn measure_pij_kernel() -> Value {
     let mut max_delta = 0.0f64;
     for id in circuit.node_ids() {
         for j in 0..circuit.primary_outputs().len() {
-            max_delta = max_delta.max((default_m.p(id, j) - scalar.p(id, j)).abs());
+            max_delta = max_delta.max((default_m.p(id, j) - fixed.p(id, j)).abs());
         }
     }
     assert!(
@@ -800,36 +813,31 @@ fn measure_pij_kernel() -> Value {
     );
 
     eprintln!(
-        "measured pij_kernel (scalar {:.1} ms, default {:.1} ms, {:.1}x)",
-        scalar_s * 1e3,
+        "measured pij_kernel (fixed {:.1} ms, default {:.1} ms, {:.1}x)",
+        fixed_s * 1e3,
         default_s * 1e3,
-        scalar_s / default_s
+        fixed_s / default_s
     );
     Value::Object(vec![
         ("circuit".into(), serde_json::to_value(&"layered1k")),
         ("vectors".into(), serde_json::to_value(&(vectors as u64))),
         ("threads".into(), serde_json::to_value(&(threads as u64))),
         ("chunk".into(), serde_json::to_value(&(chunk as u64))),
-        ("scalar_fixed_s".into(), serde_json::to_value(&scalar_s)),
-        ("wide_fixed_s".into(), serde_json::to_value(&wide_s)),
+        ("fixed_s".into(), serde_json::to_value(&fixed_s)),
         ("adaptive_s".into(), serde_json::to_value(&adaptive_s)),
         ("exact_s".into(), serde_json::to_value(&exact_s)),
         ("default_s".into(), serde_json::to_value(&default_s)),
         (
-            "speedup_wide".into(),
-            serde_json::to_value(&(scalar_s / wide_s)),
-        ),
-        (
             "speedup_adaptive".into(),
-            serde_json::to_value(&(scalar_s / adaptive_s)),
+            serde_json::to_value(&(fixed_s / adaptive_s)),
         ),
         (
             "speedup_exact".into(),
-            serde_json::to_value(&(scalar_s / exact_s)),
+            serde_json::to_value(&(fixed_s / exact_s)),
         ),
         (
             "speedup_default".into(),
-            serde_json::to_value(&(scalar_s / default_s)),
+            serde_json::to_value(&(fixed_s / default_s)),
         ),
         (
             "exact_roots".into(),
@@ -878,7 +886,7 @@ fn emit_snapshot(path: &str) {
 /// wall times, the streamed estimator's arena profile and the process
 /// peak RSS (monotonic across points — sizes run ascending, so each
 /// reading is the high-water mark after that size).
-fn measure_scaling(smoke: bool) -> Value {
+fn measure_scaling(engine: &EngineConfig, smoke: bool) -> Value {
     let sizes: &[usize] = if smoke {
         &[1_000, 10_000]
     } else {
@@ -886,8 +894,7 @@ fn measure_scaling(smoke: bool) -> Value {
     };
     let vectors = if smoke { 512 } else { 1024 };
     let reps = 2;
-    let threads = simulation_threads();
-    let chunk = cone_chunk_size();
+    let chunk = engine.cone_chunk();
 
     let mut points: Vec<Value> = Vec::new();
     for &gates in sizes {
@@ -906,10 +913,17 @@ fn measure_scaling(smoke: bool) -> Value {
         checked_analyze(&circuit, &cells, &mut lib, &cfg);
 
         let ((_, stats), first_s) = timed(|| {
-            sensitization_probabilities_with_stats(&circuit, vectors, SEED, threads, chunk)
+            sensitization_probabilities_with_stats_cfg(
+                &circuit,
+                vectors,
+                SEED,
+                engine.threads(),
+                chunk,
+                &engine.pij(),
+            )
         });
         let pij_s = first_s.min(best_of(reps - 1, || {
-            timed(|| sensitization_probabilities(&circuit, vectors, SEED)).1
+            timed(|| estimate(&circuit, engine, vectors)).1
         }));
         let analyze_s = best_of(reps, || {
             timed(|| checked_analyze(&circuit, &cells, &mut lib, &cfg)).1

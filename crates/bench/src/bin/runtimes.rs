@@ -9,7 +9,8 @@
 
 use aserta::{analyze, AsertaConfig, CircuitCells};
 use ser_cells::{CharGrids, Library};
-use ser_logicsim::sensitize::sensitization_probabilities;
+use ser_logicsim::sensitize::sensitization_probabilities_cfg;
+use ser_logicsim::EngineConfig;
 use ser_spice::circuit_sim::{reference_unreliability, CircuitElectrical, CircuitSimConfig};
 use ser_spice::Technology;
 
@@ -37,8 +38,16 @@ fn main() {
         let cells = CircuitCells::nominal(&circuit);
         let cfg = AsertaConfig::default();
 
+        let e = EngineConfig::new();
         let (pij, t_pij) = ser_bench::timed(|| {
-            sensitization_probabilities(&circuit, cfg.sensitization_vectors, cfg.seed)
+            sensitization_probabilities_cfg(
+                &circuit,
+                cfg.sensitization_vectors,
+                cfg.seed,
+                e.threads(),
+                e.cone_chunk(),
+                &e.pij(),
+            )
         });
         // Warm the library before timing the analysis proper (the paper's
         // lookup tables are also characterized offline).

@@ -23,7 +23,6 @@
 
 use aserta::{analyze_fresh, AnalysisSession, AsertaConfig, CircuitCells};
 use ser_cells::Library;
-use ser_logicsim::sensitize::simulation_threads;
 use ser_netlist::Circuit;
 
 /// One operating corner: every gate moved to the given supply and
@@ -238,7 +237,7 @@ pub fn try_sweep_session(
             Err(e) => panic!("sweep_session: {e}"),
         };
     let workers = if threads == 0 {
-        simulation_threads()
+        session.engine().threads()
     } else {
         threads
     }

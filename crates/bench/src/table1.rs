@@ -5,7 +5,8 @@
 
 use aserta::{analyze, AsertaConfig, CircuitCells};
 use ser_cells::Library;
-use ser_logicsim::sensitize::sensitization_probabilities;
+use ser_logicsim::sensitize::sensitization_probabilities_cfg;
+use ser_logicsim::EngineConfig;
 use ser_netlist::Circuit;
 use ser_spice::circuit_sim::{reference_unreliability, CircuitElectrical, CircuitSimConfig};
 use ser_spice::{Strike, Technology};
@@ -214,7 +215,15 @@ fn aserta_decrease_with_vectors(
     aserta_cfg: &AsertaConfig,
     n_vectors: usize,
 ) -> f64 {
-    let pij = sensitization_probabilities(circuit, n_vectors, aserta_cfg.seed ^ 0x50);
+    let engine = EngineConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
+    let pij = sensitization_probabilities_cfg(
+        circuit,
+        n_vectors,
+        aserta_cfg.seed ^ 0x50,
+        engine.threads(),
+        engine.cone_chunk(),
+        &engine.pij(),
+    );
     let u = |cells: &CircuitCells, library: &mut Library| {
         analyze(circuit, cells, library, &pij, aserta_cfg).unreliability
     };

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use aserta::{analyze_fresh, AsertaConfig, CircuitCells};
+use aserta::{analyze_fresh, AsertaConfig, CircuitCells, EngineConfig};
 use ser_cells::{CharGrids, Library};
 use ser_logicsim::sensitize;
 use ser_spice::Technology;
@@ -50,15 +50,17 @@ fn main() {
 
     // Probe the streamed estimator's memory profile first: same work as
     // the P_ij pass inside `analyze_fresh`, but reporting peak bytes.
-    let threads = sensitize::simulation_threads();
-    let chunk = sensitize::cone_chunk_size();
+    let engine = EngineConfig::new();
+    let threads = engine.threads();
+    let chunk = engine.cone_chunk();
     let t1 = Instant::now();
-    let (_pij, stats) = sensitize::sensitization_probabilities_with_stats(
+    let (_pij, stats) = sensitize::sensitization_probabilities_with_stats_cfg(
         &circuit,
         cfg.sensitization_vectors,
         cfg.seed,
         threads,
         chunk,
+        &engine.pij(),
     );
     println!(
         "P_ij: {:.2}s on {threads} threads, {} chunks of {chunk} roots, \

@@ -8,8 +8,7 @@
 //! pins the reports bitwise against the pre-consolidation pipeline.
 
 use ser_cells::Library;
-use ser_logicsim::sensitize::sensitization_probabilities;
-use ser_logicsim::SensitizationMatrix;
+use ser_logicsim::{EngineConfig, SensitizationMatrix};
 use ser_netlist::{Circuit, NodeId};
 
 use crate::binding::{CircuitCells, TimingView};
@@ -144,7 +143,10 @@ pub fn analyze_fresh(
 
 /// Fallible [`analyze_fresh`] — validates the configuration *before*
 /// the Monte-Carlo `P_ij` estimate (whose kernels assert on e.g. zero
-/// vectors), then runs [`try_analyze`].
+/// vectors), estimates `P_ij` with the engine settings of the
+/// environment overlay exactly as
+/// [`SessionBuilder::build`](crate::SessionBuilder::build) does, then
+/// runs [`try_analyze`].
 ///
 /// # Errors
 ///
@@ -156,7 +158,7 @@ pub fn try_analyze_fresh(
     cfg: &AsertaConfig,
 ) -> Result<AsertaReport, AnalysisError> {
     crate::session::validate_config(cfg)?;
-    let pij = sensitization_probabilities(circuit, cfg.sensitization_vectors, cfg.seed);
+    let pij = crate::session::estimate_pij(circuit, cfg, &EngineConfig::from_env()?);
     try_analyze(circuit, cells, library, &pij, cfg)
 }
 

@@ -592,7 +592,7 @@ pub(crate) fn interp_col(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ser_logicsim::sensitize::sensitization_probabilities;
+    use crate::test_pij;
     use ser_netlist::{generate, CircuitBuilder, GateKind};
 
     fn grid() -> Vec<f64> {
@@ -604,7 +604,7 @@ mod tests {
     #[test]
     fn po_row_is_identity() {
         let c = generate::c17();
-        let pij = sensitization_probabilities(&c, 1024, 1);
+        let pij = test_pij(&c, 1024, 1);
         let probs = vec![0.5; c.node_count()];
         let delays = vec![15e-12; c.node_count()];
         let ew = ExpectedWidths::compute(&c, &probs, &pij, &delays, grid());
@@ -620,7 +620,7 @@ mod tests {
         // The machine-checked Lemma 1: for the top (very wide) sample,
         // W_ij = ww · P_ij exactly.
         let c = generate::c17();
-        let pij = sensitization_probabilities(&c, 4096, 7);
+        let pij = test_pij(&c, 4096, 7);
         let probs = ser_logicsim::probability::static_probabilities_sampled(&c, 4096, 7);
         let delays = vec![18e-12; c.node_count()];
         let g = grid();
@@ -649,7 +649,7 @@ mod tests {
         let g3 = b.gate(GateKind::Not, "g3", &[g2]).unwrap();
         b.mark_output(g3);
         let c = b.finish().unwrap();
-        let pij = sensitization_probabilities(&c, 128, 1);
+        let pij = test_pij(&c, 128, 1);
         let probs = vec![0.5; c.node_count()];
         let delays = vec![20e-12; c.node_count()];
         let ew = ExpectedWidths::compute(&c, &probs, &pij, &delays, grid());
@@ -672,7 +672,7 @@ mod tests {
         let g3 = b.gate(GateKind::Not, "g3", &[g2]).unwrap();
         b.mark_output(g3);
         let c = b.finish().unwrap();
-        let pij = sensitization_probabilities(&c, 128, 1);
+        let pij = test_pij(&c, 128, 1);
         let probs = vec![0.5; c.node_count()];
         let delays = vec![20e-12; c.node_count()];
         // Grid dense around the interesting widths for exactness.
@@ -697,7 +697,7 @@ mod tests {
         let y = bb.gate(GateKind::And, "y", &[g, b2]).unwrap();
         bb.mark_output(y);
         let c = bb.finish().unwrap();
-        let pij = sensitization_probabilities(&c, 64 * 512, 3);
+        let pij = test_pij(&c, 64 * 512, 3);
         let probs = ser_logicsim::probability::static_probabilities_analytic(&c, 0.5);
         let delays = vec![5e-12; c.node_count()];
         let ew = ExpectedWidths::compute(&c, &probs, &pij, &delays, grid());

@@ -77,3 +77,16 @@ pub use ser_logicsim::engine::{EngineConfig, EngineConfigError};
 pub use ser_netlist::govern::{CancelToken, Deadline, DegradationEvent, Interrupted};
 pub use session::{AnalysisSession, ApplyStats, SessionBuilder};
 pub use snapshot::{SessionSnapshot, SessionSnapshotError};
+
+/// The default-engine `P_ij` estimate the unit tests analyze over.
+#[cfg(test)]
+pub(crate) fn test_pij(
+    circuit: &ser_netlist::Circuit,
+    n_vectors: usize,
+    seed: u64,
+) -> ser_logicsim::SensitizationMatrix {
+    let mut cfg = AsertaConfig::fast();
+    cfg.sensitization_vectors = n_vectors;
+    cfg.seed = seed;
+    session::estimate_pij(circuit, &cfg, &EngineConfig::new())
+}

@@ -113,8 +113,8 @@ pub fn rank_by_fit(report: &SerReport, circuit: &Circuit) -> Vec<(NodeId, f64)> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_pij;
     use ser_cells::CharGrids;
-    use ser_logicsim::sensitize::sensitization_probabilities;
     use ser_netlist::generate;
     use ser_spice::Technology;
 
@@ -124,7 +124,7 @@ mod tests {
         let cells = CircuitCells::nominal(&c);
         let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
         let cfg = AsertaConfig::fast();
-        let pij = sensitization_probabilities(&c, 512, 1);
+        let pij = test_pij(&c, 512, 1);
         let m1 = SerModel::default();
         let mut m2 = m1.clone();
         m2.strike_rate_per_area *= 10.0;
@@ -140,7 +140,7 @@ mod tests {
         let cells = CircuitCells::nominal(&c);
         let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
         let cfg = AsertaConfig::fast();
-        let pij = sensitization_probabilities(&c, 512, 1);
+        let pij = test_pij(&c, 512, 1);
         let small = SerModel {
             charge_spectrum: vec![(4.0e-15, 1.0)],
             ..SerModel::default()
@@ -160,7 +160,7 @@ mod tests {
         let cells = CircuitCells::nominal(&c);
         let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
         let cfg = AsertaConfig::fast();
-        let pij = sensitization_probabilities(&c, 512, 1);
+        let pij = test_pij(&c, 512, 1);
         let r = soft_error_rate(&c, &cells, &mut lib, &pij, &cfg, &SerModel::default());
         let ranked = rank_by_fit(&r, &c);
         assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));

@@ -22,7 +22,7 @@
 //!   the circuit's logic, so they are computed once and served from a
 //!   per-cone weight cache; `P_ij` likewise persists, with
 //!   [`AnalysisSession::resample_pij_rows`] re-simulating selected cones
-//!   (via [`ser_logicsim::sensitize::resimulate_rows`]) when the caller
+//!   (via [`ser_logicsim::sensitize::resimulate_rows_cfg`]) when the caller
 //!   wants sharper estimates for specific nodes.
 //!
 //! **Fidelity contract:** after any sequence of
@@ -183,9 +183,7 @@ pub struct AnalysisSession<'c> {
 /// [`AnalysisSession::builder`], finished with
 /// [`SessionBuilder::build`].
 ///
-/// The builder folds what used to be five constructor entry points
-/// (`new` / `try_new` / `with_pij` / `try_with_pij` /
-/// `try_new_governed`) into one fallible surface:
+/// The builder is the one fallible construction surface:
 ///
 /// * [`SessionBuilder::pij`] supplies a precomputed sensitization
 ///   matrix (to share one estimate across sessions); without it the
@@ -193,8 +191,7 @@ pub struct AnalysisSession<'c> {
 /// * [`SessionBuilder::deadline`] installs a cooperative execution
 ///   budget; when the builder estimates `P_ij` the estimate runs
 ///   *governed* under it (truncations and memory-governor events are
-///   recorded as [`DegradationEvent`]s, exactly as the former
-///   `try_new_governed`);
+///   recorded as [`DegradationEvent`]s);
 /// * [`SessionBuilder::engine`] pins execution-resource knobs
 ///   (threads, chunking, soft memory budget); unset fields fall
 ///   through to the strict environment overlay
@@ -264,27 +261,14 @@ impl<'c> SessionBuilder<'c> {
         let engine = self.engine.overlay(&EngineConfig::from_env()?);
         let (pij, events) = match (self.pij, &self.deadline) {
             (Some(pij), _) => (pij, Vec::new()),
-            (None, None) => (
-                sensitization_probabilities_cfg(
-                    self.circuit,
-                    self.cfg.sensitization_vectors,
-                    self.cfg.seed,
-                    engine.threads(),
-                    engine.cone_chunk(),
-                    &engine.pij(),
-                ),
-                Vec::new(),
-            ),
+            (None, None) => (estimate_pij(self.circuit, &self.cfg, &engine), Vec::new()),
             (None, Some(deadline)) => {
                 let est = sensitization_probabilities_governed_cfg(
                     self.circuit,
                     self.cfg.sensitization_vectors,
                     self.cfg.seed,
-                    engine.threads(),
-                    engine.cone_chunk(),
-                    &engine.pij(),
+                    &engine,
                     deadline,
-                    engine.mem_soft_limit(),
                 )
                 .map_err(AnalysisError::Interrupted)?;
                 let mut events = est.events;
@@ -310,6 +294,24 @@ impl<'c> SessionBuilder<'c> {
     }
 }
 
+/// The ungoverned `P_ij` estimate of a session build: `cfg`'s vector
+/// count and seed, with threads, chunk size and estimator modes from
+/// the resolved `engine`.
+pub(crate) fn estimate_pij(
+    circuit: &Circuit,
+    cfg: &AsertaConfig,
+    engine: &EngineConfig,
+) -> SensitizationMatrix {
+    sensitization_probabilities_cfg(
+        circuit,
+        cfg.sensitization_vectors,
+        cfg.seed,
+        engine.threads(),
+        engine.cone_chunk(),
+        &engine.pij(),
+    )
+}
+
 impl<'c> AnalysisSession<'c> {
     /// Starts the single construction path: a [`SessionBuilder`] over
     /// the circuit, cell assignment, library and analysis
@@ -330,87 +332,6 @@ impl<'c> AnalysisSession<'c> {
             deadline: None,
             engine: EngineConfig::new(),
         }
-    }
-
-    /// Builds a session: estimates `P_ij` (once), runs one full analysis
-    /// and materializes every cache the incremental path serves from.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`AnalysisError`];
-    /// [`AnalysisSession::builder`] is the fallible form.
-    #[deprecated(since = "0.2.0", note = "use AnalysisSession::builder(..).build()")]
-    pub fn new(
-        circuit: &'c Circuit,
-        cells: CircuitCells,
-        library: Library,
-        cfg: AsertaConfig,
-    ) -> Self {
-        match Self::builder(circuit, cells, library, cfg).build() {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible constructor: validates the configuration before the
-    /// (expensive) `P_ij` estimate.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionBuilder::build`].
-    #[deprecated(since = "0.2.0", note = "use AnalysisSession::builder(..).build()")]
-    pub fn try_new(
-        circuit: &'c Circuit,
-        cells: CircuitCells,
-        library: Library,
-        cfg: AsertaConfig,
-    ) -> Result<Self, AnalysisError> {
-        Self::builder(circuit, cells, library, cfg).build()
-    }
-
-    /// Constructor with a caller-provided sensitization matrix (to
-    /// share one estimate across sessions).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`AnalysisError`];
-    /// [`AnalysisSession::builder`] + [`SessionBuilder::pij`] is the
-    /// fallible form.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use AnalysisSession::builder(..).pij(..).build()"
-    )]
-    pub fn with_pij(
-        circuit: &'c Circuit,
-        cells: CircuitCells,
-        library: Library,
-        cfg: AsertaConfig,
-        pij: SensitizationMatrix,
-    ) -> Self {
-        match Self::builder(circuit, cells, library, cfg).pij(pij).build() {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible constructor over a caller-provided sensitization
-    /// matrix.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionBuilder::build`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use AnalysisSession::builder(..).pij(..).build()"
-    )]
-    pub fn try_with_pij(
-        circuit: &'c Circuit,
-        cells: CircuitCells,
-        library: Library,
-        cfg: AsertaConfig,
-        pij: SensitizationMatrix,
-    ) -> Result<Self, AnalysisError> {
-        Self::builder(circuit, cells, library, cfg).pij(pij).build()
     }
 
     /// The untrusted-input boundary of session construction: validates
@@ -507,33 +428,6 @@ impl<'c> AnalysisSession<'c> {
         };
         session.resum_unreliability();
         Ok(session)
-    }
-
-    /// Governed constructor: the Monte-Carlo `P_ij` estimate runs under
-    /// a cooperative execution budget. When the budget expires
-    /// mid-estimate, the completed blocks (a consistent partial
-    /// estimate over fewer vectors) are kept, the truncation is
-    /// recorded as a [`DegradationEvent::EstimateTruncated`], and
-    /// construction finishes over the partial matrix. The deadline
-    /// stays installed on the session.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionBuilder::build`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use AnalysisSession::builder(..).deadline(..).build()"
-    )]
-    pub fn try_new_governed(
-        circuit: &'c Circuit,
-        cells: CircuitCells,
-        library: Library,
-        cfg: AsertaConfig,
-        deadline: Deadline,
-    ) -> Result<Self, AnalysisError> {
-        Self::builder(circuit, cells, library, cfg)
-            .deadline(deadline)
-            .build()
     }
 
     /// The circuit under analysis.
@@ -1718,8 +1612,17 @@ mod tests {
         session.resample_pij_rows(&targets, 2048, 99);
 
         // Oracle: fresh analysis over the hand-patched matrix.
-        let mut pij = ser_logicsim::sensitize::sensitization_probabilities(&c, 512, cfg().seed);
-        let up = ser_logicsim::sensitize::resimulate_rows(&c, &targets, 2048, 99);
+        let engine = session.engine();
+        let mut pij = estimate_pij(&c, &cfg(), engine);
+        let up = ser_logicsim::sensitize::resimulate_rows_cfg(
+            &c,
+            &targets,
+            2048,
+            99,
+            engine.threads(),
+            engine.cone_chunk(),
+            &engine.pij(),
+        );
         pij.apply_update(&up);
         let mut l = lib();
         let fresh = analyze(&c, session.cells(), &mut l, &pij, session.config());
@@ -1943,35 +1846,6 @@ mod tests {
         session.recover_with(CircuitCells::nominal(&c)).unwrap();
         assert!(!session.is_poisoned());
         assert_matches_fresh(&session);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_match_the_builder() {
-        let c = generate::c17();
-        let built = AnalysisSession::builder(&c, CircuitCells::nominal(&c), lib(), cfg())
-            .build()
-            .unwrap();
-        let legacy = AnalysisSession::try_new(&c, CircuitCells::nominal(&c), lib(), cfg()).unwrap();
-        assert_eq!(legacy.unreliability(), built.unreliability());
-        assert_eq!(legacy.pij(), built.pij());
-        let shared = AnalysisSession::with_pij(
-            &c,
-            CircuitCells::nominal(&c),
-            lib(),
-            cfg(),
-            built.pij().clone(),
-        );
-        assert_eq!(shared.unreliability(), built.unreliability());
-        let governed = AnalysisSession::try_new_governed(
-            &c,
-            CircuitCells::nominal(&c),
-            lib(),
-            cfg(),
-            Deadline::within(std::time::Duration::from_secs(3600)),
-        )
-        .unwrap();
-        assert_eq!(governed.unreliability(), built.unreliability());
     }
 
     #[test]

@@ -6,15 +6,15 @@
 
 use ser_cells::Library;
 use ser_logicsim::random::random_vectors;
-use ser_logicsim::sensitize::sensitization_probabilities;
 use ser_netlist::{topo, Circuit, NodeId};
 use ser_spice::circuit_sim::{reference_unreliability, CircuitElectrical, CircuitSimConfig};
 use ser_spice::measure::pearson_correlation;
 use ser_spice::{Strike, Technology};
 
-use crate::analysis::analyze;
+use crate::analysis::try_analyze_fresh;
 use crate::binding::CircuitCells;
 use crate::config::AsertaConfig;
+use crate::error::AnalysisError;
 
 /// The Fig. 3 data: per-node unreliability by both methods, and their
 /// Pearson correlation.
@@ -38,6 +38,11 @@ pub struct CorrelationReport {
 ///
 /// The reference shares ASERTA's load model and charge so the two sides
 /// measure the same physical experiment.
+///
+/// # Errors
+///
+/// Any [`AnalysisError`] of the ASERTA side (see
+/// [`try_analyze_fresh`]); the reference run is not started then.
 pub fn correlate_with_reference(
     tech: &Technology,
     circuit: &Circuit,
@@ -46,10 +51,9 @@ pub fn correlate_with_reference(
     cfg: &AsertaConfig,
     n_vectors: usize,
     max_level: usize,
-) -> CorrelationReport {
+) -> Result<CorrelationReport, AnalysisError> {
     // ASERTA side.
-    let pij = sensitization_probabilities(circuit, cfg.sensitization_vectors, cfg.seed);
-    let report = analyze(circuit, cells, library, &pij, cfg);
+    let report = try_analyze_fresh(circuit, cells, library, cfg)?;
 
     // Reference side.
     let sim_cfg = CircuitSimConfig {
@@ -89,12 +93,12 @@ pub fn correlate_with_reference(
     let reference: Vec<f64> = nodes.iter().map(|n| reference_u[n.index()]).collect();
     let correlation = pearson_correlation(&aserta, &reference).unwrap_or(0.0);
 
-    CorrelationReport {
+    Ok(CorrelationReport {
         nodes,
         aserta,
         reference,
         correlation,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -111,7 +115,7 @@ mod tests {
         let mut lib = Library::new(tech.clone(), CharGrids::coarse());
         let mut cfg = AsertaConfig::fast();
         cfg.sensitization_vectors = 2048;
-        let r = correlate_with_reference(&tech, &c, &cells, &mut lib, &cfg, 16, 5);
+        let r = correlate_with_reference(&tech, &c, &cells, &mut lib, &cfg, 16, 5).unwrap();
         assert_eq!(r.nodes.len(), 6, "all six NANDs are within 5 levels");
         assert!(
             r.correlation > 0.5,

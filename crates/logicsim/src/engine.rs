@@ -1,5 +1,5 @@
-//! [`EngineConfig`]: one explicit home for the execution knobs that
-//! used to live in scattered environment reads inside the kernels.
+//! [`EngineConfig`]: one explicit home for the engine's knobs, and
+//! the only code in the workspace that reads the `SER_*` environment.
 //!
 //! Three knobs govern how (not what) the engine computes — none of them
 //! affects results, which are bitwise identical for every setting:
@@ -11,13 +11,10 @@
 //! * **soft memory limit** (`SER_MEM_SOFT_LIMIT`) — byte budget the
 //!   governed estimator degrades under instead of OOMing.
 //!
-//! Three more knobs govern the `P_ij` **estimator** itself (see
-//! [`PijConfig`]). One is again purely about *how* (`SER_SIMD_LANES`,
-//! bitwise identical for every value); the other two trade accuracy
-//! bookkeeping for speed and are therefore part of a result's identity:
+//! Two more knobs govern the `P_ij` **estimator** itself (see
+//! [`PijConfig`]). They trade accuracy bookkeeping for speed and are
+//! therefore part of a result's identity:
 //!
-//! * **SIMD lanes** (`SER_SIMD_LANES`) — `u64` words processed per
-//!   interpreter step in the wide cone-replay kernels (1, 2, 4 or 8);
 //! * **adaptive tolerance** (`SER_PIJ_TOL`) — per-cone relative
 //!   half-width target for early sampling stops (`0` = the fixed-budget
 //!   bitwise-pinned mode);
@@ -28,12 +25,10 @@
 //! Precedence is **explicit > environment > default**: a field set on
 //! the config wins; an unset field falls through to the environment
 //! overlay ([`EngineConfig::from_env`]) and then to the built-in
-//! default. The strict [`EngineConfig::from_env`] rejects malformed
-//! variable values with a typed [`EngineConfigError`];
-//! [`EngineConfig::lenient_env`] preserves the historical
-//! silently-ignore-garbage behavior for the legacy free functions
-//! ([`sensitize::simulation_threads`](crate::sensitize::simulation_threads)
-//! and friends) that cannot surface an error.
+//! default. [`EngineConfig::from_env`] rejects malformed variable
+//! values with a typed [`EngineConfigError`]. The estimator entry
+//! points in [`crate::sensitize`] never read the environment: callers
+//! resolve a config here and pass it down.
 //!
 //! # Example
 //!
@@ -58,14 +53,6 @@ use serde::{Deserialize, Serialize};
 /// megabytes, which amortizes to tens of bytes per circuit node on
 /// 100k-gate designs.
 pub const DEFAULT_CONE_CHUNK: usize = 128;
-
-/// Default `u64` lane width of the wide cone-replay kernels. Four
-/// 64-bit words per interpreter step keeps the unrolled row loops in
-/// registers on every x86-64/aarch64 target without spilling.
-pub const DEFAULT_SIMD_LANES: usize = 4;
-
-/// Lane widths the wide kernels are monomorphized for.
-pub const VALID_SIMD_LANES: [usize; 4] = [1, 2, 4, 8];
 
 /// Default relative tolerance of the adaptive sampler: a cone stops
 /// early once its observability confidence half-width drops below
@@ -104,8 +91,9 @@ impl fmt::Display for EngineConfigError {
 
 impl std::error::Error for EngineConfigError {}
 
-/// Execution-resource configuration for the analysis engine: worker
-/// threads, streamed-arena chunk size and the soft memory budget.
+/// Configuration of the analysis engine: worker threads, streamed-arena
+/// chunk size and the soft memory budget, plus the two `P_ij`
+/// estimator knobs.
 ///
 /// All fields are optional; an unset field resolves through the
 /// layering described in the [module docs](self). The resolved
@@ -122,10 +110,6 @@ pub struct EngineConfig {
     /// Soft memory budget in bytes for governed estimation (`None` =
     /// ungoverned).
     pub mem_soft_limit: Option<usize>,
-    /// `u64` lane width of the wide cone-replay kernels; must be one of
-    /// [`VALID_SIMD_LANES`] (`None` = [`DEFAULT_SIMD_LANES`]). Purely
-    /// an execution knob: every lane width is bitwise identical.
-    pub simd_lanes: Option<usize>,
     /// Relative tolerance of the adaptive `P_ij` sampler; `0` pins the
     /// fixed-budget bitwise path (`None` = [`DEFAULT_PIJ_TOLERANCE`]).
     pub pij_tolerance: Option<f64>,
@@ -141,7 +125,6 @@ impl EngineConfig {
             sim_threads: None,
             cone_chunk: None,
             mem_soft_limit: None,
-            simd_lanes: None,
             pij_tolerance: None,
             exact_support: None,
         }
@@ -169,14 +152,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the wide-kernel lane width (one of [`VALID_SIMD_LANES`];
-    /// the resolved accessor treats other values as unset).
-    #[must_use]
-    pub fn with_simd_lanes(mut self, lanes: usize) -> Self {
-        self.simd_lanes = Some(lanes);
-        self
-    }
-
     /// Sets the adaptive sampler's relative tolerance (`0` = fixed
     /// budget, bitwise-pinned).
     #[must_use]
@@ -192,16 +167,19 @@ impl EngineConfig {
         self
     }
 
-    /// The **strict** environment overlay: reads `SER_SIM_THREADS`,
-    /// `SER_CONE_CHUNK` and `SER_MEM_SOFT_LIMIT`, rejecting malformed
-    /// or zero values with a typed [`EngineConfigError`] instead of
-    /// silently ignoring them. Unset variables leave the field unset.
+    /// The environment overlay: reads `SER_SIM_THREADS`,
+    /// `SER_CONE_CHUNK`, `SER_MEM_SOFT_LIMIT`, `SER_PIJ_TOL` and
+    /// `SER_EXACT_SUPPORT`, rejecting malformed values with a typed
+    /// [`EngineConfigError`] instead of silently ignoring them. Unset
+    /// variables leave the field unset.
     ///
     /// # Errors
     ///
     /// [`EngineConfigError`] naming the offending variable when its
-    /// value is not a positive integer (threads, chunk) or a positive
-    /// byte count with optional `K`/`M`/`G` suffix (memory limit).
+    /// value is not a positive integer (threads, chunk), a positive
+    /// byte count with optional `K`/`M`/`G` suffix (memory limit), a
+    /// finite non-negative number (tolerance) or a non-negative integer
+    /// (exact support).
     pub fn from_env() -> Result<Self, EngineConfigError> {
         let mut cfg = EngineConfig::new();
         if let Ok(v) = std::env::var("SER_SIM_THREADS") {
@@ -225,13 +203,6 @@ impl EngineConfig {
                 expected: "a positive byte count with optional K/M/G suffix",
             })?);
         }
-        if let Ok(v) = std::env::var("SER_SIMD_LANES") {
-            cfg.simd_lanes = Some(parse_lanes(&v).ok_or(EngineConfigError {
-                var: "SER_SIMD_LANES",
-                value: v,
-                expected: "one of 1, 2, 4, 8",
-            })?);
-        }
         if let Ok(v) = std::env::var("SER_PIJ_TOL") {
             cfg.pij_tolerance = Some(parse_tolerance(&v).ok_or(EngineConfigError {
                 var: "SER_PIJ_TOL",
@@ -249,35 +220,6 @@ impl EngineConfig {
         Ok(cfg)
     }
 
-    /// The **lenient** environment overlay: like
-    /// [`EngineConfig::from_env`] but malformed values are silently
-    /// treated as unset — the historical behavior of the raw env reads,
-    /// kept only for the legacy free functions that return plain values
-    /// and cannot surface an error. New code should use the strict
-    /// form.
-    pub fn lenient_env() -> Self {
-        let mut cfg = EngineConfig::new();
-        if let Ok(v) = std::env::var("SER_SIM_THREADS") {
-            cfg.sim_threads = parse_positive(&v);
-        }
-        if let Ok(v) = std::env::var("SER_CONE_CHUNK") {
-            cfg.cone_chunk = parse_positive(&v);
-        }
-        if let Ok(v) = std::env::var("SER_MEM_SOFT_LIMIT") {
-            cfg.mem_soft_limit = parse_byte_size(&v);
-        }
-        if let Ok(v) = std::env::var("SER_SIMD_LANES") {
-            cfg.simd_lanes = parse_lanes(&v);
-        }
-        if let Ok(v) = std::env::var("SER_PIJ_TOL") {
-            cfg.pij_tolerance = parse_tolerance(&v);
-        }
-        if let Ok(v) = std::env::var("SER_EXACT_SUPPORT") {
-            cfg.exact_support = parse_support(&v);
-        }
-        cfg
-    }
-
     /// Layers `self` over `under`: fields set on `self` win, unset
     /// fields fall through — the "explicit > env > default" composition
     /// (`explicit.overlay(&env)`), with the resolved accessors applying
@@ -288,7 +230,6 @@ impl EngineConfig {
             sim_threads: self.sim_threads.or(under.sim_threads),
             cone_chunk: self.cone_chunk.or(under.cone_chunk),
             mem_soft_limit: self.mem_soft_limit.or(under.mem_soft_limit),
-            simd_lanes: self.simd_lanes.or(under.simd_lanes),
             pij_tolerance: self.pij_tolerance.or(under.pij_tolerance),
             exact_support: self.exact_support.or(under.exact_support),
         }
@@ -319,15 +260,6 @@ impl EngineConfig {
         self.mem_soft_limit.filter(|&b| b > 0)
     }
 
-    /// Resolved wide-kernel lane width: the configured value when it is
-    /// one of [`VALID_SIMD_LANES`], else [`DEFAULT_SIMD_LANES`].
-    pub fn simd_lanes(&self) -> usize {
-        match self.simd_lanes {
-            Some(n) if VALID_SIMD_LANES.contains(&n) => n,
-            _ => DEFAULT_SIMD_LANES,
-        }
-    }
-
     /// Resolved adaptive tolerance: the configured value when finite
     /// and non-negative (including the pinned `0`), else
     /// [`DEFAULT_PIJ_TOLERANCE`].
@@ -348,27 +280,22 @@ impl EngineConfig {
     /// kernels (see [`crate::sensitize`]).
     pub fn pij(&self) -> PijConfig {
         PijConfig {
-            lanes: self.simd_lanes(),
             tolerance: self.pij_tolerance(),
             exact_support: self.exact_support(),
         }
     }
 }
 
-/// Resolved estimator knobs handed to the `P_ij` kernels: the wide
-/// lane width (execution-only — bitwise identical for every value),
-/// the adaptive sampler's relative tolerance and the exact
-/// enumerator's support threshold (both part of a result's identity
-/// unless pinned to their fixed-mode values).
+/// Resolved estimator knobs handed to the `P_ij` kernels: the adaptive
+/// sampler's relative tolerance and the exact enumerator's support
+/// threshold (both part of a result's identity unless pinned to their
+/// fixed-mode values).
 ///
 /// [`PijConfig::default`] is the engine default (adaptive + exact on);
 /// [`PijConfig::fixed`] is the bitwise-pinned legacy mode that every
-/// historical estimate used (scalar lanes, no early stops, no
-/// enumeration).
+/// historical estimate used (no early stops, no enumeration).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PijConfig {
-    /// `u64` words per interpreter step (one of [`VALID_SIMD_LANES`]).
-    pub lanes: usize,
     /// Relative half-width target for early sampling stops; `0`
     /// disables adaptivity.
     pub tolerance: f64,
@@ -380,7 +307,6 @@ pub struct PijConfig {
 impl Default for PijConfig {
     fn default() -> Self {
         PijConfig {
-            lanes: DEFAULT_SIMD_LANES,
             tolerance: DEFAULT_PIJ_TOLERANCE,
             exact_support: DEFAULT_EXACT_SUPPORT,
         }
@@ -388,38 +314,20 @@ impl Default for PijConfig {
 }
 
 impl PijConfig {
-    /// The fixed-budget scalar mode: bitwise identical to every
-    /// estimate the engine produced before the estimator knobs existed,
-    /// and the reference the wide/adaptive/exact paths are validated
-    /// against.
+    /// The fixed-budget mode: bitwise identical to every estimate the
+    /// engine produced before the estimator knobs existed, and the
+    /// reference the adaptive/exact paths are validated against.
     pub const fn fixed() -> Self {
         PijConfig {
-            lanes: 1,
             tolerance: 0.0,
             exact_support: 0,
         }
-    }
-
-    /// Resolves the estimator knobs from the lenient environment
-    /// overlay — the default used by the legacy entry points that take
-    /// no explicit config.
-    pub fn from_lenient_env() -> Self {
-        EngineConfig::lenient_env().pij()
     }
 }
 
 /// Parses a positive integer; `None` for malformed or zero values.
 fn parse_positive(s: &str) -> Option<usize> {
     s.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// Parses a wide-kernel lane width; `None` unless one of
-/// [`VALID_SIMD_LANES`].
-fn parse_lanes(s: &str) -> Option<usize> {
-    s.trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|n| VALID_SIMD_LANES.contains(n))
 }
 
 /// Parses an adaptive tolerance; `None` unless finite and
@@ -489,7 +397,6 @@ mod tests {
         let cfg = EngineConfig::new()
             .with_threads(4)
             .with_mem_soft_limit(1 << 20)
-            .with_simd_lanes(8)
             .with_pij_tolerance(0.01)
             .with_exact_support(12);
         let v = serde::Serialize::serialize(&cfg);
@@ -500,7 +407,6 @@ mod tests {
     #[test]
     fn estimator_knobs_resolve_with_defaults() {
         let cfg = EngineConfig::new();
-        assert_eq!(cfg.simd_lanes(), DEFAULT_SIMD_LANES);
         assert_eq!(cfg.pij_tolerance(), DEFAULT_PIJ_TOLERANCE);
         assert_eq!(cfg.exact_support(), DEFAULT_EXACT_SUPPORT);
         assert_eq!(cfg.pij(), PijConfig::default());
@@ -510,19 +416,13 @@ mod tests {
     fn estimator_knobs_accept_pinned_zeroes() {
         // 0 is meaningful (fixed budget / exact off), not "unset".
         let cfg = EngineConfig::new()
-            .with_simd_lanes(1)
             .with_pij_tolerance(0.0)
             .with_exact_support(0);
         assert_eq!(cfg.pij(), PijConfig::fixed());
     }
 
     #[test]
-    fn invalid_lane_width_falls_back_to_default() {
-        assert_eq!(
-            EngineConfig::new().with_simd_lanes(3).simd_lanes(),
-            DEFAULT_SIMD_LANES
-        );
-        assert_eq!(EngineConfig::new().with_simd_lanes(8).simd_lanes(), 8);
+    fn invalid_tolerance_falls_back_to_default() {
         assert_eq!(
             EngineConfig::new().with_pij_tolerance(-1.0).pij_tolerance(),
             DEFAULT_PIJ_TOLERANCE
@@ -534,11 +434,10 @@ mod tests {
         let explicit = EngineConfig::new().with_pij_tolerance(0.0);
         let env = EngineConfig::new()
             .with_pij_tolerance(0.1)
-            .with_simd_lanes(2);
+            .with_exact_support(8);
         let merged = explicit.overlay(&env);
         assert_eq!(merged.pij_tolerance, Some(0.0));
-        assert_eq!(merged.simd_lanes, Some(2));
-        assert_eq!(merged.exact_support, None);
+        assert_eq!(merged.exact_support, Some(8));
     }
 
     // The env-reading paths are covered in `tests/engine_env.rs` as a

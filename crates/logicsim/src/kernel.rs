@@ -160,12 +160,12 @@ pub fn eval_word_with_flips(
 //
 // Row primitives for the cone-replay interpreter in
 // [`crate::sensitize`]: each operates on whole rows of packed words,
-// hand-unrolled `L` words at a time (`L` ∈ {1, 2, 4, 8}, selected by
-// `SER_SIMD_LANES` / `EngineConfig::simd_lanes` and monomorphized at
-// the replay loop). Every operation is a pure per-word bitwise
-// function, so the result is bitwise identical for every lane width —
-// the wide forms exist only to keep the interpreter's inner loops in
-// straight-line register code the compiler can turn into SIMD.
+// hand-unrolled `L` words at a time (the interpreter runs `L = 4`).
+// Every operation is a pure per-word bitwise function, so the result
+// is bitwise identical for every `L` — the `L = 1` instantiation is the
+// in-test scalar reference, and the wide form exists only to keep the
+// interpreter's inner loops in straight-line register code the
+// compiler can turn into SIMD.
 
 /// `dst[k] = f(a[k])` over a whole row, `L` words per step.
 #[inline(always)]

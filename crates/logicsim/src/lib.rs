@@ -17,11 +17,19 @@
 //! # Example
 //!
 //! ```
-//! use ser_logicsim::{sensitize, probability};
+//! use ser_logicsim::{probability, sensitize, EngineConfig};
 //! use ser_netlist::generate;
 //!
 //! let c17 = generate::c17();
-//! let pij = sensitize::sensitization_probabilities(&c17, 1024, 7);
+//! let engine = EngineConfig::new();
+//! let pij = sensitize::sensitization_probabilities_cfg(
+//!     &c17,
+//!     1024,
+//!     7,
+//!     engine.threads(),
+//!     engine.cone_chunk(),
+//!     &engine.pij(),
+//! );
 //! // A primary output is trivially sensitized to itself.
 //! let po0 = c17.primary_outputs()[0];
 //! assert_eq!(pij.p(po0, 0), 1.0);

@@ -8,45 +8,57 @@
 //! re-evaluated, and `P_ij` accumulates whether PO `j` changed — 64
 //! vectors per pass thanks to bit-parallel words.
 //!
+//! # Entry points
+//!
+//! Four functions cover every use, all backed by one private driver:
+//!
+//! * [`sensitization_probabilities_cfg`] — the full matrix;
+//! * [`sensitization_probabilities_with_stats_cfg`] — the same plus the
+//!   run's [`EstimateStats`] memory/work profile;
+//! * [`sensitization_probabilities_governed_cfg`] — the full matrix
+//!   under a [`Deadline`] and the resolved [`EngineConfig`]'s soft
+//!   memory budget;
+//! * [`resimulate_rows_cfg`] — selected rows only, bitwise equal to the
+//!   full estimate's rows.
+//!
+//! None of them reads the environment: callers resolve the `SER_*`
+//! knobs once with [`EngineConfig::from_env`] and pass the threads,
+//! chunk size and [`PijConfig`] down.
+//!
 //! # Hot-path architecture
 //!
 //! The estimator runs over the flat CSR view ([`CsrView`]) with fan-out
 //! cones and reachable-PO column lists materialized in [`ConeArena`]s,
 //! so each strike resimulates exactly the nodes that can change and
-//! counts differences only at the POs it can reach. 64-vector words are
-//! distributed round-robin over worker threads ([`simulation_threads`]:
-//! `SER_SIM_THREADS` or the machine's available parallelism).
+//! counts differences only at the POs it can reach. Roots are split
+//! across the worker threads in contiguous spans balanced by cone
+//! program size, and the cone-replay interpreter processes four packed
+//! words per step through the row primitives in [`crate::kernel`].
 //!
 //! Cones are **streamed in chunks** rather than held all at once: a
 //! [`ChunkedConeArena`] plans a PO-region partition of the roots
-//! ([`cone_chunk_size`] roots per chunk, `SER_CONE_CHUNK` to override),
-//! and the estimator builds each chunk's arena on first touch, compiles
-//! and replays its cone programs, scatters the counts, and releases the
-//! chunk before touching the next. Peak arena memory is therefore
-//! bounded by one chunk — not the whole-circuit cone closure, which on
-//! 100k-gate circuits runs to gigabytes. Per-thread simulation buffers
-//! and the program-compile scratch live in a pool that is reused across
-//! chunks, so the inner loop performs no per-node allocation.
+//! (`chunk_size` roots per chunk), and the estimator builds each
+//! chunk's arena on first touch, compiles and replays its cone
+//! programs, scatters the counts, and releases the chunk before
+//! touching the next. Peak arena memory is therefore bounded by one
+//! chunk — not the whole-circuit cone closure, which on 100k-gate
+//! circuits runs to gigabytes. Per-thread simulation buffers and the
+//! program-compile scratch live in a pool that is reused across chunks,
+//! so the inner loop performs no per-node allocation.
 //!
 //! **Determinism contract:** results are bitwise identical for every
-//! thread count. Word `w` always draws its stimulus from
+//! thread count and chunk size. Word `w` always draws its stimulus from
 //! `seed.wrapping_add(w)` regardless of which thread runs it, each
-//! thread accumulates integer hit counts privately, and the per-word
-//! counts are merged by integer summation (associative and commutative)
-//! before a single final division.
+//! `(root, word)` hit lands in an integer counter owned by exactly one
+//! worker, and counts are merged by integer summation (associative and
+//! commutative) before a single final division.
 //!
 //! # Estimator modes ([`PijConfig`])
 //!
-//! Three composable speedups sit on top of the streamed driver, all
-//! governed by the resolved [`PijConfig`] (knobs: `SER_SIMD_LANES`,
-//! `SER_PIJ_TOL`, `SER_EXACT_SUPPORT`; see [`crate::engine`]):
+//! Two composable speedups sit on top of the streamed driver, governed
+//! by the resolved [`PijConfig`] (knobs: `SER_PIJ_TOL`,
+//! `SER_EXACT_SUPPORT`; see [`crate::engine`]):
 //!
-//! * **Wide kernels** (`lanes`): the cone-replay interpreter processes
-//!   1, 2, 4 or 8 packed words per step through the hand-unrolled row
-//!   primitives in [`crate::kernel`]. Purely an execution knob — every
-//!   lane width is bitwise identical to the scalar path, and the
-//!   workspace proptests pin every `lanes × threads × chunk_size`
-//!   combination.
 //! * **Adaptive sampling** (`tolerance > 0`): vectors still run in
 //!   64-word blocks, but each root tracks its any-PO observability
 //!   counter and stops early at a block boundary once the
@@ -66,16 +78,17 @@
 //!   than the sampling it replaces.
 //!
 //! Adaptive and exact results remain bitwise identical across thread
-//! counts, chunk sizes and lane widths; they differ from the fixed
-//! budget (deliberately) in *sample counts*, which is why the
-//! tolerance and support threshold are part of a result's identity —
-//! see [`SensitizationMatrix::vectors_used`] and the serve-pool session
+//! counts and chunk sizes; they differ from the fixed budget
+//! (deliberately) in *sample counts*, which is why the tolerance and
+//! support threshold are part of a result's identity — see
+//! [`SensitizationMatrix::vectors_used`] and the serve-pool session
 //! keys.
 
 use ser_netlist::csr::{ChunkedConeArena, ConeArena, CsrView};
 use ser_netlist::govern::{Deadline, DegradationEvent, Interrupted};
 use ser_netlist::{Circuit, GateKind, NodeId};
 
+use crate::engine::EngineConfig;
 pub use crate::engine::PijConfig;
 use crate::kernel;
 use crate::kernel::AlignedWords;
@@ -269,7 +282,7 @@ impl SensitizationMatrix {
     }
 
     /// Patches the rows covered by a selective re-simulation
-    /// ([`resimulate_rows`]) into the matrix, replacing the per-PO
+    /// ([`resimulate_rows_cfg`]) into the matrix, replacing the per-PO
     /// probabilities and the measured union observability of exactly the
     /// re-simulated nodes. Reachability is structural and stays as built.
     ///
@@ -295,7 +308,7 @@ impl SensitizationMatrix {
 }
 
 /// Dense replacement rows for a subset of nodes, produced by
-/// [`resimulate_rows`] and consumed by
+/// [`resimulate_rows_cfg`] and consumed by
 /// [`SensitizationMatrix::apply_update`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PijRowUpdate {
@@ -329,32 +342,6 @@ impl PijRowUpdate {
     }
 }
 
-/// Worker-thread count used by [`sensitization_probabilities`]: the
-/// `SER_SIM_THREADS` environment override when set to a positive
-/// integer, else [`std::thread::available_parallelism`].
-///
-/// Legacy convenience over [`EngineConfig::lenient_env`](crate::engine::EngineConfig::lenient_env)
-/// — malformed values are silently ignored. Callers that can surface an
-/// error should use the strict
-/// [`EngineConfig::from_env`](crate::engine::EngineConfig::from_env).
-pub fn simulation_threads() -> usize {
-    crate::engine::EngineConfig::lenient_env().threads()
-}
-
-/// Roots-per-chunk used by the streamed estimator: the `SER_CONE_CHUNK`
-/// environment override when set to a positive integer, else the
-/// built-in default of [`crate::engine::DEFAULT_CONE_CHUNK`]. Results
-/// are bitwise identical for every chunk size. The fault-free base
-/// evaluation is hoisted per word-block (not per chunk), so the knob
-/// trades peak arena memory against per-block program recompilation
-/// only — shrinking it is cheap.
-///
-/// Legacy convenience over [`EngineConfig::lenient_env`](crate::engine::EngineConfig::lenient_env)
-/// — malformed values are silently ignored.
-pub fn cone_chunk_size() -> usize {
-    crate::engine::EngineConfig::lenient_env().cone_chunk()
-}
-
 /// Memory/work profile of one streamed estimation run — the probe the
 /// scaling benchmark reads. Deliberately *not* part of
 /// [`SensitizationMatrix`], whose equality is the bitwise-determinism
@@ -377,84 +364,12 @@ pub struct EstimateStats {
 }
 
 /// Estimates the full matrix with `n_vectors` random vectors (rounded up
-/// to a multiple of 64), PI probability 0.5, deterministic in `seed` and
-/// independent of the worker-thread count (see the module docs).
+/// to a multiple of 64), PI probability 0.5, deterministic in `seed`.
+/// Results are bitwise identical for every `threads` and `chunk_size`
+/// value (see the module docs); `pij` selects the estimator modes.
 ///
 /// The paper uses 10 000 vectors; 64-way packing makes that ~157 passes
 /// over each fan-out cone.
-///
-/// # Panics
-///
-/// Panics if `n_vectors` is 0.
-pub fn sensitization_probabilities(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-) -> SensitizationMatrix {
-    sensitization_probabilities_threaded(circuit, n_vectors, seed, simulation_threads())
-}
-
-/// [`sensitization_probabilities`] with an explicit worker-thread count.
-/// Results are bitwise identical for every `threads` value.
-///
-/// # Panics
-///
-/// Panics if `n_vectors` or `threads` is 0.
-pub fn sensitization_probabilities_threaded(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-) -> SensitizationMatrix {
-    sensitization_probabilities_chunked(circuit, n_vectors, seed, threads, cone_chunk_size())
-}
-
-/// [`sensitization_probabilities_threaded`] with an explicit
-/// roots-per-chunk for the streamed cone arena. Results are bitwise
-/// identical for every `chunk_size` (and every `threads`) value — the
-/// workspace proptests pin this.
-///
-/// # Panics
-///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
-pub fn sensitization_probabilities_chunked(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-) -> SensitizationMatrix {
-    sensitization_probabilities_with_stats(circuit, n_vectors, seed, threads, chunk_size).0
-}
-
-/// [`sensitization_probabilities_chunked`] plus the [`EstimateStats`]
-/// memory/work profile of the run. Estimator modes resolve from the
-/// lenient environment ([`PijConfig::from_lenient_env`]).
-///
-/// # Panics
-///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
-pub fn sensitization_probabilities_with_stats(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-) -> (SensitizationMatrix, EstimateStats) {
-    sensitization_probabilities_with_stats_cfg(
-        circuit,
-        n_vectors,
-        seed,
-        threads,
-        chunk_size,
-        &PijConfig::from_lenient_env(),
-    )
-}
-
-/// [`sensitization_probabilities_chunked`] with the estimator modes
-/// explicit — the entry point consumers use to pin a lane width,
-/// adaptive tolerance or exact-support threshold (see the module docs
-/// and [`PijConfig`]).
 ///
 /// # Panics
 ///
@@ -484,76 +399,10 @@ pub fn sensitization_probabilities_with_stats_cfg(
     chunk_size: usize,
     pij: &PijConfig,
 ) -> (SensitizationMatrix, EstimateStats) {
-    assert!(n_vectors > 0, "need at least one vector");
-    assert!(threads > 0, "need at least one worker thread");
-    let outputs: Vec<NodeId> = circuit.primary_outputs().to_vec();
-    let n_pos = outputs.len();
-    let n_nodes = circuit.node_count();
-    let n_words = n_vectors.div_ceil(64);
-
-    let csr = CsrView::build(circuit);
-    let mut plan = ChunkedConeArena::plan(&csr, chunk_size);
-
-    // Scatter the flat reachable-PO counts into the dense row-major
-    // matrix; unreachable columns stay at their structural zero. The
-    // (node, col) pairs rebuild the node-ordered reachability CSR after
-    // the chunk arenas (which visit roots in PO-region order) are gone.
-    let mut p = vec![0.0f64; n_nodes * n_pos];
-    let mut obs = vec![0.0f64; n_nodes];
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let (stats, words_done, _) = estimate_chunks(
-        &csr,
-        &mut plan,
-        seed,
-        threads,
-        n_words,
-        pij,
-        None,
-        |root, cols, counts, obs_count, samples| {
-            let total = samples as f64;
-            let i = root as usize;
-            for (t, &col) in cols.iter().enumerate() {
-                p[i * n_pos + col as usize] = counts[t] as f64 / total;
-                pairs.push((root, col));
-            }
-            obs[i] = obs_count as f64 / total;
-        },
+    let est = estimate(
+        circuit, None, n_vectors, seed, threads, chunk_size, pij, None,
     );
-
-    pairs.sort_unstable();
-    let mut reach_off = vec![0usize; n_nodes + 1];
-    for &(i, _) in &pairs {
-        reach_off[i as usize + 1] += 1;
-    }
-    for i in 0..n_nodes {
-        reach_off[i + 1] += reach_off[i];
-    }
-    let reach_cols: Vec<u32> = pairs.iter().map(|&(_, c)| c).collect();
-
-    (
-        SensitizationMatrix {
-            outputs,
-            n_nodes,
-            p,
-            obs,
-            reach_off,
-            reach_cols,
-            vectors_used: words_done * 64,
-        },
-        stats,
-    )
-}
-
-/// Soft memory budget (bytes) for the streamed estimator: the
-/// `SER_MEM_SOFT_LIMIT` environment override when set to a positive
-/// byte count (optional `K`/`M`/`G` suffix, powers of 1024), else
-/// `None` (ungoverned). Only the *governed* estimation entry points
-/// honor it; see [`sensitization_probabilities_governed`].
-///
-/// Legacy convenience over [`EngineConfig::lenient_env`](crate::engine::EngineConfig::lenient_env)
-/// — malformed values are silently ignored.
-pub fn mem_soft_limit() -> Option<usize> {
-    crate::engine::EngineConfig::lenient_env().mem_soft_limit()
+    (est.matrix, est.stats)
 }
 
 /// Outcome of a *governed* estimation run: the matrix built from every
@@ -590,10 +439,17 @@ pub struct GovernedEstimate {
     pub interrupted: Option<Interrupted>,
 }
 
-/// [`sensitization_probabilities`] under a wall-clock/cancellation
-/// budget and the environment's soft memory budget
-/// ([`mem_soft_limit`]): thread count, chunk size and memory limit all
-/// come from their environment knobs.
+/// [`sensitization_probabilities_cfg`] under a wall-clock/cancellation
+/// budget, with threads, chunk size, estimator modes and the soft
+/// memory budget all taken from the resolved `engine` config.
+///
+/// The soft memory budget ([`EngineConfig::mem_soft_limit`]) is never
+/// a failure: before the run, the cone chunk size is halved (and the
+/// chunks replanned) until one chunk's build fits, and during the run
+/// resident chunks are shed LRU-first; both degradations are recorded
+/// as [`DegradationEvent`]s. The deadline (or its cancel token) is
+/// checked at every 64-word block boundary — the points where the hit
+/// counters hold a consistent prefix of the vector stream.
 ///
 /// # Errors
 ///
@@ -605,140 +461,183 @@ pub struct GovernedEstimate {
 /// # Panics
 ///
 /// Panics if `n_vectors` is 0.
-pub fn sensitization_probabilities_governed(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    deadline: &Deadline,
-) -> Result<GovernedEstimate, Interrupted> {
-    sensitization_probabilities_governed_chunked(
-        circuit,
-        n_vectors,
-        seed,
-        simulation_threads(),
-        cone_chunk_size(),
-        deadline,
-        mem_soft_limit(),
-    )
-}
-
-/// [`sensitization_probabilities_governed`] with every governor knob
-/// explicit. `mem_soft_limit` is a *soft* byte budget: before the run,
-/// the cone chunk size is halved (and the chunks replanned) until one
-/// chunk's build fits, and during the run resident chunks are shed
-/// LRU-first; both degradations are recorded as
-/// [`DegradationEvent`]s rather than failing the run. The deadline (or
-/// its cancel token) is checked at every 64-word block boundary — the
-/// points where the hit counters hold a consistent prefix of the
-/// vector stream.
-///
-/// # Errors
-///
-/// See [`sensitization_probabilities_governed`].
-///
-/// # Panics
-///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
-pub fn sensitization_probabilities_governed_chunked(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-    deadline: &Deadline,
-    mem_soft_limit: Option<usize>,
-) -> Result<GovernedEstimate, Interrupted> {
-    sensitization_probabilities_governed_cfg(
-        circuit,
-        n_vectors,
-        seed,
-        threads,
-        chunk_size,
-        &PijConfig::from_lenient_env(),
-        deadline,
-        mem_soft_limit,
-    )
-}
-
-/// [`sensitization_probabilities_governed_chunked`] with the estimator
-/// modes explicit (see [`PijConfig`] and the module docs).
-///
-/// # Errors
-///
-/// See [`sensitization_probabilities_governed`].
-///
-/// # Panics
-///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
-#[allow(clippy::too_many_arguments)]
 pub fn sensitization_probabilities_governed_cfg(
     circuit: &Circuit,
+    n_vectors: usize,
+    seed: u64,
+    engine: &EngineConfig,
+    deadline: &Deadline,
+) -> Result<GovernedEstimate, Interrupted> {
+    let governor = Governor {
+        deadline,
+        mem_soft_limit: engine.mem_soft_limit(),
+    };
+    let est = estimate(
+        circuit,
+        None,
+        n_vectors,
+        seed,
+        engine.threads(),
+        engine.cone_chunk(),
+        &engine.pij(),
+        Some(&governor),
+    );
+    if est.vectors_completed == 0 {
+        return Err(est
+            .interrupted
+            .expect("a run that did no work must have been interrupted"));
+    }
+    Ok(est)
+}
+
+/// Selectively re-simulates the strike cones of `nodes` only, with the
+/// same word-blocked kernels, vector stream and counting rules as
+/// [`sensitization_probabilities_cfg`] — the rows it returns are
+/// **bitwise identical** to the corresponding rows of the full estimate
+/// at the same `(n_vectors, seed, pij)`, at a cost proportional to the
+/// listed cones instead of the whole circuit. Sessions that cache a
+/// matrix must therefore refill it with the [`PijConfig`] it was built
+/// with.
+///
+/// This is the cache-refill primitive of the incremental engine: when a
+/// consumer invalidates (or wants to re-estimate at higher accuracy) the
+/// `P_ij` rows of a few nodes, only those cones are replayed.
+///
+/// # Panics
+///
+/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
+pub fn resimulate_rows_cfg(
+    circuit: &Circuit,
+    nodes: &[NodeId],
     n_vectors: usize,
     seed: u64,
     threads: usize,
     chunk_size: usize,
     pij: &PijConfig,
-    deadline: &Deadline,
+) -> PijRowUpdate {
+    let roots: Vec<u32> = nodes.iter().map(|id| id.index() as u32).collect();
+    let est = estimate(
+        circuit,
+        Some(&roots),
+        n_vectors,
+        seed,
+        threads,
+        chunk_size,
+        pij,
+        None,
+    );
+    PijRowUpdate {
+        nodes: roots,
+        n_pos: circuit.primary_outputs().len(),
+        p: est.matrix.p,
+        obs: est.matrix.obs,
+        vectors_used: n_vectors.div_ceil(64) * 64,
+    }
+}
+
+/// Execution governor of an estimation run: the deadline checked at
+/// every word-block boundary and the optional soft memory budget.
+struct Governor<'a> {
+    deadline: &'a Deadline,
     mem_soft_limit: Option<usize>,
-) -> Result<GovernedEstimate, Interrupted> {
+}
+
+/// The one estimation driver behind every public entry point: builds
+/// the CSR view and the chunk plan (under the governor's memory budget,
+/// if any), streams the word blocks through [`estimate_chunks`],
+/// scatters the per-root counts into dense rows and assembles the
+/// reachability CSR.
+///
+/// `roots` selects the rows: `None` estimates every node (row `i` is
+/// node `i`); `Some(list)` re-simulates only the listed cones, and row
+/// `t` answers request slot `t` (duplicates repeat the row of their
+/// first slot). Without a governor no deadline is ever checked.
+#[allow(clippy::too_many_arguments)]
+fn estimate(
+    circuit: &Circuit,
+    roots: Option<&[u32]>,
+    n_vectors: usize,
+    seed: u64,
+    threads: usize,
+    chunk_size: usize,
+    pij: &PijConfig,
+    govern: Option<&Governor<'_>>,
+) -> GovernedEstimate {
     assert!(n_vectors > 0, "need at least one vector");
     assert!(threads > 0, "need at least one worker thread");
-    let outputs: Vec<NodeId> = circuit.primary_outputs().to_vec();
-    let n_pos = outputs.len();
+    let n_pos = circuit.primary_outputs().len();
     let n_nodes = circuit.node_count();
-    let n_words = n_vectors.div_ceil(64);
 
+    // Only the planned cones are materialized (and only one chunk of
+    // them at a time), so the setup cost is one O(V+E) flattening pass
+    // plus work proportional to the planned cones.
     let csr = CsrView::build(circuit);
     let mut events = Vec::new();
-    let mut plan = plan_under_budget(&csr, chunk_size, mem_soft_limit, &mut events);
+    let limit = govern.and_then(|g| g.mem_soft_limit);
+    let mut plan = plan_under_budget(&csr, roots, chunk_size, limit, &mut events);
 
-    let mut p = vec![0.0f64; n_nodes * n_pos];
-    let mut obs = vec![0.0f64; n_nodes];
+    // The chunk plan visits roots deduplicated, in PO-region order; each
+    // root's counts land in its row (its first request slot when
+    // selective). The (row, col) pairs rebuild the row-ordered
+    // reachability CSR after the chunk arenas are gone.
+    let mut row_of: Vec<u32> = (0..n_nodes as u32).collect();
+    if let Some(roots) = roots {
+        for (t, &r) in roots.iter().enumerate().rev() {
+            row_of[r as usize] = t as u32;
+        }
+    }
+    let n_rows = roots.map_or(n_nodes, <[u32]>::len);
+    let mut p = vec![0.0f64; n_rows * n_pos];
+    let mut obs = vec![0.0f64; n_rows];
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     let (stats, words_done, interrupted) = estimate_chunks(
         &csr,
         &mut plan,
         seed,
         threads,
-        n_words,
+        n_vectors.div_ceil(64),
         pij,
-        Some(Governor {
-            deadline,
-            keep_resident: mem_soft_limit.is_some(),
-        }),
+        govern,
         |root, cols, counts, obs_count, samples| {
             let total = samples as f64;
-            let i = root as usize;
+            let row = row_of[root as usize];
+            let r = row as usize;
             for (t, &col) in cols.iter().enumerate() {
-                p[i * n_pos + col as usize] = counts[t] as f64 / total;
-                pairs.push((root, col));
+                p[r * n_pos + col as usize] = counts[t] as f64 / total;
+                pairs.push((row, col));
             }
-            obs[i] = obs_count as f64 / total;
+            obs[r] = obs_count as f64 / total;
         },
     );
-    if words_done == 0 {
-        return Err(interrupted.expect("a run that did no work must have been interrupted"));
-    }
     if plan.evictions() > 0 {
         events.push(DegradationEvent::ConesShed {
             evictions: plan.evictions(),
         });
     }
+    if let Some(roots) = roots {
+        for (t, &r) in roots.iter().enumerate() {
+            let first = row_of[r as usize] as usize;
+            if first != t {
+                p.copy_within(first * n_pos..(first + 1) * n_pos, t * n_pos);
+                obs[t] = obs[first];
+            }
+        }
+    }
 
     pairs.sort_unstable();
-    let mut reach_off = vec![0usize; n_nodes + 1];
-    for &(i, _) in &pairs {
-        reach_off[i as usize + 1] += 1;
+    let mut reach_off = vec![0usize; n_rows + 1];
+    for &(r, _) in &pairs {
+        reach_off[r as usize + 1] += 1;
     }
-    for i in 0..n_nodes {
-        reach_off[i + 1] += reach_off[i];
+    for r in 0..n_rows {
+        reach_off[r + 1] += reach_off[r];
     }
     let reach_cols: Vec<u32> = pairs.iter().map(|&(_, c)| c).collect();
 
-    Ok(GovernedEstimate {
+    GovernedEstimate {
         matrix: SensitizationMatrix {
-            outputs,
-            n_nodes,
+            outputs: circuit.primary_outputs().to_vec(),
+            n_nodes: n_rows,
             p,
             obs,
             reach_off,
@@ -749,34 +648,33 @@ pub fn sensitization_probabilities_governed_cfg(
         stats,
         events,
         interrupted,
-    })
+    }
 }
 
-/// Execution-governor knobs threaded into [`estimate_chunks`]; see its
-/// docs for the semantics of each field.
-struct Governor<'a> {
-    deadline: &'a Deadline,
-    keep_resident: bool,
-}
-
-/// Plans the chunked cone arena under an optional soft byte budget:
-/// halve the chunk size (and replan) while building the first chunk
-/// overshoots the limit, then install the limit as the plan's LRU
-/// residency budget. The probe inspects the first chunk only — the
-/// limit stays *soft* for pathological cones — and every shrink is
-/// recorded as a [`DegradationEvent::ChunkShrunk`].
+/// Plans the chunked cone arena over `roots` (every node when `None`)
+/// under an optional soft byte budget: halve the chunk size (and
+/// replan) while building the first chunk overshoots the limit, then
+/// install the limit as the plan's LRU residency budget. The probe
+/// inspects the first chunk only — the limit stays *soft* for
+/// pathological cones — and every shrink is recorded as a
+/// [`DegradationEvent::ChunkShrunk`].
 fn plan_under_budget(
     csr: &CsrView,
+    roots: Option<&[u32]>,
     chunk_size: usize,
     limit: Option<usize>,
     events: &mut Vec<DegradationEvent>,
 ) -> ChunkedConeArena {
+    let plan_at = |size| match roots {
+        None => ChunkedConeArena::plan(csr, size),
+        Some(roots) => ChunkedConeArena::plan_for(csr, roots, size),
+    };
     let Some(limit) = limit else {
-        return ChunkedConeArena::plan(csr, chunk_size);
+        return plan_at(chunk_size);
     };
     let mut size = chunk_size;
     loop {
-        let mut plan = ChunkedConeArena::plan(csr, size);
+        let mut plan = plan_at(size);
         if plan.chunk_count() > 0 {
             plan.ensure(csr, 0);
             let probe = plan.peak_bytes();
@@ -794,155 +692,6 @@ fn plan_under_budget(
             });
         }
         return plan.with_budget(limit);
-    }
-}
-
-/// Selectively re-simulates the strike cones of `nodes` only, with the
-/// same word-blocked kernels, vector stream and counting rules as
-/// [`sensitization_probabilities`] — the rows it returns are **bitwise
-/// identical** to the corresponding rows of the full estimate at the same
-/// `(n_vectors, seed)`, at a cost proportional to the listed cones
-/// instead of the whole circuit.
-///
-/// This is the cache-refill primitive of the incremental engine: when a
-/// consumer invalidates (or wants to re-estimate at higher accuracy) the
-/// `P_ij` rows of a few nodes, only those cones are replayed.
-///
-/// # Panics
-///
-/// Panics if `n_vectors` is 0.
-pub fn resimulate_rows(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    n_vectors: usize,
-    seed: u64,
-) -> PijRowUpdate {
-    resimulate_rows_threaded(circuit, nodes, n_vectors, seed, simulation_threads())
-}
-
-/// [`resimulate_rows`] with an explicit worker-thread count. Results are
-/// bitwise identical for every `threads` value.
-///
-/// # Panics
-///
-/// Panics if `n_vectors` or `threads` is 0.
-pub fn resimulate_rows_threaded(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-) -> PijRowUpdate {
-    resimulate_rows_chunked(circuit, nodes, n_vectors, seed, threads, cone_chunk_size())
-}
-
-/// [`resimulate_rows_threaded`] with an explicit roots-per-chunk for the
-/// streamed cone arena. Results are bitwise identical for every
-/// `chunk_size` (and every `threads`) value.
-///
-/// # Panics
-///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
-pub fn resimulate_rows_chunked(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-) -> PijRowUpdate {
-    resimulate_rows_cfg(
-        circuit,
-        nodes,
-        n_vectors,
-        seed,
-        threads,
-        chunk_size,
-        &PijConfig::from_lenient_env(),
-    )
-}
-
-/// [`resimulate_rows_chunked`] with the estimator modes explicit. Rows
-/// are bitwise identical to the corresponding rows of
-/// [`sensitization_probabilities_cfg`] at the same `(n_vectors, seed,
-/// pij)` — sessions that cache a matrix must refill it with the same
-/// [`PijConfig`] it was built with.
-///
-/// # Panics
-///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
-pub fn resimulate_rows_cfg(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-    pij: &PijConfig,
-) -> PijRowUpdate {
-    assert!(n_vectors > 0, "need at least one vector");
-    assert!(threads > 0, "need at least one worker thread");
-    let n_pos = circuit.primary_outputs().len();
-    let n_words = n_vectors.div_ceil(64);
-    let roots: Vec<u32> = nodes.iter().map(|id| id.index() as u32).collect();
-    if roots.is_empty() {
-        return PijRowUpdate {
-            nodes: roots,
-            n_pos,
-            p: Vec::new(),
-            obs: Vec::new(),
-            vectors_used: n_words * 64,
-        };
-    }
-
-    // Only the listed cones are materialized (and only one chunk of them
-    // at a time), so the setup cost is one O(V+E) flattening pass plus
-    // work proportional to the requested cones.
-    let csr = CsrView::build(circuit);
-    let mut plan = ChunkedConeArena::plan_for(&csr, &roots, chunk_size);
-
-    // The chunk plan visits roots in deduplicated PO-region order; the
-    // update must come back in request order (with duplicates repeated).
-    let mut first_slot = vec![u32::MAX; circuit.node_count()];
-    for (t, &r) in roots.iter().enumerate() {
-        if first_slot[r as usize] == u32::MAX {
-            first_slot[r as usize] = t as u32;
-        }
-    }
-    let mut p = vec![0.0f64; roots.len() * n_pos];
-    let mut obs = vec![0.0f64; roots.len()];
-    estimate_chunks(
-        &csr,
-        &mut plan,
-        seed,
-        threads,
-        n_words,
-        pij,
-        None,
-        |root, cols, counts, obs_count, samples| {
-            let total = samples as f64;
-            let t = first_slot[root as usize] as usize;
-            for (ci, &col) in cols.iter().enumerate() {
-                p[t * n_pos + col as usize] = counts[ci] as f64 / total;
-            }
-            obs[t] = obs_count as f64 / total;
-        },
-    );
-    for (t, &r) in roots.iter().enumerate() {
-        let f = first_slot[r as usize] as usize;
-        if f != t {
-            let (head, tail) = p.split_at_mut(t * n_pos);
-            tail[..n_pos].copy_from_slice(&head[f * n_pos..(f + 1) * n_pos]);
-            obs[t] = obs[f];
-        }
-    }
-
-    PijRowUpdate {
-        nodes: roots,
-        n_pos,
-        p,
-        obs,
-        vectors_used: n_words * 64,
     }
 }
 
@@ -975,18 +724,16 @@ pub fn resimulate_rows_cfg(
 /// holds a consistent prefix of the vector stream — and an expiry stops
 /// the loop there, finalizing whatever blocks completed.
 ///
-/// When the governor's `keep_resident` is set (governed runs with an
-/// LRU byte budget installed on `plan`), chunk arenas stay resident
-/// across blocks and the budget decides what to shed, trading the
-/// per-block rebuild for governed memory; otherwise each chunk is
-/// released as soon as its block slice is replayed, exactly like the
-/// ungoverned streamer.
+/// When the governor carries a soft memory budget (installed on `plan`
+/// as its LRU byte budget), chunk arenas stay resident across blocks
+/// and the budget decides what to shed, trading the per-block rebuild
+/// for governed memory; otherwise each chunk is released as soon as its
+/// block slice is replayed.
 ///
-/// Estimator modes (`pij`): lane width selects the wide replay kernels
-/// (bitwise-neutral); a positive tolerance arms the per-root Wilson
-/// convergence check at block boundaries; a positive exact-support
-/// threshold routes qualifying roots through [`exact_roots_pass`] on
-/// block 0. Roots that are done (exact, converged, or with no
+/// Estimator modes (`pij`): a positive tolerance arms the per-root
+/// Wilson convergence check at block boundaries; a positive
+/// exact-support threshold routes qualifying roots through
+/// [`exact_roots_pass`] on block 0. Roots that are done (exact, converged, or with no
 /// reachable PO) are skipped by the replay workers, and chunks whose
 /// roots are all done are skipped entirely — including their arena
 /// rebuild.
@@ -998,7 +745,7 @@ fn estimate_chunks(
     threads: usize,
     n_words: usize,
     pij: &PijConfig,
-    govern: Option<Governor<'_>>,
+    govern: Option<&Governor<'_>>,
     mut sink: impl FnMut(u32, &[u32], &[u64], u64, u64),
 ) -> (EstimateStats, usize, Option<Interrupted>) {
     let n_chunks = plan.chunk_count();
@@ -1026,7 +773,7 @@ fn estimate_chunks(
         ..EstimateStats::default()
     };
 
-    let keep_resident = govern.as_ref().is_some_and(|g| g.keep_resident);
+    let keep_resident = govern.is_some_and(|g| g.mem_soft_limit.is_some());
     let total_vectors = (n_words * 64) as u64;
     // A root may stop early only once it is at least as tight as the
     // full requested budget's own worst-case resolution.
@@ -1041,7 +788,7 @@ fn estimate_chunks(
             // cannot change any counter.
             break;
         }
-        if let Some(g) = &govern {
+        if let Some(g) = govern {
             if let Err(stop) = g.deadline.check("sensitize::block") {
                 interrupted = Some(stop);
                 break;
@@ -1103,7 +850,6 @@ fn estimate_chunks(
                 &progs,
                 base.words(),
                 wc,
-                pij.lanes,
                 &done[root_off[k]..root_off[k + 1]],
                 &mut pool,
                 &mut counts[count_off[k]..count_off[k + 1]],
@@ -1118,9 +864,9 @@ fn estimate_chunks(
 
         // Convergence sweep at the block boundary: each root's decision
         // depends only on its own counter and the global word prefix,
-        // so it is identical for every thread count, chunk size and
-        // lane width — and for any co-scheduled root set (selective
-        // re-simulation reproduces full-run rows bitwise).
+        // so it is identical for every thread count and chunk size —
+        // and for any co-scheduled root set (selective re-simulation
+        // reproduces full-run rows bitwise).
         if adaptive && words_done < n_words {
             let n_samp = (words_done * 64) as u64;
             for k in 0..n_chunks {
@@ -1274,26 +1020,7 @@ fn eval_base_block(csr: &CsrView, seed: u64, w0: usize, wc: usize, base: &mut Al
 /// integer counter owned by exactly one worker, so the totals are
 /// bitwise identical for every thread count. Done roots weigh (almost)
 /// nothing in the balance and are skipped by the workers.
-#[allow(clippy::too_many_arguments)]
 fn replay_block(
-    progs: &ConePrograms,
-    base: &[u64],
-    wc: usize,
-    lanes: usize,
-    done: &[bool],
-    pool: &mut [SimScratch],
-    counts: &mut [u64],
-    obs_counts: &mut [u64],
-) {
-    match lanes {
-        1 => replay_block_wide::<1>(progs, base, wc, done, pool, counts, obs_counts),
-        2 => replay_block_wide::<2>(progs, base, wc, done, pool, counts, obs_counts),
-        8 => replay_block_wide::<8>(progs, base, wc, done, pool, counts, obs_counts),
-        _ => replay_block_wide::<4>(progs, base, wc, done, pool, counts, obs_counts),
-    }
-}
-
-fn replay_block_wide<const L: usize>(
     progs: &ConePrograms,
     base: &[u64],
     wc: usize,
@@ -1309,7 +1036,7 @@ fn replay_block_wide<const L: usize>(
     let workers = pool.len().min(n_roots).max(1);
     if workers == 1 {
         pool[0].prepare(progs.max_cone, wc);
-        replay_roots::<L>(
+        replay_roots(
             progs,
             base,
             wc,
@@ -1371,9 +1098,7 @@ fn replay_block_wide<const L: usize>(
             obs_rest = o_rest;
             let vals = scratch.vals.words_mut();
             let progs = &*progs;
-            scope.spawn(move || {
-                replay_roots::<L>(progs, base, wc, span, done, vals, c_span, o_span)
-            });
+            scope.spawn(move || replay_roots(progs, base, wc, span, done, vals, c_span, o_span));
         }
     });
 }
@@ -1382,6 +1107,11 @@ fn replay_block_wide<const L: usize>(
 /// across the whole block and every row operation runs over contiguous
 /// `u64` lanes the compiler can vectorize.
 const BLOCK: usize = 64;
+
+/// `u64` words per step of the cone-replay interpreter's row kernels.
+/// Four keeps the unrolled row loops in registers on every
+/// x86-64/aarch64 target without spilling.
+const LANES: usize = 4;
 
 /// Tag bit marking a cone-local operand (index into the cone's value
 /// rows) as opposed to an untouched node read from the base evaluation.
@@ -1576,13 +1306,13 @@ impl SimScratch {
 
 /// Replays the strike of every root in `roots` against one block's base
 /// rows (stride `wc`, see [`eval_base_block`]), accumulating flat
-/// reachable-PO hit counts and per-root any-PO union counts, `L` words
-/// per interpreter step. The `counts`/`obs_counts` slices cover exactly
+/// reachable-PO hit counts and per-root any-PO union counts, [`LANES`]
+/// words per interpreter step. The `counts`/`obs_counts` slices cover exactly
 /// this span's po-slots and roots (offset by the span start), so
 /// concurrent spans never share a counter; `done` is chunk-relative and
 /// read-only (done roots are skipped).
 #[allow(clippy::too_many_arguments)]
-fn replay_roots<const L: usize>(
+fn replay_roots(
     progs: &ConePrograms,
     base: &[u64],
     wc: usize,
@@ -1602,7 +1332,7 @@ fn replay_roots<const L: usize>(
         }
         let i = progs.roots[ri] as usize;
         // Row 0: the struck node, flipped in every lane.
-        kernel::unary_row::<L>(&mut vals[..wc], &base[i * wc..][..wc], true);
+        kernel::unary_row::<LANES>(&mut vals[..wc], &base[i * wc..][..wc], true);
         for (e, op) in progs.ops_of(ri).iter().enumerate() {
             let (prev, rest) = vals.split_at_mut((e + 1) * wc);
             let dst = &mut rest[..wc];
@@ -1615,15 +1345,15 @@ fn replay_roots<const L: usize>(
             };
             let args = &progs.operands[op.off as usize..(op.off + op.n_in) as usize];
             match *args {
-                [a] => kernel::unary_row::<L>(dst, row(a), op.kind.is_inverting()),
-                [a, b] => kernel::binary_row::<L>(op.kind, dst, row(a), row(b)),
+                [a] => kernel::unary_row::<LANES>(dst, row(a), op.kind.is_inverting()),
+                [a, b] => kernel::binary_row::<LANES>(op.kind, dst, row(a), row(b)),
                 [a, ref more @ ..] => {
                     dst.copy_from_slice(row(a));
                     for &m in more {
-                        kernel::accumulate_row::<L>(op.kind, dst, row(m));
+                        kernel::accumulate_row::<LANES>(op.kind, dst, row(m));
                     }
                     if op.kind.is_inverting() {
-                        kernel::invert_row::<L>(dst);
+                        kernel::invert_row::<LANES>(dst);
                     }
                 }
                 [] => unreachable!("gates have at least one fan-in"),
@@ -1640,7 +1370,7 @@ fn replay_roots<const L: usize>(
             let vrow = &vals[(slot.local as usize) * wc..][..wc];
             let prow = &base[(slot.po as usize) * wc..][..wc];
             counts[start + t] +=
-                kernel::diff_count_union_row::<L>(vrow, prow, &mut union_buf[..wc]);
+                kernel::diff_count_union_row::<LANES>(vrow, prow, &mut union_buf[..wc]);
         }
         obs_counts[ri - obs_base] += union_buf[..wc]
             .iter()
@@ -2011,13 +1741,73 @@ fn eval_tagged_scalar(kind: GateKind, args: &[u32], local: &[u64], node_vals: &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DEFAULT_CONE_CHUNK;
     use ser_netlist::govern::{CancelToken, InterruptReason};
     use ser_netlist::{generate, CircuitBuilder, GateKind};
+
+    /// The default estimator at an explicit thread count and chunk size.
+    fn estimate_at(
+        c: &Circuit,
+        n_vectors: usize,
+        seed: u64,
+        threads: usize,
+        chunk_size: usize,
+    ) -> SensitizationMatrix {
+        sensitization_probabilities_cfg(
+            c,
+            n_vectors,
+            seed,
+            threads,
+            chunk_size,
+            &PijConfig::default(),
+        )
+    }
+
+    fn default_estimate(c: &Circuit, n_vectors: usize, seed: u64) -> SensitizationMatrix {
+        estimate_at(c, n_vectors, seed, 2, DEFAULT_CONE_CHUNK)
+    }
+
+    /// Default-config re-simulation at an explicit thread count and
+    /// chunk size.
+    fn resim_at(
+        c: &Circuit,
+        nodes: &[NodeId],
+        n_vectors: usize,
+        seed: u64,
+        threads: usize,
+        chunk_size: usize,
+    ) -> PijRowUpdate {
+        resimulate_rows_cfg(
+            c,
+            nodes,
+            n_vectors,
+            seed,
+            threads,
+            chunk_size,
+            &PijConfig::default(),
+        )
+    }
+
+    fn default_resim(c: &Circuit, nodes: &[NodeId], n_vectors: usize, seed: u64) -> PijRowUpdate {
+        resim_at(c, nodes, n_vectors, seed, 2, DEFAULT_CONE_CHUNK)
+    }
+
+    /// A governed engine config at an explicit thread count, chunk size
+    /// and soft memory budget.
+    fn governed_engine(threads: usize, chunk_size: usize, limit: Option<usize>) -> EngineConfig {
+        let engine = EngineConfig::new()
+            .with_threads(threads)
+            .with_cone_chunk(chunk_size);
+        match limit {
+            Some(bytes) => engine.with_mem_soft_limit(bytes),
+            None => engine,
+        }
+    }
 
     #[test]
     fn po_is_self_sensitized() {
         let c = generate::c17();
-        let m = sensitization_probabilities(&c, 256, 5);
+        let m = default_estimate(&c, 256, 5);
         for (j, &po) in m.outputs().iter().enumerate() {
             assert_eq!(m.p(po, j), 1.0, "P_jj must be 1");
         }
@@ -2026,7 +1816,7 @@ mod tests {
     #[test]
     fn unreachable_output_has_zero_probability() {
         let c = generate::c17();
-        let m = sensitization_probabilities(&c, 256, 5);
+        let m = default_estimate(&c, 256, 5);
         // Gate 10 feeds only output 22 (never 23).
         let g10 = c.find("10").unwrap();
         let col23 = m
@@ -2046,7 +1836,7 @@ mod tests {
         let g2 = b.gate(GateKind::Not, "g2", &[g1]).unwrap();
         b.mark_output(g2);
         let c = b.finish().unwrap();
-        let m = sensitization_probabilities(&c, 128, 1);
+        let m = default_estimate(&c, 128, 1);
         for id in c.node_ids() {
             assert_eq!(m.p(id, 0), 1.0, "node {id}");
         }
@@ -2061,7 +1851,7 @@ mod tests {
         let y = bb.gate(GateKind::And, "y", &[a, b2]).unwrap();
         bb.mark_output(y);
         let c = bb.finish().unwrap();
-        let m = sensitization_probabilities(&c, 64 * 256, 123);
+        let m = default_estimate(&c, 64 * 256, 123);
         assert!((m.p(a, 0) - 0.5).abs() < 0.03, "{}", m.p(a, 0));
     }
 
@@ -2078,7 +1868,7 @@ mod tests {
         let y = b.gate(GateKind::Xor, "y", &[x0, x1]).unwrap();
         b.mark_output(y);
         let c = b.finish().unwrap();
-        let m = sensitization_probabilities(&c, 128, 3);
+        let m = default_estimate(&c, 128, 3);
         for id in c.node_ids() {
             assert_eq!(m.p(id, 0), 1.0, "node {id}");
         }
@@ -2087,8 +1877,8 @@ mod tests {
     #[test]
     fn estimates_are_stable_across_seeds() {
         let c = generate::c17();
-        let m1 = sensitization_probabilities(&c, 64 * 128, 10);
-        let m2 = sensitization_probabilities(&c, 64 * 128, 20);
+        let m1 = default_estimate(&c, 64 * 128, 10);
+        let m2 = default_estimate(&c, 64 * 128, 20);
         for id in c.node_ids() {
             for j in 0..m1.outputs().len() {
                 assert!(
@@ -2102,7 +1892,7 @@ mod tests {
     #[test]
     fn observability_bounds_row() {
         let c = generate::c17();
-        let m = sensitization_probabilities(&c, 256, 5);
+        let m = default_estimate(&c, 256, 5);
         for id in c.node_ids() {
             let o = m.observability(id);
             for j in 0..m.outputs().len() {
@@ -2124,7 +1914,7 @@ mod tests {
         bb.mark_output(y0);
         bb.mark_output(y1);
         let circ = bb.finish().unwrap();
-        let m = sensitization_probabilities(&circ, 64 * 512, 9);
+        let m = default_estimate(&circ, 64 * 512, 9);
         let row_max = m.row(a).iter().copied().fold(0.0, f64::max);
         assert!((row_max - 0.5).abs() < 0.03, "{row_max}");
         assert!(
@@ -2137,9 +1927,9 @@ mod tests {
     #[test]
     fn thread_counts_agree_bitwise() {
         let c = generate::sec32("t");
-        let m1 = sensitization_probabilities_threaded(&c, 512, 77, 1);
-        let m2 = sensitization_probabilities_threaded(&c, 512, 77, 2);
-        let m5 = sensitization_probabilities_threaded(&c, 512, 77, 5);
+        let m1 = estimate_at(&c, 512, 77, 1, DEFAULT_CONE_CHUNK);
+        let m2 = estimate_at(&c, 512, 77, 2, DEFAULT_CONE_CHUNK);
+        let m5 = estimate_at(&c, 512, 77, 5, DEFAULT_CONE_CHUNK);
         assert_eq!(m1, m2);
         assert_eq!(m1, m5);
     }
@@ -2152,10 +1942,10 @@ mod tests {
         // reachability CSR, whose node order must survive the PO-region
         // chunk ordering).
         let c = generate::sec32("t");
-        let whole = sensitization_probabilities_chunked(&c, 512, 77, 2, c.node_count());
+        let whole = estimate_at(&c, 512, 77, 2, c.node_count());
         for chunk_size in [1, 13, 100] {
             for threads in [1, 3] {
-                let m = sensitization_probabilities_chunked(&c, 512, 77, threads, chunk_size);
+                let m = estimate_at(&c, 512, 77, threads, chunk_size);
                 assert_eq!(m, whole, "chunk {chunk_size}, {threads} threads");
             }
         }
@@ -2165,9 +1955,9 @@ mod tests {
     fn resim_chunk_sizes_agree_bitwise() {
         let c = generate::sec32("t");
         let subset: Vec<_> = c.node_ids().filter(|id| id.index() % 4 == 1).collect();
-        let whole = resimulate_rows_chunked(&c, &subset, 512, 77, 1, c.node_count());
+        let whole = resim_at(&c, &subset, 512, 77, 1, c.node_count());
         for chunk_size in [1, 7] {
-            let up = resimulate_rows_chunked(&c, &subset, 512, 77, 2, chunk_size);
+            let up = resim_at(&c, &subset, 512, 77, 2, chunk_size);
             assert_eq!(up, whole, "chunk {chunk_size}");
         }
     }
@@ -2177,7 +1967,7 @@ mod tests {
         let c = generate::c17();
         let g = c.gates().next().unwrap();
         let h = c.gates().nth(2).unwrap();
-        let up = resimulate_rows_chunked(&c, &[g, h, g], 256, 5, 1, 2);
+        let up = resim_at(&c, &[g, h, g], 256, 5, 1, 2);
         assert_eq!(
             up.nodes(),
             &[g.index() as u32, h.index() as u32, g.index() as u32]
@@ -2189,7 +1979,8 @@ mod tests {
     #[test]
     fn estimate_stats_profile_the_run() {
         let c = generate::sec32("t");
-        let (m, stats) = sensitization_probabilities_with_stats(&c, 512, 77, 1, 32);
+        let (m, stats) =
+            sensitization_probabilities_with_stats_cfg(&c, 512, 77, 1, 32, &PijConfig::default());
         assert_eq!(stats.chunks, c.node_count().div_ceil(32));
         assert!(stats.peak_bytes > 0);
         assert!(stats.cone_entries > c.node_count());
@@ -2207,7 +1998,7 @@ mod tests {
             stats.peak_bytes
         );
         // And the stats probe returns the same matrix.
-        assert_eq!(m, sensitization_probabilities_chunked(&c, 512, 77, 1, 32));
+        assert_eq!(m, estimate_at(&c, 512, 77, 1, 32));
     }
 
     #[test]
@@ -2250,25 +2041,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_lanes_match_scalar_bitwise() {
-        // At tolerance=0 with exact mode off, every lane width must
-        // reproduce the scalar fixed-budget matrix bit-for-bit, for
-        // every thread count.
-        let c = generate::sec32("t");
-        let scalar = sensitization_probabilities_cfg(&c, 512, 77, 1, 13, &PijConfig::fixed());
-        for lanes in [2usize, 4, 8] {
-            for threads in [1usize, 3] {
-                let pij = PijConfig {
-                    lanes,
-                    ..PijConfig::fixed()
-                };
-                let m = sensitization_probabilities_cfg(&c, 512, 77, threads, 13, &pij);
-                assert_eq!(m, scalar, "lanes {lanes}, {threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn adaptive_sampling_stops_early_within_tolerance() {
         // c17's cones all resolve exactly under the default config, so
         // the exact run is an oracle. The adaptive-only run (exact mode
@@ -2286,7 +2058,6 @@ mod tests {
         let adaptive = PijConfig {
             exact_support: 0,
             tolerance: 0.1,
-            lanes: PijConfig::default().lanes,
         };
         let budget = 64 * 64 * 4; // four convergence blocks
         let (m, stats) = sensitization_probabilities_with_stats_cfg(&c, budget, 7, 1, 8, &adaptive);
@@ -2312,14 +2083,12 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_and_exact_are_off_by_default_wrappers_env() {
-        // The legacy wrappers read the env leniently; with no SER_*
-        // vars set they resolve to the accuracy-preserving defaults,
-        // which on c17 means every root is exact — so two different
-        // seeds must agree perfectly.
+    fn default_config_enumerates_small_circuits_seed_free() {
+        // Under the default config every c17 root is exact, so two
+        // different seeds must agree perfectly.
         let c = generate::c17();
-        let m1 = sensitization_probabilities(&c, 256, 1);
-        let m2 = sensitization_probabilities(&c, 256, 2);
+        let m1 = default_estimate(&c, 256, 1);
+        let m2 = default_estimate(&c, 256, 2);
         for id in c.node_ids() {
             for j in 0..m1.outputs().len() {
                 assert_eq!(m1.p(id, j), m2.p(id, j), "node {id} col {j}");
@@ -2330,11 +2099,11 @@ mod tests {
     #[test]
     fn selective_resim_matches_full_rows_bitwise() {
         let c = generate::sec32("t");
-        let m = sensitization_probabilities_threaded(&c, 512, 77, 1);
+        let m = estimate_at(&c, 512, 77, 1, DEFAULT_CONE_CHUNK);
         // A scattered subset: every third node, in shuffled-ish order.
         let subset: Vec<_> = c.node_ids().filter(|id| id.index() % 3 == 1).collect();
         for threads in [1usize, 3] {
-            let up = resimulate_rows_threaded(&c, &subset, 512, 77, threads);
+            let up = resim_at(&c, &subset, 512, 77, threads, DEFAULT_CONE_CHUNK);
             assert_eq!(up.nodes().len(), subset.len());
             for (t, &id) in subset.iter().enumerate() {
                 assert_eq!(up.row(t), m.row(id), "row of {id} ({threads} threads)");
@@ -2350,10 +2119,10 @@ mod tests {
     #[test]
     fn apply_update_patches_only_listed_rows() {
         let c = generate::c17();
-        let m256 = sensitization_probabilities(&c, 256, 5);
-        let m512 = sensitization_probabilities(&c, 512, 5);
+        let m256 = default_estimate(&c, 256, 5);
+        let m512 = default_estimate(&c, 512, 5);
         let subset: Vec<_> = c.gates().take(3).collect();
-        let up = resimulate_rows(&c, &subset, 512, 5);
+        let up = default_resim(&c, &subset, 512, 5);
         let mut patched = m256.clone();
         patched.apply_update(&up);
         for id in c.node_ids() {
@@ -2365,7 +2134,7 @@ mod tests {
             }
         }
         // Patching with a same-(vectors, seed) update is a no-op.
-        let noop = resimulate_rows(&c, &subset, 256, 5);
+        let noop = default_resim(&c, &subset, 256, 5);
         let mut same = m256.clone();
         same.apply_update(&noop);
         assert_eq!(same, m256);
@@ -2374,7 +2143,7 @@ mod tests {
     #[test]
     fn empty_resim_is_trivial() {
         let c = generate::c17();
-        let up = resimulate_rows(&c, &[], 128, 1);
+        let up = default_resim(&c, &[], 128, 1);
         assert!(up.nodes().is_empty());
         assert_eq!(up.vectors_used(), 128);
     }
@@ -2382,7 +2151,7 @@ mod tests {
     #[test]
     fn reachable_columns_define_the_support() {
         let c = generate::sec32("t");
-        let m = sensitization_probabilities(&c, 256, 3);
+        let m = default_estimate(&c, 256, 3);
         for id in c.node_ids() {
             for j in 0..m.outputs().len() {
                 if !m.reachable_columns(id).contains(&(j as u32)) {
@@ -2395,7 +2164,7 @@ mod tests {
     #[test]
     fn raw_parts_round_trip_is_bitwise() {
         let c = generate::sec32("t");
-        let m = sensitization_probabilities(&c, 512, 77);
+        let m = default_estimate(&c, 512, 77);
         let rebuilt = SensitizationMatrix::from_raw_parts(
             m.outputs().to_vec(),
             m.node_count(),
@@ -2415,7 +2184,7 @@ mod tests {
     #[test]
     fn raw_parts_reject_structural_damage() {
         let c = generate::c17();
-        let m = sensitization_probabilities(&c, 128, 5);
+        let m = default_estimate(&c, 128, 5);
         let parts = |f: &DamageFn| {
             let mut p = m.probabilities().to_vec();
             let mut off = m.reach_offsets().to_vec();
@@ -2451,15 +2220,13 @@ mod tests {
     #[test]
     fn governed_full_run_matches_ungoverned_bitwise() {
         let c = generate::sec32("t");
-        let plain = sensitization_probabilities_chunked(&c, 512, 77, 2, 13);
-        let gov = sensitization_probabilities_governed_chunked(
+        let plain = estimate_at(&c, 512, 77, 2, 13);
+        let gov = sensitization_probabilities_governed_cfg(
             &c,
             512,
             77,
-            2,
-            13,
+            &governed_engine(2, 13, None),
             &Deadline::none(),
-            None,
         )
         .unwrap();
         assert!(gov.interrupted.is_none());
@@ -2472,8 +2239,14 @@ mod tests {
     fn expired_deadline_interrupts_before_any_work() {
         let c = generate::c17();
         let deadline = Deadline::within(std::time::Duration::ZERO);
-        let err = sensitization_probabilities_governed_chunked(&c, 512, 7, 1, 16, &deadline, None)
-            .unwrap_err();
+        let err = sensitization_probabilities_governed_cfg(
+            &c,
+            512,
+            7,
+            &governed_engine(1, 16, None),
+            &deadline,
+        )
+        .unwrap_err();
         assert_eq!(err.stage, "sensitize::block");
         assert_eq!(err.reason, InterruptReason::DeadlineExpired);
     }
@@ -2484,8 +2257,14 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let deadline = Deadline::none().with_token(token);
-        let err = sensitization_probabilities_governed_chunked(&c, 512, 7, 1, 16, &deadline, None)
-            .unwrap_err();
+        let err = sensitization_probabilities_governed_cfg(
+            &c,
+            512,
+            7,
+            &governed_engine(1, 16, None),
+            &deadline,
+        )
+        .unwrap_err();
         assert_eq!(err.reason, InterruptReason::Cancelled);
     }
 
@@ -2495,15 +2274,13 @@ mod tests {
         // A one-byte budget forces the preflight all the way down to
         // one-root chunks and arms LRU shedding; the matrix must still
         // be bitwise identical (chunk-size invariance).
-        let plain = sensitization_probabilities_chunked(&c, 512, 77, 2, 64);
-        let gov = sensitization_probabilities_governed_chunked(
+        let plain = estimate_at(&c, 512, 77, 2, 64);
+        let gov = sensitization_probabilities_governed_cfg(
             &c,
             512,
             77,
-            2,
-            64,
+            &governed_engine(2, 64, Some(1)),
             &Deadline::none(),
-            Some(1),
         )
         .unwrap();
         assert_eq!(gov.matrix, plain);
@@ -2526,20 +2303,15 @@ mod tests {
     #[test]
     fn generous_memory_budget_degrades_nothing() {
         let c = generate::c17();
-        let gov = sensitization_probabilities_governed_chunked(
+        let gov = sensitization_probabilities_governed_cfg(
             &c,
             256,
             5,
-            1,
-            16,
+            &governed_engine(1, 16, Some(1 << 30)),
             &Deadline::none(),
-            Some(1 << 30),
         )
         .unwrap();
         assert!(gov.events.is_empty(), "events: {:?}", gov.events);
-        assert_eq!(
-            gov.matrix,
-            sensitization_probabilities_chunked(&c, 256, 5, 1, 16)
-        );
+        assert_eq!(gov.matrix, estimate_at(&c, 256, 5, 1, 16));
     }
 }

@@ -1,7 +1,6 @@
-//! Environment-overlay behavior of [`EngineConfig`]: the strict
-//! `from_env` rejects malformed values with a typed error, the lenient
-//! overlay silently ignores them, and precedence is explicit > env >
-//! default.
+//! Environment-overlay behavior of [`EngineConfig`]: `from_env` rejects
+//! malformed values with a typed error, precedence is explicit > env >
+//! default, and the estimator entry points never read the environment.
 //!
 //! Lives in its own test binary because it mutates process-wide
 //! environment variables; the tests serialize on a local mutex so the
@@ -10,14 +9,15 @@
 use std::sync::Mutex;
 
 use ser_logicsim::engine::{EngineConfig, EngineConfigError, DEFAULT_CONE_CHUNK};
+use ser_logicsim::sensitize::{resimulate_rows_cfg, sensitization_probabilities_cfg, PijConfig};
+use ser_netlist::generate;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-const VARS: [&str; 6] = [
+const VARS: [&str; 5] = [
     "SER_SIM_THREADS",
     "SER_CONE_CHUNK",
     "SER_MEM_SOFT_LIMIT",
-    "SER_SIMD_LANES",
     "SER_PIJ_TOL",
     "SER_EXACT_SUPPORT",
 ];
@@ -97,50 +97,20 @@ fn strict_overlay_rejects_malformed_chunk_and_threads() {
 }
 
 #[test]
-fn lenient_overlay_silently_ignores_garbage() {
-    let cfg = with_env(
-        &[("SER_CONE_CHUNK", "banana"), ("SER_SIM_THREADS", "2")],
-        EngineConfig::lenient_env,
-    );
-    assert_eq!(cfg.sim_threads, Some(2));
-    assert_eq!(cfg.cone_chunk, None);
-    // …which is also what the legacy free functions expose.
-    let (threads, chunk) = with_env(&[("SER_CONE_CHUNK", "banana")], || {
-        (
-            ser_logicsim::sensitize::simulation_threads(),
-            ser_logicsim::sensitize::cone_chunk_size(),
-        )
-    });
-    assert!(threads >= 1);
-    assert_eq!(chunk, DEFAULT_CONE_CHUNK);
-}
-
-#[test]
 fn strict_overlay_reads_estimator_knobs() {
     let cfg = with_env(
-        &[
-            ("SER_SIMD_LANES", "8"),
-            ("SER_PIJ_TOL", "0.05"),
-            ("SER_EXACT_SUPPORT", "12"),
-        ],
+        &[("SER_PIJ_TOL", "0.05"), ("SER_EXACT_SUPPORT", "12")],
         || EngineConfig::from_env().unwrap(),
     );
-    assert_eq!(cfg.simd_lanes, Some(8));
     assert_eq!(cfg.pij_tolerance, Some(0.05));
     assert_eq!(cfg.exact_support, Some(12));
     let pij = cfg.pij();
-    assert_eq!(pij.lanes, 8);
     assert_eq!(pij.tolerance, 0.05);
     assert_eq!(pij.exact_support, 12);
 }
 
 #[test]
 fn strict_overlay_rejects_malformed_estimator_knobs() {
-    let err = with_env(&[("SER_SIMD_LANES", "3")], || {
-        EngineConfig::from_env().unwrap_err()
-    });
-    assert_eq!(err.var, "SER_SIMD_LANES");
-
     let err = with_env(&[("SER_PIJ_TOL", "-0.1")], || {
         EngineConfig::from_env().unwrap_err()
     });
@@ -150,17 +120,6 @@ fn strict_overlay_rejects_malformed_estimator_knobs() {
         EngineConfig::from_env().unwrap_err()
     });
     assert_eq!(err.var, "SER_EXACT_SUPPORT");
-}
-
-#[test]
-fn lenient_estimator_knobs_ignore_garbage_but_honor_zero() {
-    let pij = with_env(
-        &[("SER_SIMD_LANES", "nope"), ("SER_PIJ_TOL", "0")],
-        ser_logicsim::sensitize::PijConfig::from_lenient_env,
-    );
-    assert_eq!(pij.lanes, 4); // garbage ignored → default
-    assert_eq!(pij.tolerance, 0.0); // an explicit 0 pins adaptivity off
-    assert_eq!(pij.exact_support, 20); // unset → default
 }
 
 #[test]
@@ -175,4 +134,41 @@ fn explicit_beats_env_beats_default() {
     assert_eq!(resolved.threads(), 2); // explicit wins
     assert_eq!(resolved.cone_chunk(), 512); // env fills the gap
     assert_eq!(resolved.mem_soft_limit(), None); // default
+}
+
+#[test]
+fn estimator_entry_points_ignore_the_environment() {
+    // 4 blocks of 64 words: enough for adaptive stops, so a tolerance
+    // or exact-support read from the environment would change the
+    // result.
+    let n_vectors = 64 * 64 * 4;
+    let c = generate::sec32("env");
+    let nodes: Vec<_> = c.node_ids().filter(|id| id.index() % 5 == 1).collect();
+    let run = || {
+        let pij = PijConfig::default();
+        (
+            sensitization_probabilities_cfg(&c, n_vectors, 7, 2, DEFAULT_CONE_CHUNK, &pij),
+            resimulate_rows_cfg(&c, &nodes, n_vectors, 7, 2, DEFAULT_CONE_CHUNK, &pij),
+        )
+    };
+    let cleared = with_env(&[], run);
+    let set = with_env(
+        &[
+            ("SER_PIJ_TOL", "0"),
+            ("SER_EXACT_SUPPORT", "0"),
+            ("SER_SIM_THREADS", "1"),
+        ],
+        run,
+    );
+    assert_eq!(set, cleared);
+    // The pinned settings would have mattered had they been read.
+    let fixed = sensitization_probabilities_cfg(
+        &c,
+        n_vectors,
+        7,
+        1,
+        DEFAULT_CONE_CHUNK,
+        &PijConfig::fixed(),
+    );
+    assert_ne!(fixed, cleared.0);
 }

@@ -153,16 +153,22 @@ mod tests {
     use super::*;
     use aserta::CircuitCells;
     use ser_cells::CharGrids;
-    use ser_logicsim::sensitize::sensitization_probabilities;
+    use ser_logicsim::sensitize::sensitization_probabilities_cfg;
+    use ser_logicsim::EngineConfig;
     use ser_netlist::generate;
     use ser_spice::Technology;
+
+    fn default_pij(c: &Circuit, n_vectors: usize, seed: u64) -> SensitizationMatrix {
+        let e = EngineConfig::new();
+        sensitization_probabilities_cfg(c, n_vectors, seed, e.threads(), e.cone_chunk(), &e.pij())
+    }
 
     #[test]
     fn baseline_cost_is_weight_sum() {
         let c = generate::c17();
         let cells = CircuitCells::nominal(&c);
         let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
-        let pij = sensitization_probabilities(&c, 512, 1);
+        let pij = default_pij(&c, 512, 1);
         let cfg = AsertaConfig::fast();
         let w = CostWeights::default();
         let em = EnergyModel::default();
@@ -177,7 +183,7 @@ mod tests {
         let c = generate::c17();
         let cells = CircuitCells::nominal(&c);
         let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
-        let pij = sensitization_probabilities(&c, 512, 1);
+        let pij = default_pij(&c, 512, 1);
         let m = evaluate(
             &c,
             &cells,
@@ -199,7 +205,7 @@ mod tests {
     fn lower_vth_raises_energy() {
         let c = generate::c17();
         let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
-        let pij = sensitization_probabilities(&c, 512, 1);
+        let pij = default_pij(&c, 512, 1);
         let cfg = AsertaConfig::fast();
         let em = EnergyModel::default();
         let w = CostWeights::default();

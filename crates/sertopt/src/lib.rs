@@ -73,7 +73,5 @@ pub use cost::{CostBreakdown, CostWeights, EnergyModel};
 pub use error::EvalError;
 pub use matching::MatchPlan;
 pub use optimize::{optimize, Algorithm, OptimizeRequest, OptimizerConfig};
-#[allow(deprecated)]
-pub use optimize::{optimize_circuit, optimize_circuit_with_budget};
 pub use problem::{Candidate, DelayProblem, EvalStrategy};
 pub use result::{Outcome, Termination};

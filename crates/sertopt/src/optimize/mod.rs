@@ -161,47 +161,6 @@ impl OptimizeRequest {
     }
 }
 
-/// End-to-end SERTOPT: speed-size the baseline (the paper's Design
-/// Compiler step), build the problem, run the configured search, and
-/// package the outcome.
-///
-/// # Panics
-///
-/// Panics on any [`AnalysisError`](aserta::AnalysisError) from the
-/// initial session construction (e.g. an unusable
-/// `request.config.aserta`); the inputs are caller-controlled
-/// configuration, not untrusted data.
-#[deprecated(since = "0.2.0", note = "use sertopt::optimize(.., &OptimizeRequest)")]
-pub fn optimize_circuit(
-    circuit: &Circuit,
-    library: &mut Library,
-    cfg: &OptimizerConfig,
-) -> Outcome {
-    optimize(circuit, library, &OptimizeRequest::new(cfg.clone()))
-}
-
-/// [`optimize`] under a cooperative execution budget, with the config
-/// and deadline as separate arguments.
-#[deprecated(
-    since = "0.2.0",
-    note = "use sertopt::optimize(.., &OptimizeRequest::new(..).budget(..))"
-)]
-pub fn optimize_circuit_with_budget(
-    circuit: &Circuit,
-    library: &mut Library,
-    cfg: &OptimizerConfig,
-    deadline: &Deadline,
-) -> Outcome {
-    optimize(
-        circuit,
-        library,
-        &OptimizeRequest {
-            config: cfg.clone(),
-            budget: deadline.clone(),
-        },
-    )
-}
-
 /// End-to-end SERTOPT over one [`OptimizeRequest`]: speed-size the
 /// baseline (the paper's Design Compiler step), build the problem, run
 /// the configured search under the request's budget, and package the

@@ -38,8 +38,8 @@
 
 use aserta::{timing_view, AnalysisSession, AsertaConfig, CircuitCells};
 use ser_cells::Library;
-use ser_logicsim::sensitize::{sensitization_probabilities, simulation_threads};
-use ser_logicsim::SensitizationMatrix;
+use ser_logicsim::sensitize::sensitization_probabilities_cfg;
+use ser_logicsim::{EngineConfig, SensitizationMatrix};
 use ser_netlist::{topo, Circuit, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -211,8 +211,9 @@ pub struct DelayProblem<'a> {
     /// How candidates are measured.
     pub strategy: EvalStrategy,
     /// Worker threads for [`DelayProblem::evaluate_batch`] (0 = the
-    /// `SER_SIM_THREADS`/available-parallelism default). Results are
-    /// identical for every value.
+    /// engine thread count its sessions resolved: `SER_SIM_THREADS` or
+    /// the machine's parallelism). Results are identical for every
+    /// value.
     pub threads: usize,
     plan: MatchPlan,
     replicas: Vec<Replica<'a>>,
@@ -249,8 +250,17 @@ impl<'a> DelayProblem<'a> {
             library.get_or_characterize(p);
         }
 
-        let pij =
-            sensitization_probabilities(circuit, aserta_cfg.sensitization_vectors, aserta_cfg.seed);
+        // Estimated once, on the engine settings a session build would
+        // resolve (machine parallelism unless SER_* says otherwise).
+        let engine = EngineConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
+        let pij = sensitization_probabilities_cfg(
+            circuit,
+            aserta_cfg.sensitization_vectors,
+            aserta_cfg.seed,
+            engine.threads(),
+            engine.cone_chunk(),
+            &engine.pij(),
+        );
         let tv = timing_view(
             circuit,
             &baseline_cells,
@@ -404,7 +414,7 @@ impl<'a> DelayProblem<'a> {
             EvalStrategy::FreshPerMove => 1,
             EvalStrategy::Incremental => {
                 let t = if self.threads == 0 {
-                    simulation_threads()
+                    self.replicas[0].session.engine().threads()
                 } else {
                     self.threads
                 };

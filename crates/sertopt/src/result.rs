@@ -27,7 +27,7 @@ impl Termination {
     }
 }
 
-/// Outcome of [`optimize_circuit`](crate::optimize_circuit).
+/// Outcome of [`optimize`](crate::optimize()).
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// The circuit's name.

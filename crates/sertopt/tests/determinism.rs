@@ -34,25 +34,6 @@ fn run(cfg: &OptimizerConfig) -> Outcome {
     optimize(&circuit, &mut library, &OptimizeRequest::new(cfg.clone()))
 }
 
-#[test]
-#[allow(deprecated)]
-fn deprecated_optimize_shims_match_the_request_entry_point() {
-    let c = cfg(Algorithm::CoordinateDescent);
-    let circuit = generate::c17();
-    let via_request = run(&c);
-    let mut library = lib();
-    let via_shim = sertopt::optimize_circuit(&circuit, &mut library, &c);
-    assert_outcomes_identical(&via_request, &via_shim, "optimize_circuit shim");
-    let mut library = lib();
-    let via_budget_shim = sertopt::optimize_circuit_with_budget(
-        &circuit,
-        &mut library,
-        &c,
-        &aserta::Deadline::none(),
-    );
-    assert_outcomes_identical(&via_request, &via_budget_shim, "with_budget shim");
-}
-
 fn assert_outcomes_identical(a: &Outcome, b: &Outcome, what: &str) {
     assert_eq!(a.history, b.history, "{what}: history");
     assert_eq!(a.best_phi, b.best_phi, "{what}: best phi");

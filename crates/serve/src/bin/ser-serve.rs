@@ -4,7 +4,7 @@
 //! ```text
 //! ser-serve serve    --listen unix:/tmp/ser.sock [--workers N] [--pool-budget BYTES]
 //!                    [--pool-dir DIR] [--max-frame BYTES] [--threads N] [--cone-chunk N]
-//!                    [--lanes 1|2|4|8] [--pij-tol T] [--exact-support N]
+//!                    [--pij-tol T] [--exact-support N]
 //! ser-serve ping     --connect unix:/tmp/ser.sock
 //! ser-serve stats    --connect ...
 //! ser-serve analyze  --connect ... --circuit c17 [--vectors N] [--charge-fc Q]
@@ -110,7 +110,7 @@ const USAGE: &str =
     "usage: ser-serve <serve|ping|stats|analyze|sweep|optimize|snapshot|shutdown> [flags]
   serve     --listen unix:<path>|tcp:<host:port> [--workers N] [--pool-budget BYTES]
             [--pool-dir DIR] [--max-frame BYTES] [--threads N] [--cone-chunk N]
-            [--lanes 1|2|4|8] [--pij-tol T] [--exact-support N]
+            [--pij-tol T] [--exact-support N]
   clients   --connect unix:<path>|tcp:<host:port> plus per-command flags
             (see the crate README's Serving section)";
 
@@ -132,12 +132,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     // Estimator knobs are validated here, not silently sanitized at
     // resolution: a daemon started with a bad accuracy flag must refuse
     // to boot, exactly like a malformed SER_* variable.
-    if let Some(lanes) = flag_parse_opt::<usize>(args, "--lanes")? {
-        if !ser_logicsim::engine::VALID_SIMD_LANES.contains(&lanes) {
-            return Err(format!("--lanes expects one of 1, 2, 4, 8, got `{lanes}`"));
-        }
-        explicit = explicit.with_simd_lanes(lanes);
-    }
     if let Some(tol) = flag_parse_opt::<f64>(args, "--pij-tol")? {
         if !tol.is_finite() || tol < 0.0 {
             return Err(format!(

@@ -8,8 +8,8 @@
 //! deliberately: moving the charge is a cheap warm delta
 //! (`try_set_charge`), so requests that differ only in charge share one
 //! warm session instead of fragmenting the pool. The resolved `P_ij`
-//! estimator knobs ([`EngineConfig::pij`]: lane width, adaptive
-//! tolerance, exact-support threshold) are *included*: a daemon
+//! estimator knobs ([`EngineConfig::pij`]: adaptive tolerance,
+//! exact-support threshold) are *included*: a daemon
 //! restarted with different accuracy settings must never serve a
 //! `.sersnap` image whose matrices were estimated under the old ones,
 //! so warm hits never mix accuracy settings. The key is an FNV-1a hash
@@ -149,8 +149,7 @@ fn identity_cfg(cfg: &AsertaConfig) -> AsertaConfig {
 /// the only float comparison that round-trips through text losslessly.
 fn estimator_tag(pij: &PijConfig) -> String {
     format!(
-        "lanes={};tol={:016x};exact={}",
-        pij.lanes,
+        "tol={:016x};exact={}",
         pij.tolerance.to_bits(),
         pij.exact_support
     )
@@ -513,11 +512,6 @@ mod tests {
             ..PijConfig::default()
         };
         assert_ne!(base, pool_key(c17, &cfg, GridKind::Coarse, &tightened));
-        let narrow = PijConfig {
-            lanes: 1,
-            ..PijConfig::default()
-        };
-        assert_ne!(base, pool_key(c17, &cfg, GridKind::Coarse, &narrow));
         let no_exact = PijConfig {
             exact_support: 0,
             ..PijConfig::default()

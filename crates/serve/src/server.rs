@@ -529,7 +529,7 @@ fn sweep(
         session.set_deadline(request_deadline(deadline_ms));
         let base = CircuitCells::nominal(circuit);
         let workers = if threads == 0 {
-            ser_logicsim::sensitize::simulation_threads()
+            session.engine().threads()
         } else {
             threads as usize
         }

@@ -413,9 +413,8 @@ fn estimator_knobs_split_pool_identity_across_restarts() {
         grids: GridKind::Coarse,
         deadline_ms: None,
     };
-    // The pre-PR estimator: one lane, fixed budget, no exact mode.
+    // The fixed-budget estimator: no early stops, no exact mode.
     let fixed = EngineConfig::default()
-        .with_simd_lanes(1)
         .with_pij_tolerance(0.0)
         .with_exact_support(0);
 

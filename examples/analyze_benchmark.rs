@@ -70,7 +70,8 @@ fn main() {
     if do_validate {
         println!("validating against the transistor-level reference (this is the slow part)…");
         let r =
-            validate::correlate_with_reference(&tech, &circuit, &cells, &mut library, &cfg, 25, 5);
+            validate::correlate_with_reference(&tech, &circuit, &cells, &mut library, &cfg, 25, 5)
+                .unwrap_or_else(|e| die(&format!("validating {name}"), e));
         println!(
             "ASERTA vs reference correlation over {} near-PO nodes: {:.3}",
             r.nodes.len(),

@@ -8,9 +8,9 @@
 //! ```
 
 use soft_error::aserta::ser::{rank_by_fit, soft_error_rate, SerModel};
-use soft_error::aserta::{AsertaConfig, CircuitCells};
+use soft_error::aserta::{AsertaConfig, CircuitCells, EngineConfig};
 use soft_error::cells::{CharGrids, Library};
-use soft_error::logicsim::sensitize::sensitization_probabilities;
+use soft_error::logicsim::sensitize::sensitization_probabilities_cfg;
 use soft_error::netlist::generate;
 use soft_error::sertopt::{optimize, OptimizeRequest, OptimizerConfig};
 use soft_error::spice::Technology;
@@ -25,7 +25,15 @@ fn main() {
     let cfg = AsertaConfig::default();
     let model = SerModel::default();
 
-    let pij = sensitization_probabilities(&circuit, cfg.sensitization_vectors, cfg.seed);
+    let engine = EngineConfig::new();
+    let pij = sensitization_probabilities_cfg(
+        &circuit,
+        cfg.sensitization_vectors,
+        cfg.seed,
+        engine.threads(),
+        engine.cone_chunk(),
+        &engine.pij(),
+    );
     let baseline = CircuitCells::nominal(&circuit);
     let before = soft_error_rate(&circuit, &baseline, &mut library, &pij, &cfg, &model);
     println!("{name}: nominal SER = {:.3} FIT", before.fit);

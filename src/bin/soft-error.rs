@@ -279,7 +279,8 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         &cfg,
         vectors,
         levels,
-    );
+    )
+    .map_err(|e| format!("analyzing {}: {e}", circuit.name()))?;
     println!(
         "ASERTA vs reference over {} nodes (≤ {levels} levels from POs): correlation {:.3}",
         r.nodes.len(),

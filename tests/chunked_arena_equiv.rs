@@ -6,15 +6,15 @@
 //!   cones and reachable-PO lists exactly (including under a byte
 //!   budget that forces eviction and rebuild);
 //! * the streamed `P_ij` estimator must return **bitwise identical**
-//!   matrices for every `(threads, chunk_size)` combination — the
-//!   determinism contract the analysis engine's caches rely on;
+//!   matrices for every `(threads, chunk_size)` combination, in both
+//!   the fixed-budget and the default estimator mode — the determinism
+//!   contract the analysis engine's caches rely on;
 //! * selective row re-simulation must agree with the full estimate for
 //!   every chunking of the requested subset.
 
 use proptest::prelude::*;
 use soft_error::logicsim::sensitize::{
-    resimulate_rows_chunked, sensitization_probabilities_cfg, sensitization_probabilities_chunked,
-    PijConfig,
+    resimulate_rows_cfg, sensitization_probabilities_cfg, PijConfig,
 };
 use soft_error::netlist::csr::{ChunkedConeArena, ConeArena, CsrView};
 use soft_error::netlist::generate::{layered, LayeredSpec};
@@ -70,59 +70,29 @@ proptest! {
 
     /// The streamed estimator is bitwise identical for every worker
     /// count and every chunk size, including the degenerate one-root
-    /// chunks and the single-chunk (monolithic) extreme.
+    /// chunks and the single-chunk (monolithic) extreme — both in
+    /// fixed-budget mode (`PijConfig::fixed`, the CI pin) and under the
+    /// default adaptive + exact configuration, whose convergence and
+    /// qualification decisions are integer-counter driven.
     #[test]
     fn pij_bitwise_identical_across_threads_and_chunks(
         circuit in arbitrary_circuit(),
         seed in 0u64..1 << 40,
     ) {
         let n_vectors = 192; // 3 words: exercises uneven word blocks
-        let monolithic = sensitization_probabilities_chunked(
-            &circuit, n_vectors, seed, 1, circuit.node_count(),
-        );
-        for threads in [1usize, 2, 7] {
-            for chunk_size in [1usize, 3, 16, 64] {
-                let m = sensitization_probabilities_chunked(
-                    &circuit, n_vectors, seed, threads, chunk_size,
-                );
-                prop_assert_eq!(
-                    &m, &monolithic,
-                    "threads {} chunk {}", threads, chunk_size
-                );
-            }
-        }
-    }
-
-    /// The wide kernels change nothing: every lane width × thread count
-    /// × chunk size reproduces the one-lane reference bit for bit, both
-    /// in fixed-budget mode (`PijConfig::fixed`, the CI pin) and under
-    /// the default adaptive + exact configuration (whose convergence
-    /// and qualification decisions are integer-counter driven, hence
-    /// lane-invariant too).
-    #[test]
-    fn pij_bitwise_identical_across_lanes(
-        circuit in arbitrary_circuit(),
-        seed in 0u64..1 << 40,
-    ) {
-        let n_vectors = 192; // 3 words: exercises the wide-row tails
-        for base in [PijConfig::fixed(), PijConfig::default()] {
-            let scalar = sensitization_probabilities_cfg(
-                &circuit, n_vectors, seed, 1, circuit.node_count(),
-                &PijConfig { lanes: 1, ..base },
+        for pij in [PijConfig::fixed(), PijConfig::default()] {
+            let monolithic = sensitization_probabilities_cfg(
+                &circuit, n_vectors, seed, 1, circuit.node_count(), &pij,
             );
-            for lanes in [2usize, 4, 8] {
-                for threads in [1usize, 7] {
-                    for chunk_size in [3usize, 64] {
-                        let m = sensitization_probabilities_cfg(
-                            &circuit, n_vectors, seed, threads, chunk_size,
-                            &PijConfig { lanes, ..base },
-                        );
-                        prop_assert_eq!(
-                            &m, &scalar,
-                            "lanes {} threads {} chunk {} tol {}",
-                            lanes, threads, chunk_size, base.tolerance
-                        );
-                    }
+            for threads in [1usize, 2, 7] {
+                for chunk_size in [1usize, 3, 16, 64] {
+                    let m = sensitization_probabilities_cfg(
+                        &circuit, n_vectors, seed, threads, chunk_size, &pij,
+                    );
+                    prop_assert_eq!(
+                        &m, &monolithic,
+                        "threads {} chunk {} tol {}", threads, chunk_size, pij.tolerance
+                    );
                 }
             }
         }
@@ -137,8 +107,9 @@ proptest! {
         stride in 2usize..5,
     ) {
         let n_vectors = 192;
-        let full = sensitization_probabilities_chunked(
-            &circuit, n_vectors, seed, 1, circuit.node_count(),
+        let pij = PijConfig::default();
+        let full = sensitization_probabilities_cfg(
+            &circuit, n_vectors, seed, 1, circuit.node_count(), &pij,
         );
         let subset: Vec<NodeId> = circuit
             .node_ids()
@@ -148,8 +119,8 @@ proptest! {
         let n_pos = circuit.primary_outputs().len();
         for threads in [1usize, 3] {
             for chunk_size in [1usize, 4, 64] {
-                let up = resimulate_rows_chunked(
-                    &circuit, &subset, n_vectors, seed, threads, chunk_size,
+                let up = resimulate_rows_cfg(
+                    &circuit, &subset, n_vectors, seed, threads, chunk_size, &pij,
                 );
                 for (t, &id) in subset.iter().enumerate() {
                     prop_assert_eq!(

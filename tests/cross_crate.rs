@@ -4,9 +4,23 @@
 
 use soft_error::aserta::{analyze, AsertaConfig, CircuitCells};
 use soft_error::cells::{CharGrids, Library};
-use soft_error::logicsim::sensitize::sensitization_probabilities;
-use soft_error::netlist::{bench_format, generate, topo};
+use soft_error::logicsim::sensitize::sensitization_probabilities_cfg;
+use soft_error::logicsim::{EngineConfig, SensitizationMatrix};
+use soft_error::netlist::{bench_format, generate, topo, Circuit};
 use soft_error::spice::Technology;
+
+/// `P_ij` on the default engine settings.
+fn default_pij(circuit: &Circuit, n_vectors: usize, seed: u64) -> SensitizationMatrix {
+    let e = EngineConfig::new();
+    sensitization_probabilities_cfg(
+        circuit,
+        n_vectors,
+        seed,
+        e.threads(),
+        e.cone_chunk(),
+        &e.pij(),
+    )
+}
 
 #[test]
 fn bench_round_trip_preserves_analysis() {
@@ -16,8 +30,8 @@ fn bench_round_trip_preserves_analysis() {
 
     let cfg = AsertaConfig::fast();
     let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
-    let pij_a = sensitization_probabilities(&original, 1024, 5);
-    let pij_b = sensitization_probabilities(&reparsed, 1024, 5);
+    let pij_a = default_pij(&original, 1024, 5);
+    let pij_b = default_pij(&reparsed, 1024, 5);
     let u_a = analyze(
         &original,
         &CircuitCells::nominal(&original),
@@ -42,7 +56,7 @@ fn persisted_library_reproduces_analysis() {
     let circuit = generate::c17();
     let cells = CircuitCells::nominal(&circuit);
     let cfg = AsertaConfig::fast();
-    let pij = sensitization_probabilities(&circuit, 1024, 5);
+    let pij = default_pij(&circuit, 1024, 5);
 
     let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
     let u_fresh = analyze(&circuit, &cells, &mut lib, &pij, &cfg).unreliability;
@@ -63,7 +77,7 @@ fn persisted_library_reproduces_analysis() {
 #[test]
 fn c499_xor_cones_defeat_logical_masking() {
     let ecc = generate::sec32("c499");
-    let pij = sensitization_probabilities(&ecc, 2048, 9);
+    let pij = default_pij(&ecc, 2048, 9);
     // Syndrome-tree XOR nodes: flips always reach at least one output
     // with substantial probability (through e_i AND-decode they can
     // mask, but the direct d_i XOR path cannot).
@@ -95,7 +109,7 @@ fn generated_suite_analyzes_without_panics() {
         let circuit = generate::iscas85(name).expect("bundled");
         let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
         let cells = CircuitCells::nominal(&circuit);
-        let pij = sensitization_probabilities(&circuit, 128, 1);
+        let pij = default_pij(&circuit, 128, 1);
         let r = analyze(&circuit, &cells, &mut lib, &pij, &cfg);
         assert!(r.unreliability > 0.0, "{name}");
         assert!(r.unreliability.is_finite(), "{name}");

@@ -6,7 +6,7 @@
 //!
 //! * `kernel::eval_word` (CSR) must match the scalar reference bit for
 //!   bit;
-//! * `sensitization_probabilities` must reproduce the pre-CSR per-node
+//! * `sensitization_probabilities_cfg` must reproduce the pre-CSR per-node
 //!   cone-resimulation estimate exactly, for any worker-thread count;
 //! * `ExpectedWidths` must match the pre-hoist implementation (brackets
 //!   recomputed per PO column) within 1e-15.
@@ -15,10 +15,10 @@ use proptest::prelude::*;
 use soft_error::aserta::electrical::ExpectedWidths;
 use soft_error::aserta::glitch::AttenuationModel;
 use soft_error::aserta::logical::{pi_weights, successor_sensitizations};
+use soft_error::logicsim::engine::DEFAULT_CONE_CHUNK;
 use soft_error::logicsim::random::random_word;
 use soft_error::logicsim::sensitize::{
-    sensitization_probabilities_cfg, sensitization_probabilities_threaded, PijConfig,
-    SensitizationMatrix,
+    sensitization_probabilities_cfg, PijConfig, SensitizationMatrix,
 };
 use soft_error::logicsim::{kernel, probability};
 use soft_error::netlist::cone::fanout_cone;
@@ -229,8 +229,8 @@ proptest! {
 
     /// The blocked/parallel estimator in fixed-budget mode
     /// ([`PijConfig::fixed`]: tolerance 0, exact mode off) reproduces
-    /// the seed estimate exactly, and every lane width × thread count
-    /// yields bitwise-identical matrices.
+    /// the seed estimate exactly, and every thread count yields
+    /// bitwise-identical matrices.
     #[test]
     fn pij_counts_match_seed_for_any_thread_count(
         circuit in arbitrary_circuit(),
@@ -248,14 +248,11 @@ proptest! {
                 prop_assert_eq!(m1.p(id, j), want[id.index() * n_pos + j], "node {} col {}", id, j);
             }
         }
-        for lanes in [1usize, 2, 4, 8] {
-            for threads in [2usize, 7] {
-                let pij = PijConfig { lanes, ..PijConfig::fixed() };
-                let m = sensitization_probabilities_cfg(
-                    &circuit, n_vectors, seed, threads, chunk, &pij,
-                );
-                prop_assert_eq!(&m1, &m, "lanes {} threads {}", lanes, threads);
-            }
+        for threads in [2usize, 7] {
+            let m = sensitization_probabilities_cfg(
+                &circuit, n_vectors, seed, threads, chunk, &PijConfig::fixed(),
+            );
+            prop_assert_eq!(&m1, &m, "threads {}", threads);
         }
     }
 
@@ -263,7 +260,9 @@ proptest! {
     /// pre-hoist implementation within 1e-15 at every table entry.
     #[test]
     fn expected_widths_match_pre_hoist(circuit in arbitrary_circuit(), seed in 0u64..1 << 40) {
-        let pij = sensitization_probabilities_threaded(&circuit, 256, seed, 1);
+        let pij = sensitization_probabilities_cfg(
+            &circuit, 256, seed, 1, DEFAULT_CONE_CHUNK, &PijConfig::default(),
+        );
         let probs = probability::static_probabilities_analytic(&circuit, 0.5);
         let delays: Vec<f64> = (0..circuit.node_count())
             .map(|i| (5 + (i * 7) % 20) as f64 * 1e-12)

@@ -14,8 +14,8 @@ use soft_error::aserta::glitch::attenuate;
 use soft_error::aserta::logical::{pi_weights, successor_sensitizations};
 use soft_error::aserta::{analyze, AsertaConfig, CircuitCells};
 use soft_error::cells::{CharGrids, Library};
-use soft_error::logicsim::sensitize::sensitization_probabilities;
-use soft_error::logicsim::SensitizationMatrix;
+use soft_error::logicsim::sensitize::sensitization_probabilities_cfg;
+use soft_error::logicsim::{EngineConfig, SensitizationMatrix};
 use soft_error::netlist::generate::{layered, sec32, LayeredSpec};
 use soft_error::netlist::Circuit;
 use soft_error::spice::GateParams;
@@ -230,7 +230,15 @@ fn lib() -> Library {
 /// Pins `analyze` (new: cold session) against the captured old pipeline,
 /// field by field, bit for bit.
 fn assert_bitwise_equal(circuit: &Circuit, cells: &CircuitCells, cfg: &AsertaConfig) {
-    let pij = sensitization_probabilities(circuit, cfg.sensitization_vectors, cfg.seed);
+    let e = EngineConfig::new();
+    let pij = sensitization_probabilities_cfg(
+        circuit,
+        cfg.sensitization_vectors,
+        cfg.seed,
+        e.threads(),
+        e.cone_chunk(),
+        &e.pij(),
+    );
     let mut old_lib = lib();
     let want = reference_analyze(circuit, cells, &mut old_lib, &pij, cfg);
     let mut new_lib = lib();

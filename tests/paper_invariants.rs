@@ -4,11 +4,26 @@
 use proptest::prelude::*;
 use soft_error::aserta::electrical::ExpectedWidths;
 use soft_error::aserta::glitch::attenuate;
-use soft_error::logicsim::sensitize::sensitization_probabilities;
+use soft_error::logicsim::sensitize::sensitization_probabilities_cfg;
+use soft_error::logicsim::{EngineConfig, SensitizationMatrix};
 use soft_error::netlist::generate::{layered, LayeredSpec};
+use soft_error::netlist::Circuit;
 use soft_error::sertopt::nullspace::{max_path_delay_change, TensionSpace};
 
-fn arbitrary_circuit() -> impl Strategy<Value = soft_error::netlist::Circuit> {
+/// `P_ij` on the default engine settings.
+fn default_pij(circuit: &Circuit, n_vectors: usize, seed: u64) -> SensitizationMatrix {
+    let e = EngineConfig::new();
+    sensitization_probabilities_cfg(
+        circuit,
+        n_vectors,
+        seed,
+        e.threads(),
+        e.cone_chunk(),
+        &e.pij(),
+    )
+}
+
+fn arbitrary_circuit() -> impl Strategy<Value = Circuit> {
     (2usize..8, 1usize..4, 8usize..60, 0u64..1000).prop_map(|(pi, po, gates, seed)| {
         let mut spec = LayeredSpec::new("prop", pi, po, gates.max(po));
         spec.seed = seed;
@@ -31,7 +46,7 @@ proptest! {
         use soft_error::aserta::logical::successor_sensitizations;
         use soft_error::netlist::cone::fanout_cone_mask;
 
-        let pij = sensitization_probabilities(&circuit, 512, 11);
+        let pij = default_pij(&circuit, 512, 11);
         let probs = vec![0.5; circuit.node_count()];
         let delays = vec![17e-12; circuit.node_count()];
         let grid = vec![0.0, 20e-12, 40e-12, 80e-12, 160e-12, 320e-12, 640e-12, 2560e-12];
@@ -118,7 +133,7 @@ proptest! {
     /// 0 for structurally unreachable outputs.
     #[test]
     fn sensitization_matrix_is_well_formed(circuit in arbitrary_circuit()) {
-        let pij = sensitization_probabilities(&circuit, 256, 3);
+        let pij = default_pij(&circuit, 256, 3);
         let outputs = pij.outputs().to_vec();
         for i in circuit.node_ids() {
             let reach = soft_error::netlist::cone::reachable_outputs(&circuit, i);

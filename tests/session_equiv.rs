@@ -81,10 +81,14 @@ proptest! {
 
         // P_ij: bitwise (the session never re-estimates on cell deltas).
         let n_pos = circuit.primary_outputs().len();
-        let fresh_pij = soft_error::logicsim::sensitize::sensitization_probabilities(
+        let engine = session.engine();
+        let fresh_pij = soft_error::logicsim::sensitize::sensitization_probabilities_cfg(
             &circuit,
             cfg.sensitization_vectors,
             cfg.seed,
+            engine.threads(),
+            engine.cone_chunk(),
+            &engine.pij(),
         );
         for id in circuit.node_ids() {
             prop_assert_eq!(session.pij().row(id), fresh_pij.row(id), "P row of {}", id);
