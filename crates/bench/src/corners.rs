@@ -394,32 +394,6 @@ mod tests {
         }
     }
 
-    /// An injected fault fails exactly the corner it hits; the rest of
-    /// the grid is bitwise identical to a fault-free sweep.
-    #[test]
-    #[cfg(feature = "fail-points")]
-    fn injected_corner_fault_is_contained() {
-        use ser_netlist::failpoint::{self, FailAction};
-
-        let c = generate::c17();
-        let base = CircuitCells::nominal(&c);
-        let corners = CornerGrid::smoke().corners();
-        let clean = sweep_session(&c, &base, lib(), &cfg(), &corners, 1);
-
-        let _guard = failpoint::scenario();
-        failpoint::set_times("ser_bench::corner_eval", FailAction::Error, 1);
-        let faulted = try_sweep_session(&c, &base, lib(), &cfg(), &corners, 1);
-        assert_eq!(failpoint::hits("ser_bench::corner_eval"), 1);
-        assert!(matches!(
-            faulted[0],
-            Err(SweepError::FaultInjected("ser_bench::corner_eval"))
-        ));
-        for (i, got) in faulted.iter().enumerate().skip(1) {
-            let got = got.as_ref().expect("only the first corner faults");
-            assert_eq!(*got, clean[i], "corner {i}");
-        }
-    }
-
     #[test]
     fn lower_vdd_raises_unreliability() {
         // Fig. 1's direction at circuit scale: a slower corner (low VDD)

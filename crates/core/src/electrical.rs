@@ -197,9 +197,9 @@ impl ExpectedWidths {
             .sum()
     }
 
-    /// The raw sparse `[k][t]` storage — equivalence assertions and the
-    /// session snapshot verifier compare whole tables at once; both
-    /// sides are built over the same `P_ij`, hence the same layout.
+    /// The raw sparse `[k][t]` storage — equivalence assertions compare
+    /// whole tables at once (both sides are built over the same `P_ij`,
+    /// hence the same layout), and the session sizes its footprint by it.
     #[inline]
     pub(crate) fn ws(&self) -> &[f64] {
         &self.ws

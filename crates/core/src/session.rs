@@ -92,7 +92,7 @@ use crate::config::AsertaConfig;
 use crate::electrical::{ExpectedWidths, InterpBrackets, RowKernel, WeightCache};
 use crate::error::{AnalysisError, PoisonReason};
 use crate::glitch::AttenuationModel;
-use crate::snapshot::{DerivedState, SessionSnapshot, SessionSnapshotError};
+use crate::snapshot::{SessionSnapshot, SessionSnapshotError};
 
 /// What one [`AnalysisSession::set_cells`] /
 /// [`AnalysisSession::apply`] call actually recomputed — the observable
@@ -599,15 +599,15 @@ impl<'c> AnalysisSession<'c> {
         }
     }
 
-    /// Captures the whole session as an owned, persistable
+    /// Captures the session's inputs as an owned, persistable
     /// [`SessionSnapshot`] (circuit, configuration, library, cell
-    /// assignment, `P_ij`, and the derived state for bitwise restore
-    /// verification).
+    /// assignment, `P_ij`), plus the critical delay and unreliability a
+    /// restore must reproduce bitwise.
     ///
     /// # Errors
     ///
     /// [`AnalysisError::Poisoned`] — a poisoned session's caches are
-    /// partially updated, so an image of them could never verify;
+    /// partially updated, so its check values could never verify;
     /// recover first.
     pub fn snapshot(&self) -> Result<SessionSnapshot, AnalysisError> {
         self.ensure_clean()?;
@@ -617,18 +617,8 @@ impl<'c> AnalysisSession<'c> {
             library: self.library.clone(),
             cells: self.cells.clone(),
             pij: self.pij.clone(),
-            derived: DerivedState {
-                loads: self.timing.loads.clone(),
-                in_ramps: self.timing.in_ramps.clone(),
-                delays: self.timing.delays.clone(),
-                out_ramps: self.timing.out_ramps.clone(),
-                static_probs: self.static_probs.clone(),
-                generated: self.generated.clone(),
-                ws: self.widths.ws().to_vec(),
-                per_gate_u: self.per_gate_u.clone(),
-                critical_delay: self.critical_delay,
-                unreliability: self.unreliability,
-            },
+            critical_delay: self.critical_delay,
+            unreliability: self.unreliability,
         })
     }
 
@@ -644,19 +634,19 @@ impl<'c> AnalysisSession<'c> {
     }
 
     /// Rebuilds a live session from a snapshot (borrowing the
-    /// snapshot's circuit), then verifies **bitwise** that every derived
-    /// table matches what the captured session held — timing, generated
-    /// and expected widths, per-gate and total unreliability, critical
-    /// delay. The expensive inputs (`P_ij`, characterized cells) come
-    /// straight from the image, so this is a cold-start shortcut, not a
-    /// re-estimation.
+    /// snapshot's circuit). The expensive inputs (`P_ij`, characterized
+    /// cells) come straight from the image; timing, widths and
+    /// unreliability are re-derived by the same full pass a fresh
+    /// session runs, so this is a cold-start shortcut, not a
+    /// re-estimation. The rebuilt critical delay and total
+    /// unreliability must match the captured ones **bitwise**.
     ///
     /// # Errors
     ///
     /// * [`SessionSnapshotError::Analysis`] when the persisted inputs
     ///   fail construction-time validation;
     /// * [`SessionSnapshotError::StateMismatch`] when the rebuilt
-    ///   analysis disagrees with the persisted derived state (an
+    ///   analysis disagrees with the persisted check values (an
     ///   internally inconsistent image) — the snapshot is not trusted
     ///   and no session is returned.
     pub fn restore_from(snap: &'c SessionSnapshot) -> Result<Self, SessionSnapshotError> {
@@ -687,31 +677,11 @@ impl<'c> AnalysisSession<'c> {
             snap.cfg.clone(),
             snap.pij.clone(),
         )?;
-        let d = &snap.derived;
-        let mismatch = |what: &'static str| SessionSnapshotError::StateMismatch { what };
-        let bitwise_eq = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        };
-        for (what, live, stored) in [
-            ("loads", &session.timing.loads, &d.loads),
-            ("in_ramps", &session.timing.in_ramps, &d.in_ramps),
-            ("delays", &session.timing.delays, &d.delays),
-            ("out_ramps", &session.timing.out_ramps, &d.out_ramps),
-            ("static_probs", &session.static_probs, &d.static_probs),
-            ("generated widths", &session.generated, &d.generated),
-            ("per-gate unreliability", &session.per_gate_u, &d.per_gate_u),
-        ] {
-            if !bitwise_eq(live, stored) {
-                return Err(mismatch(what));
-            }
-        }
-        if !bitwise_eq(session.widths.ws(), &d.ws) {
-            return Err(mismatch("expected-width tables"));
-        }
-        if session.critical_delay.to_bits() != d.critical_delay.to_bits() {
+        let mismatch = |what| SessionSnapshotError::StateMismatch { what };
+        if session.critical_delay.to_bits() != snap.critical_delay.to_bits() {
             return Err(mismatch("critical delay"));
         }
-        if session.unreliability.to_bits() != d.unreliability.to_bits() {
+        if session.unreliability.to_bits() != snap.unreliability.to_bits() {
             return Err(mismatch("total unreliability"));
         }
         Ok(session)
@@ -1795,8 +1765,13 @@ mod tests {
             session.try_apply(&[]),
             Err(AnalysisError::Poisoned(_))
         ));
-        // Reads still work.
+        // Reads still work, but a poisoned session refuses to image
+        // its partially updated caches.
         let _ = session.unreliability();
+        assert!(matches!(
+            session.snapshot(),
+            Err(AnalysisError::Poisoned(_))
+        ));
 
         // recover() keeps the bad assignment, whose cell fails
         // construction-time validation.

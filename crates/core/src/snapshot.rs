@@ -1,23 +1,25 @@
 //! Crash-safe session persistence: a compact, versioned, checksummed
 //! binary image of a whole [`AnalysisSession`](crate::AnalysisSession).
 //!
-//! A [`SessionSnapshot`] owns everything a session needs to come back to
-//! life — the circuit, the configuration, the characterized library, the
-//! cell assignment, the Monte-Carlo `P_ij` matrix — plus the *derived*
-//! state (timing, width tables, per-gate unreliability) the live session
-//! had at capture time. Restoring re-runs the deterministic analysis
-//! pipeline over the persisted inputs (skipping the expensive `P_ij`
-//! estimation and SPICE characterization) and then verifies the result
-//! **bitwise** against the persisted derived state: a restored session is
-//! provably identical to the captured one, or the restore fails with a
-//! typed error — never a silently-wrong session.
+//! A [`SessionSnapshot`] holds the session's *inputs* only — the circuit,
+//! the configuration, the characterized library, the cell assignment and
+//! the Monte-Carlo `P_ij` matrix (stored sparse, one probability per
+//! reachable `(node, PO)` pair) — plus two check values: the circuit
+//! unreliability and critical delay the live session had at capture
+//! time. Timing, width tables and per-gate unreliability are a cheap,
+//! deterministic pass over those inputs, so they are not stored.
+//! Restoring re-runs that pass (skipping the expensive `P_ij` estimation
+//! and SPICE characterization) and compares the two check values
+//! **bitwise**: a restored session reproduces the captured one, or the
+//! restore fails with a typed error — never a silently-wrong session.
 //!
 //! On disk the image uses the [`ser_netlist::snapshot`] container:
 //! magic + format version up front, one CRC-32 per section, atomic
-//! write-rename persistence. Every decode failure (truncation, bit
-//! flips, version skew, duplicated or unknown sections, domain-invariant
-//! violations) surfaces as a typed
-//! [`SnapshotError`] or
+//! write-rename persistence. Format version 1 images, which also stored
+//! every per-node derived table, are refused as
+//! [`SnapshotError::UnsupportedVersion`]. Every decode failure
+//! (truncation, bit flips, version skew, duplicated or unknown sections,
+//! domain-invariant violations) surfaces as a typed [`SnapshotError`] or
 //! [`SessionSnapshotError`]; the decoder never panics on hostile bytes.
 //!
 //! # Example
@@ -64,25 +66,9 @@ pub const TAG_LIBRARY: SectionTag = SectionTag(*b"LIBJ");
 pub const TAG_CELLS: SectionTag = SectionTag(*b"CELL");
 /// Section tag: the Monte-Carlo sensitization matrix (binary).
 pub const TAG_PIJ: SectionTag = SectionTag(*b"PIJM");
-/// Section tag: derived state for bitwise restore verification.
+/// Section tag: the captured critical delay and unreliability, which a
+/// restore must reproduce bitwise.
 pub const TAG_DERIVED: SectionTag = SectionTag(*b"DERV");
-
-/// The derived (recomputable) state of a session at capture time, kept
-/// in the image so a restore can prove it reproduced the original
-/// bitwise.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct DerivedState {
-    pub(crate) loads: Vec<f64>,
-    pub(crate) in_ramps: Vec<f64>,
-    pub(crate) delays: Vec<f64>,
-    pub(crate) out_ramps: Vec<f64>,
-    pub(crate) static_probs: Vec<f64>,
-    pub(crate) generated: Vec<f64>,
-    pub(crate) ws: Vec<f64>,
-    pub(crate) per_gate_u: Vec<f64>,
-    pub(crate) critical_delay: f64,
-    pub(crate) unreliability: f64,
-}
 
 /// An owned, self-contained image of one
 /// [`AnalysisSession`](crate::AnalysisSession).
@@ -100,7 +86,8 @@ pub struct SessionSnapshot {
     pub(crate) library: Library,
     pub(crate) cells: CircuitCells,
     pub(crate) pij: SensitizationMatrix,
-    pub(crate) derived: DerivedState,
+    pub(crate) critical_delay: f64,
+    pub(crate) unreliability: f64,
 }
 
 /// Failure of a session-level snapshot operation: either the byte-level
@@ -114,12 +101,12 @@ pub enum SessionSnapshotError {
     /// The persisted inputs failed analysis validation, or the source
     /// session was poisoned at capture time.
     Analysis(AnalysisError),
-    /// The analysis rebuilt from the persisted inputs is not bitwise
-    /// identical to the persisted derived state — the image is
-    /// internally inconsistent (or from a different build of the
-    /// analysis kernels).
+    /// The analysis rebuilt from the persisted inputs does not reproduce
+    /// the persisted critical delay and unreliability bitwise — the
+    /// image is internally inconsistent (or from a different build of
+    /// the analysis kernels).
     StateMismatch {
-        /// Which derived table disagreed first.
+        /// Which value disagreed first.
         what: &'static str,
     },
 }
@@ -191,7 +178,7 @@ impl SessionSnapshot {
 
     /// The captured circuit unreliability (verified on restore).
     pub fn unreliability(&self) -> f64 {
-        self.derived.unreliability
+        self.unreliability
     }
 
     /// Serializes the snapshot into the checksummed container format.
@@ -283,7 +270,7 @@ impl SessionSnapshot {
             .collect();
         w.vec_u32(&po_cols);
         w.u64(self.pij.node_count() as u64);
-        w.vec_f64(self.pij.probabilities());
+        w.vec_f64(&self.pij.reachable_probabilities().collect::<Vec<_>>());
         w.vec_f64(self.pij.observabilities());
         let mut off = Vec::with_capacity(self.pij.reach_offsets().len());
         for &o in self.pij.reach_offsets() {
@@ -298,17 +285,8 @@ impl SessionSnapshot {
         w.end_section();
 
         w.begin_section(TAG_DERIVED);
-        let d = &self.derived;
-        w.vec_f64(&d.loads);
-        w.vec_f64(&d.in_ramps);
-        w.vec_f64(&d.delays);
-        w.vec_f64(&d.out_ramps);
-        w.vec_f64(&d.static_probs);
-        w.vec_f64(&d.generated);
-        w.vec_f64(&d.ws);
-        w.vec_f64(&d.per_gate_u);
-        w.f64(d.critical_delay);
-        w.f64(d.unreliability);
+        w.f64(self.critical_delay);
+        w.f64(self.unreliability);
         w.end_section();
         Ok(w)
     }
@@ -407,8 +385,12 @@ impl SessionSnapshot {
         let reach_cols = s.vec_u32()?;
         let vectors_used = s.read_len()?;
         s.finish()?;
-        if outputs.iter().any(|id| id.index() >= n) {
-            return Err(malformed(TAG_PIJ, "output column out of circuit range"));
+        // Checked before `from_raw_parts` sizes its dense rows by them.
+        if outputs != circuit.primary_outputs() || n_nodes != n {
+            return Err(malformed(
+                TAG_PIJ,
+                "matrix shape disagrees with the circuit's nodes and primary outputs",
+            ));
         }
         let pij = SensitizationMatrix::from_raw_parts(
             outputs,
@@ -420,43 +402,11 @@ impl SessionSnapshot {
             vectors_used,
         )
         .map_err(|reason| malformed(TAG_PIJ, reason))?;
-        if pij.node_count() != n {
-            return Err(malformed(
-                TAG_PIJ,
-                format!("matrix covers {} nodes, circuit has {n}", pij.node_count()),
-            ));
-        }
 
         let mut s = snap.section(TAG_DERIVED)?;
-        let derived = DerivedState {
-            loads: s.vec_f64()?,
-            in_ramps: s.vec_f64()?,
-            delays: s.vec_f64()?,
-            out_ramps: s.vec_f64()?,
-            static_probs: s.vec_f64()?,
-            generated: s.vec_f64()?,
-            ws: s.vec_f64()?,
-            per_gate_u: s.vec_f64()?,
-            critical_delay: s.f64()?,
-            unreliability: s.f64()?,
-        };
+        let critical_delay = s.f64()?;
+        let unreliability = s.f64()?;
         s.finish()?;
-        for (what, v) in [
-            ("loads", &derived.loads),
-            ("in_ramps", &derived.in_ramps),
-            ("delays", &derived.delays),
-            ("out_ramps", &derived.out_ramps),
-            ("static_probs", &derived.static_probs),
-            ("generated", &derived.generated),
-            ("per_gate_u", &derived.per_gate_u),
-        ] {
-            if v.len() != n {
-                return Err(malformed(
-                    TAG_DERIVED,
-                    format!("{what} holds {} entries, circuit has {n} nodes", v.len()),
-                ));
-            }
-        }
 
         Ok(SessionSnapshot {
             circuit,
@@ -464,7 +414,8 @@ impl SessionSnapshot {
             library,
             cells,
             pij,
-            derived,
+            critical_delay,
+            unreliability,
         })
     }
 }
@@ -585,7 +536,8 @@ mod tests {
             library: a.library.clone(),
             cells: a.cells.clone(),
             pij: b.pij.clone(),
-            derived: a.derived.clone(),
+            critical_delay: a.critical_delay,
+            unreliability: a.unreliability,
         };
         let bytes = hybrid.to_bytes().unwrap();
         let err = SessionSnapshot::from_bytes(&bytes).expect_err("mixed sections accepted");
@@ -597,7 +549,7 @@ mod tests {
         let circuit = generate::c17();
         let live = session(&circuit);
         let mut snap = live.snapshot().unwrap();
-        snap.derived.unreliability *= 1.5;
+        snap.unreliability *= 1.5;
         let err = match AnalysisSession::restore_from(&snap) {
             Ok(_) => panic!("inconsistent image restored"),
             Err(e) => e,
@@ -610,26 +562,22 @@ mod tests {
 
     #[test]
     fn poisoned_sessions_refuse_snapshot() {
-        use crate::error::PoisonReason;
         let circuit = generate::c17();
         let mut live = session(&circuit);
-        // Poison through the public surface: an expired budget observed
-        // at a recompute boundary.
+        // An expired budget rejects the apply at entry, before any
+        // mutation: the session is not poisoned and still snapshots.
+        // The refusal of a poisoned session is pinned in session.rs
+        // (`nan_lut_poisons_then_recover_with_restores`).
         live.set_deadline(ser_netlist::govern::Deadline::within(
             std::time::Duration::ZERO,
         ));
         let g = circuit.gates().next().unwrap();
         let mut p = *live.cells().get(g).unwrap();
         p.size = 4.0;
-        // Entry check rejects cleanly first; snapshot still works.
         assert!(matches!(
             live.try_apply(&[(g, p)]),
             Err(AnalysisError::Interrupted(_))
         ));
         assert!(live.snapshot().is_ok());
-        // Force a poison directly via recover-path: simulate by checking
-        // that snapshot() refuses once poisoned (poison via a NaN cell is
-        // exercised in session.rs; here we just assert the clean path).
-        let _ = PoisonReason::Injected("doc");
     }
 }

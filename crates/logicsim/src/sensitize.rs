@@ -172,11 +172,22 @@ impl SensitizationMatrix {
     }
 
     /// The full node-major probability storage
-    /// (`p[node * outputs.len() + col]`) — the raw payload a snapshot
-    /// encoder persists bitwise.
+    /// (`p[node * outputs.len() + col]`), zero off the reachability CSR.
     #[inline]
     pub fn probabilities(&self) -> &[f64] {
         &self.p
+    }
+
+    /// The probabilities of every `(node, reachable column)` pair, in
+    /// reachability-CSR order — the sparse payload a snapshot encoder
+    /// persists bitwise (every other entry is structurally zero).
+    pub fn reachable_probabilities(&self) -> impl Iterator<Item = f64> + '_ {
+        let n_pos = self.outputs.len();
+        (0..self.n_nodes).flat_map(move |i| {
+            self.reachable_columns(NodeId::new(i))
+                .iter()
+                .map(move |&c| self.p[i * n_pos + c as usize])
+        })
     }
 
     /// The measured any-PO union observability per node (see
@@ -201,9 +212,10 @@ impl SensitizationMatrix {
     }
 
     /// Reassembles a matrix from the raw parts exposed by the accessors
-    /// above, re-validating every structural invariant — the funnel a
-    /// snapshot decoder must pass so a damaged file can never produce a
-    /// silently-wrong matrix.
+    /// above (`p` in [`SensitizationMatrix::reachable_probabilities`]
+    /// order, scattered into dense rows), re-validating every structural
+    /// invariant — the funnel a snapshot decoder must pass so a damaged
+    /// file can never produce a silently-wrong matrix.
     ///
     /// # Errors
     ///
@@ -225,11 +237,11 @@ impl SensitizationMatrix {
         if vectors_used == 0 {
             return Err("vectors_used must be positive".into());
         }
-        if p.len() != n_nodes.checked_mul(n_pos).ok_or("matrix size overflows")? {
+        if p.len() != reach_cols.len() {
             return Err(format!(
                 "probability storage holds {} entries, expected {}",
                 p.len(),
-                n_nodes * n_pos
+                reach_cols.len()
             ));
         }
         if obs.len() != n_nodes {
@@ -247,33 +259,27 @@ impl SensitizationMatrix {
         if *reach_off.last().unwrap_or(&0) != reach_cols.len() {
             return Err("reachability offsets do not cover the column list".into());
         }
-        for i in 0..n_nodes {
-            let row = &reach_cols[reach_off[i]..reach_off[i + 1]];
-            if row.iter().any(|&c| c as usize >= n_pos) {
-                return Err(format!("node {i} reaches a column out of range"));
-            }
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("node {i} columns not strictly ascending"));
-            }
-            // The reachability CSR declares the structural support: a
-            // probability outside it must be exactly zero.
-            let mut next = row.iter().peekable();
-            for (j, &pij) in p[i * n_pos..(i + 1) * n_pos].iter().enumerate() {
-                let reachable = next.peek().is_some_and(|&&c| c as usize == j);
-                if reachable {
-                    next.next();
-                } else if pij != 0.0 {
-                    return Err(format!("node {i} has nonzero P at unreachable column {j}"));
-                }
-            }
-        }
         if p.iter().chain(&obs).any(|&x| !(0.0..=1.0).contains(&x)) {
             return Err("probability outside [0, 1]".into());
+        }
+        let mut rows = vec![0.0; n_nodes.checked_mul(n_pos).ok_or("matrix size overflows")?];
+        for i in 0..n_nodes {
+            let (lo, hi) = (reach_off[i], reach_off[i + 1]);
+            let cols = &reach_cols[lo..hi];
+            if cols.iter().any(|&c| c as usize >= n_pos) {
+                return Err(format!("node {i} reaches a column out of range"));
+            }
+            if cols.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("node {i} columns not strictly ascending"));
+            }
+            for (&c, &pij) in cols.iter().zip(&p[lo..hi]) {
+                rows[i * n_pos + c as usize] = pij;
+            }
         }
         Ok(SensitizationMatrix {
             outputs,
             n_nodes,
-            p,
+            p: rows,
             obs,
             reach_off,
             reach_cols,
@@ -2165,10 +2171,12 @@ mod tests {
     fn raw_parts_round_trip_is_bitwise() {
         let c = generate::sec32("t");
         let m = default_estimate(&c, 512, 77);
+        let reach_p: Vec<f64> = m.reachable_probabilities().collect();
+        assert_eq!(reach_p.len(), m.reachable_pairs());
         let rebuilt = SensitizationMatrix::from_raw_parts(
             m.outputs().to_vec(),
             m.node_count(),
-            m.probabilities().to_vec(),
+            reach_p,
             m.observabilities().to_vec(),
             m.reach_offsets().to_vec(),
             m.reach_columns_flat().to_vec(),
@@ -2176,9 +2184,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rebuilt, m);
+        let bits = |m: &SensitizationMatrix| -> Vec<u64> {
+            m.probabilities().iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&rebuilt), bits(&m));
     }
 
-    /// A corruption applied to (p, reach_off, reach_cols, vectors_used).
+    /// A corruption applied to (reach_p, reach_off, reach_cols, vectors_used).
     type DamageFn = dyn Fn(&mut Vec<f64>, &mut Vec<usize>, &mut Vec<u32>, &mut usize);
 
     #[test]
@@ -2186,7 +2198,7 @@ mod tests {
         let c = generate::c17();
         let m = default_estimate(&c, 128, 5);
         let parts = |f: &DamageFn| {
-            let mut p = m.probabilities().to_vec();
+            let mut p: Vec<f64> = m.reachable_probabilities().collect();
             let mut off = m.reach_offsets().to_vec();
             let mut cols = m.reach_columns_flat().to_vec();
             let mut vecs = m.vectors_used();
@@ -2208,9 +2220,9 @@ mod tests {
         assert!(parts(&|_, _, cols, _| cols[0] = 999).is_err(), "col range");
         assert!(parts(&|_, _, _, v| *v = 0).is_err(), "zero vectors");
         assert!(
-            parts(&|_, off, cols, _| {
-                off.iter_mut().for_each(|o| *o = 0);
-                cols.clear();
+            parts(&|p, _, cols, _| {
+                cols.push(0);
+                p.push(0.0);
             })
             .is_err(),
             "offsets must cover the column list"

@@ -64,8 +64,10 @@ use crate::id::NodeId;
 pub const MAGIC: [u8; 8] = *b"SERSNAP\0";
 
 /// Current container format version. Decoders reject anything else with
-/// [`SnapshotError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 1;
+/// [`SnapshotError::UnsupportedVersion`]. Version 2 session images hold
+/// inputs only (sparse `P_ij`, no per-node derived tables); version 1
+/// images are refused.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The section holding a [`Circuit`] (see [`write_circuit_section`]).
 pub const TAG_CIRCUIT: SectionTag = SectionTag(*b"CIRC");

@@ -31,12 +31,15 @@
 //! Every cold build is eagerly imaged to `<dir>/<key>.sersnap` before
 //! the response goes out. The filename **is** the pool key (16 hex
 //! digits); [`SessionPool::restore_dir`] trusts it at startup while
-//! [`AnalysisSession::restore_against`] re-validates the image's
-//! internal consistency bit for bit, so a stale or foreign file can
-//! only ever fail to restore, never restore wrongly. Snapshots capture
-//! the session's *identity* state; a restored session reaches any
-//! requested state through the same deltas a warm one would, so
-//! post-restart responses stay bitwise identical.
+//! [`AnalysisSession::restore_against`] re-derives the session from the
+//! image's inputs (library, cells, `P_ij`) and checks the stored
+//! unreliability and critical delay bit for bit, so a stale or foreign
+//! file can only ever fail to restore, never restore wrongly. An image
+//! of an older format version fails to decode and is skipped; the next
+//! miss on its identity rebuilds the session cold and re-images it.
+//! Snapshots capture the session's *identity* state; a restored session
+//! reaches any requested state through the same deltas a warm one
+//! would, so post-restart responses stay bitwise identical.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -577,29 +577,6 @@ mod tests {
         assert!(try_simulate_gate(&t, &g, &vin, false, -FF, &TransientConfig::default()).is_err());
     }
 
-    #[cfg(feature = "fail-points")]
-    #[test]
-    fn transient_fault_one_shot_recovers_persistent_does_not() {
-        use ser_netlist::failpoint::{self, FailAction};
-        let t = tech();
-        let g = inv(1.0);
-        let vin = ramp(0.0, 1.0, 20.0 * PS, 10.0 * PS);
-        let cfg = TransientConfig::default();
-
-        // One bad step: the step-halving retry re-integrates it cleanly.
-        let _guard = failpoint::scenario();
-        failpoint::set_times("spice::transient_step", FailAction::Error, 1);
-        let out = try_simulate_gate(&t, &g, &vin, false, 2.0 * FF, &cfg)
-            .expect("one transient bad step must be recovered by refinement");
-        assert!(out.value_at(out.t_end()) < 0.1);
-        assert_eq!(failpoint::hits("spice::transient_step"), 1);
-
-        // Every step (including refinement substeps) bad: typed error.
-        failpoint::set("spice::transient_step", FailAction::Error);
-        let err = try_simulate_gate(&t, &g, &vin, false, 2.0 * FF, &cfg).unwrap_err();
-        assert!(matches!(err, TransientError::NonConvergence { .. }));
-    }
-
     #[test]
     fn charge_conservation_glitch_scales_with_q() {
         let t = tech();

@@ -7,7 +7,8 @@
 //! * the file path is atomic: `snapshot_to` + `read_file` round-trips
 //!   through a real filesystem;
 //! * **every** corruption — random truncation, random single-bit flips,
-//!   wrong magic, wrong version, duplicated sections — is rejected with
+//!   wrong magic, wrong version (including the retired version 1),
+//!   duplicated sections — is rejected with
 //!   a typed [`SnapshotError`], never a panic and never a
 //!   silently-wrong session, and the live donor session is untouched.
 
@@ -39,13 +40,34 @@ fn session(circuit: &Circuit, vectors: usize) -> AnalysisSession<'_> {
     .unwrap()
 }
 
-/// Every derived quantity of a session, bit for bit.
+/// Every derived quantity of a session, plus its `P_ij` matrix, bit for
+/// bit. Restore compares only U and the critical delay at run time; this
+/// pins the per-node tables it no longer stores or checks.
 fn fingerprint(s: &AnalysisSession<'_>) -> Vec<u64> {
     let r = s.report();
+    let t = s.timing();
     let mut v = vec![s.unreliability().to_bits(), s.critical_delay().to_bits()];
-    v.extend(r.per_gate_unreliability.iter().map(|x| x.to_bits()));
-    v.extend(r.generated_widths.iter().map(|x| x.to_bits()));
-    v.extend(r.static_probs.iter().map(|x| x.to_bits()));
+    for table in [
+        &r.per_gate_unreliability,
+        &r.generated_widths,
+        &r.static_probs,
+        &t.loads,
+        &t.in_ramps,
+        &t.delays,
+        &t.out_ramps,
+    ] {
+        v.extend(table.iter().map(|x| x.to_bits()));
+    }
+    v.extend(s.pij().probabilities().iter().map(|x| x.to_bits()));
+    v.extend(s.pij().observabilities().iter().map(|x| x.to_bits()));
+    let ws = s.expected_widths();
+    for i in s.circuit().node_ids() {
+        for &j in s.pij().reachable_columns(i) {
+            for k in 0..ws.grid().len() {
+                v.push(ws.at_sample(i, j as usize, k).to_bits());
+            }
+        }
+    }
     v
 }
 
@@ -157,6 +179,18 @@ fn wrong_magic_and_version_are_typed_rejections() {
     assert!(matches!(
         SessionSnapshot::from_bytes(&skewed),
         Err(SnapshotError::UnsupportedVersion { .. })
+    ));
+
+    // A version 1 image (which also stored the per-node derived tables)
+    // is refused, not misread.
+    let mut v1 = bytes.to_vec();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert!(matches!(
+        SessionSnapshot::from_bytes(&v1),
+        Err(SnapshotError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        })
     ));
 }
 
