@@ -44,6 +44,13 @@
 //! **absolute** [`PIJ_KERNEL_SPEEDUP_FLOOR`] under `--gate`,
 //! serve-style.
 //!
+//! A `characterization` section times characterizing the c432
+//! stand-in's nominal cell variants into an empty library (standard
+//! grids; coarse under `--smoke`) on one thread and on the engine's
+//! threads ([`ser_cells::Library::characterize_all`]), checks the two
+//! libraries are byte-equal and reports the speedup. It is recorded,
+//! not gated, so the committed smoke baseline does not carry it.
+//!
 //! Every estimate runs on the `SER_*` environment overlay
 //! ([`EngineConfig::from_env`]); a malformed variable is fatal. The
 //! output's `snapshot` label is the `--out` file stem without its
@@ -55,7 +62,8 @@
 //!     [--baseline PATH] [--emit-snapshot PATH]
 //! ```
 //!
-//! `--only <circuits|serve|pij_kernel|scaling>` runs a single section
+//! `--only <circuits|serve|pij_kernel|scaling|characterization>` runs a
+//! single section
 //! (skipping the baseline comparison, whose coverage checks would
 //! otherwise fail loudly) — so e.g. the `pij_kernel` ablations can be
 //! iterated without paying the full suite.
@@ -94,7 +102,7 @@ use ser_netlist::generate::{self, LayeredSpec, TiledSpec};
 use ser_netlist::Circuit;
 use ser_serve::api::AnalyzeResult;
 use ser_serve::{serve, CircuitSource, Client, GridKind, Listen, Request, Response, ServerConfig};
-use ser_spice::Technology;
+use ser_spice::{GateParams, Technology};
 use serde_json::Value;
 use sertopt::{Algorithm, AllowedParams, EvalStrategy, OptimizeRequest, OptimizerConfig};
 
@@ -184,6 +192,10 @@ const RESTORE_GATED_CIRCUITS: [&str; 2] = ["sec32", "layered1k"];
 /// the committed smoke baseline must carry each.
 const SECTIONS: [&str; 4] = ["circuits", "serve", "pij_kernel", "scaling"];
 
+/// Sections `--only` also names that no gate compares, so the committed
+/// smoke baseline need not carry them.
+const UNGATED_SECTIONS: [&str; 1] = ["characterization"];
+
 /// Allowed additive increase of the fitted log-log `analyze_fresh` slope
 /// over the baseline's before the scaling gate fails. A slope step of
 /// this size means super-linear growth crept in (e.g. an accidental
@@ -224,8 +236,9 @@ fn main() {
     // design for every section that did not run).
     let only = flag_value(&args, "--only");
     if let Some(o) = &only {
-        if !SECTIONS.contains(&o.as_str()) {
-            eprintln!("error: unknown --only section {o:?} (circuits|serve|pij_kernel|scaling)");
+        if !SECTIONS.contains(&o.as_str()) && !UNGATED_SECTIONS.contains(&o.as_str()) {
+            let known = [&SECTIONS[..], &UNGATED_SECTIONS[..]].concat().join("|");
+            eprintln!("error: unknown --only section {o:?} ({known})");
             std::process::exit(2);
         }
     }
@@ -249,6 +262,8 @@ fn main() {
     let scaling_doc = (scaling_mode && runs("scaling")).then(|| measure_scaling(&engine, smoke));
     let serve_doc = runs("serve").then(|| measure_serve(smoke));
     let pij_kernel_doc = runs("pij_kernel").then(|| measure_pij_kernel(&engine));
+    let characterization_doc =
+        runs("characterization").then(|| measure_characterization(&engine, smoke, reps));
 
     // An explicit --baseline is embedded in the document; the committed
     // smoke baseline is only *printed* (embedding it would nest forever
@@ -332,6 +347,9 @@ fn main() {
     }
     if let Some(s) = scaling_doc {
         doc.push(("scaling".into(), s));
+    }
+    if let Some(s) = characterization_doc {
+        doc.push(("characterization".into(), s));
     }
     if let Some(s) = speedups {
         doc.push(("speedup_vs_baseline".into(), s));
@@ -874,6 +892,64 @@ fn measure_pij_kernel(engine: &EngineConfig) -> Value {
             serde_json::to_value(&(stats.adaptive_stops as u64)),
         ),
         ("max_abs_delta_p".into(), serde_json::to_value(&max_delta)),
+    ])
+}
+
+/// Times characterizing the c432 stand-in's distinct nominal variants
+/// into an empty library, best of `reps`, on one thread and on the
+/// engine's threads, and asserts both libraries serialize byte-equal.
+fn measure_characterization(engine: &EngineConfig, smoke: bool, reps: usize) -> Value {
+    let circuit =
+        generate::iscas85("c432").unwrap_or_else(|| die("generating c432", "unknown circuit"));
+    let cells = CircuitCells::nominal(&circuit);
+    let variants: Vec<GateParams> = circuit
+        .gates()
+        .filter_map(|id| cells.get(id).copied())
+        .collect();
+    let grids = if smoke {
+        CharGrids::coarse()
+    } else {
+        CharGrids::standard()
+    };
+    let threads = engine.threads();
+    let run = |t: usize| {
+        let mut lib = Library::new(Technology::ptm70(), grids.clone());
+        let (added, s) = timed(|| lib.characterize_all(&variants, t));
+        (lib, added, s)
+    };
+    let (serial_lib, count, first_serial_s) = run(1);
+    let (parallel_lib, _, first_parallel_s) = run(threads);
+    let json = |lib: &Library| {
+        lib.to_json()
+            .unwrap_or_else(|e| die("serializing a library", e))
+    };
+    assert!(
+        json(&serial_lib) == json(&parallel_lib),
+        "parallel characterization must match the serial library byte for byte"
+    );
+    let serial_s = first_serial_s.min(best_of(reps - 1, || run(1).2));
+    let parallel_s = first_parallel_s.min(best_of(reps - 1, || run(threads).2));
+
+    eprintln!(
+        "measured characterization ({count} variants, serial {:.1} ms, {threads} threads {:.1} ms, {:.2}x)",
+        serial_s * 1e3,
+        parallel_s * 1e3,
+        serial_s / parallel_s
+    );
+    Value::Object(vec![
+        ("circuit".into(), serde_json::to_value(&"c432")),
+        (
+            "grids".into(),
+            serde_json::to_value(&if smoke { "coarse" } else { "standard" }),
+        ),
+        ("variants".into(), serde_json::to_value(&(count as u64))),
+        ("threads".into(), serde_json::to_value(&(threads as u64))),
+        ("serial_s".into(), serde_json::to_value(&serial_s)),
+        ("parallel_s".into(), serde_json::to_value(&parallel_s)),
+        (
+            "speedup".into(),
+            serde_json::to_value(&(serial_s / parallel_s)),
+        ),
     ])
 }
 

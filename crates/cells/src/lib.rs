@@ -13,7 +13,8 @@
 //!   energy and area;
 //! * [`Library`] — a collection of variants with exact-match lookup,
 //!   per-(kind, fan-in) enumeration for SERTOPT's matching step, lazy
-//!   memoized characterization, and JSON persistence.
+//!   memoized characterization, one parallel bulk path
+//!   ([`Library::characterize_all`]) and JSON persistence.
 //!
 //! # Example
 //!

@@ -1,7 +1,8 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ser_netlist::{Circuit, GateKind};
 use ser_spice::{GateParams, Technology};
@@ -109,9 +110,12 @@ impl LibrarySpec {
 /// A characterized cell library.
 ///
 /// Variants are added either lazily ([`Library::get_or_characterize`]) or
-/// in bulk over a [`LibrarySpec`] ([`Library::characterize_spec`], which
-/// parallelizes across threads). Libraries persist as JSON so expensive
-/// characterization runs once per parameter set.
+/// in bulk. Both bulk paths — a [`LibrarySpec`] grid
+/// ([`Library::characterize_spec`]) and a session's missing variants
+/// (`aserta`'s session construction) — go through
+/// [`Library::characterize_all`], the one parallel characterization
+/// loop. Libraries persist as JSON so expensive characterization runs
+/// once per parameter set.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Library {
     tech: Technology,
@@ -183,49 +187,76 @@ impl Library {
         self.cells.last().expect("just pushed")
     }
 
-    /// Characterizes every point of `spec` not already present, spreading
-    /// the work over `threads` OS threads (use 0 for the number of
-    /// available cores). Returns how many new variants were added.
+    /// Characterizes every point of `spec` not already present on
+    /// `threads` threads (0 = available cores); see
+    /// [`Library::characterize_all`]. Returns how many new variants were
+    /// added.
     pub fn characterize_spec(&mut self, spec: &LibrarySpec, threads: usize) -> usize {
-        let todo: Vec<GateParams> = spec
-            .points()
-            .into_iter()
-            .filter(|p| !self.index.contains_key(&Key::of(p)))
+        self.characterize_all(&spec.points(), threads)
+    }
+
+    /// Characterizes the distinct variants of `params` the library lacks
+    /// on `threads` scoped threads (0 = available cores, capped at the
+    /// number of variants) and returns how many were added.
+    ///
+    /// Workers pull the next variant from a shared counter, so one slow
+    /// variant never idles the rest; results are inserted in
+    /// first-occurrence order, so the library ends up bitwise identical
+    /// to calling [`Library::get_or_characterize`] on each variant in
+    /// turn. With one thread or one variant the work runs inline. A
+    /// panicking worker's payload is re-raised on the caller.
+    pub fn characterize_all(&mut self, params: &[GateParams], threads: usize) -> usize {
+        let mut seen = HashSet::new();
+        let todo: Vec<&GateParams> = params
+            .iter()
+            .filter(|p| {
+                let key = Key::of(p);
+                !self.index.contains_key(&key) && seen.insert(key)
+            })
             .collect();
-        if todo.is_empty() {
-            return 0;
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         }
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        let chunk = todo.len().div_ceil(threads);
-        let tech = &self.tech;
-        let grids = &self.grids;
-        let mut results: Vec<CharacterizedCell> = Vec::with_capacity(todo.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = todo
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        part.iter()
-                            .map(|p| characterize_cell(tech, p, grids))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.extend(h.join().expect("characterization threads don't panic"));
+        .min(todo.len());
+        if threads <= 1 {
+            for p in &todo {
+                let cell = characterize_cell(&self.tech, p, &self.grids);
+                self.push(cell);
             }
-        });
-        let added = results.len();
-        for cell in results {
+            return todo.len();
+        }
+
+        let (tech, grids, todo) = (&self.tech, &self.grids, &todo);
+        let next = AtomicUsize::new(0);
+        let done: Vec<std::thread::Result<Vec<(usize, CharacterizedCell)>>> =
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut out = Vec::new();
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                let Some(p) = todo.get(i) else { break out };
+                                out.push((i, characterize_cell(tech, p, grids)));
+                            }
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join()).collect()
+            });
+        let mut cells = Vec::with_capacity(todo.len());
+        for worker in done {
+            match worker {
+                Ok(part) => cells.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        cells.sort_unstable_by_key(|&(i, _)| i);
+        for (_, cell) in cells {
             self.push(cell);
         }
-        added
+        todo.len()
     }
 
     fn push(&mut self, cell: CharacterizedCell) {
@@ -346,6 +377,40 @@ mod tests {
         // Idempotent.
         assert_eq!(lib.characterize_spec(&spec, 2), 0);
         assert_eq!(lib.variants(GateKind::Not, 1).len(), 2);
+    }
+
+    #[test]
+    fn characterize_spec_skips_repeated_grid_values() {
+        let mut lib = tiny_lib();
+        let spec = LibrarySpec {
+            kinds_fanins: vec![(GateKind::Not, 1)],
+            sizes: vec![1.0, 1.0],
+            lengths_nm: vec![70.0],
+            vdds: vec![1.0],
+            vths: vec![0.2],
+        };
+        assert_eq!(lib.characterize_spec(&spec, 2), 1);
+        assert_eq!(lib.len(), 1);
+        assert_eq!(lib.variants(GateKind::Not, 1).len(), 1);
+    }
+
+    #[test]
+    fn worker_panic_is_reraised_with_its_payload() {
+        let mut lib = tiny_lib();
+        let mut input = GateParams::new(GateKind::Not, 1);
+        input.kind = GateKind::Input;
+        input.fanin = 0;
+        let variants = [GateParams::new(GateKind::Not, 1), input];
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lib.characterize_all(&variants, 2)
+        }))
+        .expect_err("an input has no cell to characterize");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("inputs have no cell"), "payload: {msg:?}");
     }
 
     #[test]

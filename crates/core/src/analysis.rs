@@ -118,6 +118,7 @@ pub fn try_analyze(
         library.clone(),
         cfg.clone(),
         pij.clone(),
+        1,
     )?;
     Ok(session.into_report())
 }

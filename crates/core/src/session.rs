@@ -71,6 +71,7 @@
 //! );
 //! ```
 
+use std::collections::HashSet;
 use std::path::Path;
 
 use ser_cells::{CharacterizedCell, Library};
@@ -150,8 +151,10 @@ impl Scratch {
 /// A persistent, incrementally-updated ASERTA analysis of one circuit.
 ///
 /// See the [module docs](self) for the dirty-set architecture and the
-/// bitwise fidelity contract. The session owns its [`Library`] (variants
-/// are characterized lazily on first use), so it is `Clone` + `Send`:
+/// bitwise fidelity contract. The session owns its [`Library`] (the
+/// variants it lacks are characterized at construction on the engine's
+/// threads, later deltas' variants lazily on first use), so it is
+/// `Clone` + `Send`:
 /// optimizers replicate one session per worker thread and evaluate
 /// independent candidates in parallel.
 #[derive(Debug, Clone)]
@@ -237,8 +240,9 @@ impl<'c> SessionBuilder<'c> {
     }
 
     /// Builds the session: resolves the engine overlay, estimates
-    /// `P_ij` unless one was supplied, runs one full analysis and
-    /// materializes every cache the incremental path serves from.
+    /// `P_ij` unless one was supplied, characterizes the cell variants
+    /// the library lacks on the engine's threads, runs one full analysis
+    /// and materializes every cache the incremental path serves from.
     ///
     /// # Errors
     ///
@@ -283,8 +287,14 @@ impl<'c> SessionBuilder<'c> {
                 (est.matrix, events)
             }
         };
-        let mut session =
-            AnalysisSession::construct(self.circuit, self.cells, self.library, self.cfg, pij)?;
+        let mut session = AnalysisSession::construct(
+            self.circuit,
+            self.cells,
+            self.library,
+            self.cfg,
+            pij,
+            engine.threads(),
+        )?;
         session.engine = engine;
         if let Some(deadline) = self.deadline {
             session.deadline = deadline;
@@ -335,21 +345,29 @@ impl<'c> AnalysisSession<'c> {
     }
 
     /// The untrusted-input boundary of session construction: validates
-    /// everything, runs the full analysis, materializes the caches. The
-    /// engine field is stamped by the caller (builder/restore) after
-    /// construction.
+    /// everything, characterizes the variants the library lacks on
+    /// `threads` threads, runs the full analysis, materializes the
+    /// caches. The engine field is stamped by the caller
+    /// (builder/restore) after construction.
     pub(crate) fn construct(
         circuit: &'c Circuit,
         cells: CircuitCells,
         mut library: Library,
         cfg: AsertaConfig,
         pij: SensitizationMatrix,
+        threads: usize,
     ) -> Result<Self, AnalysisError> {
         validate_config(&cfg)?;
         if pij.outputs() != circuit.primary_outputs() {
             return Err(AnalysisError::InvalidConfig {
                 reason: "sensitization matrix does not cover the circuit's primary outputs",
             });
+        }
+        // On one thread the validation loop's lazy characterization is
+        // the same work in the same order, so the pre-pass only pays off
+        // with more.
+        if threads > 1 {
+            library.characterize_all(&missing_variants(circuit, &cells, &library), threads);
         }
         for id in circuit.gates() {
             let node = id.index() as u32;
@@ -676,6 +694,7 @@ impl<'c> AnalysisSession<'c> {
             snap.library.clone(),
             snap.cfg.clone(),
             snap.pij.clone(),
+            1,
         )?;
         let mismatch = |what| SessionSnapshotError::StateMismatch { what };
         if session.critical_delay.to_bits() != snap.critical_delay.to_bits() {
@@ -1276,6 +1295,7 @@ impl<'c> AnalysisSession<'c> {
             library,
             self.cfg.clone(),
             self.pij.clone(),
+            self.engine.threads(),
         ) {
             Ok(mut fresh) => {
                 fresh.engine = self.engine;
@@ -1409,6 +1429,29 @@ pub(crate) fn validate_config(cfg: &AsertaConfig) -> Result<(), AnalysisError> {
         return Err(bad("po_load must be finite and non-negative"));
     }
     Ok(())
+}
+
+/// The distinct variants `cells` assigns to `circuit`'s gates that
+/// `library` lacks, in first-occurrence order, up to the first gate with
+/// missing or invalid parameters (construction then reports that gate).
+fn missing_variants(circuit: &Circuit, cells: &CircuitCells, library: &Library) -> Vec<GateParams> {
+    let mut seen = HashSet::new();
+    let mut missing = Vec::new();
+    for id in circuit.gates() {
+        let Some(p) = cells.get(id) else { break };
+        if validate_gate_params(id.index() as u32, p).is_err() {
+            break;
+        }
+        let bits = (
+            p.kind,
+            p.fanin,
+            [p.size, p.l_nm, p.vdd, p.vth].map(f64::to_bits),
+        );
+        if library.cell_exact(p).is_none() && seen.insert(bits) {
+            missing.push(*p);
+        }
+    }
+    missing
 }
 
 /// Rejects per-gate parameters whose table lookups would produce NaN.

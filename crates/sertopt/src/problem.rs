@@ -651,45 +651,4 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, crate::error::EvalError::Match { .. }));
     }
-
-    /// An injected fault fails exactly the candidate it hits; every
-    /// other candidate of the batch — including later ones measured on
-    /// the same replica — is bitwise identical to a fault-free run.
-    #[test]
-    #[cfg(feature = "fail-points")]
-    fn injected_batch_fault_is_contained_to_one_candidate() {
-        use ser_netlist::failpoint::{self, FailAction};
-
-        let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
-        let mut p = problem_for_c17(&mut lib);
-        p.threads = 1;
-        let dim = p.dim();
-        let phis: Vec<Vec<f64>> = (0..5)
-            .map(|s| {
-                (0..dim)
-                    .map(|k| 6.0e-12 * (((k * 3 + s) % 5) as f64 - 2.0))
-                    .collect()
-            })
-            .collect();
-        let clean: Vec<f64> = p
-            .evaluate_batch(&phis)
-            .into_iter()
-            .map(|c| c.expect("no faults armed").cost)
-            .collect();
-
-        let _guard = failpoint::scenario();
-        failpoint::set_times("sertopt::replica_evaluate", FailAction::Error, 1);
-        let faulted = p.evaluate_batch(&phis);
-        assert_eq!(failpoint::hits("sertopt::replica_evaluate"), 1);
-        assert!(matches!(
-            faulted[0],
-            Err(crate::error::EvalError::FaultInjected(
-                "sertopt::replica_evaluate"
-            ))
-        ));
-        for (i, got) in faulted.iter().enumerate().skip(1) {
-            let got = got.as_ref().expect("only the first candidate faults");
-            assert_eq!(got.cost, clean[i], "candidate {i}");
-        }
-    }
 }
