@@ -37,12 +37,11 @@
 //! is held to an **absolute** floor ([`SERVE_SPEEDUP_FLOOR`]), not a
 //! baseline ratio — the section is new and self-judging.
 //!
-//! A `pij_kernel` section ablates the estimator modes on layered1k at a
-//! multi-block budget: the fixed-budget path ([`PijConfig::fixed`])
-//! against adaptive sampling alone, exact small-cone mode alone, and
-//! the default combination — whose speedup over fixed is held to an
-//! **absolute** [`PIJ_KERNEL_SPEEDUP_FLOOR`] under `--gate`,
-//! serve-style.
+//! A `pij_kernel` section ablates the estimator's adaptive sampling on
+//! layered1k at a multi-block budget: the fixed-budget path
+//! ([`PijConfig::fixed`]) against the default — whose speedup over
+//! fixed is held to an **absolute** [`PIJ_KERNEL_SPEEDUP_FLOOR`] under
+//! `--gate`, serve-style.
 //!
 //! A `characterization` section times characterizing the c432
 //! stand-in's nominal cell variants into an empty library (standard
@@ -169,12 +168,11 @@ const TIMED_KEYS: [&str; 8] = [
 /// warm.
 const SERVE_SPEEDUP_FLOOR: f64 = 5.0;
 
-/// Hard floor on the default-mode `P_ij` speedup (adaptive sampling +
-/// exact small cones, at default accuracy) over the fixed-budget path
-/// on layered1k under `--gate`. **Absolute**, serve-style: the
-/// estimator modes' reason to exist is a multiple-× cut of the
-/// dominant `analyze_fresh` term, so a ratio below this means one of
-/// the levers stopped pulling. Six runs on a 2-vCPU VM measured
+/// Hard floor on the default-mode `P_ij` speedup (adaptive sampling at
+/// default accuracy) over the fixed-budget path on layered1k under
+/// `--gate`. **Absolute**, serve-style: adaptive sampling's reason to
+/// exist is a multiple-× cut of the dominant `analyze_fresh` term, so
+/// a ratio below this means it stopped pulling. Six runs on a 2-vCPU VM measured
 /// 3.06–4.21×; the floor sits below the lowest.
 const PIJ_KERNEL_SPEEDUP_FLOOR: f64 = 2.5;
 
@@ -791,16 +789,15 @@ fn measure_serve(smoke: bool) -> Value {
     ])
 }
 
-/// Ablates the estimator modes on layered1k at a deliberately
-/// multi-block budget (the adaptive stop rule only fires at 64-word
-/// block boundaries, so the 512-vector smoke budget — a single partial
-/// block — would show no adaptivity at all):
+/// Ablates adaptive sampling on layered1k at a deliberately multi-block
+/// budget (the adaptive stop rule only fires at 64-word block
+/// boundaries, so the 512-vector smoke budget — a single partial block
+/// — would show no adaptivity at all):
 ///
-/// * `fixed` — tolerance 0, exact mode off ([`PijConfig::fixed`]): the
-///   baseline every ratio is against;
-/// * `adaptive` / `exact` — each lever alone;
-/// * `default` — both levers at default accuracy; its deviation from
-///   fixed is reported (`max_abs_delta_p`) and sanity-bounded.
+/// * `fixed` — tolerance 0 ([`PijConfig::fixed`]): the baseline the
+///   ratio is against;
+/// * `default` — adaptive sampling at default accuracy; its deviation
+///   from fixed is reported (`max_abs_delta_p`) and sanity-bounded.
 fn measure_pij_kernel(engine: &EngineConfig) -> Value {
     let circuit = generate::layered(&LayeredSpec::new("layered1k", 40, 12, 1000));
     let vectors = 200_000;
@@ -809,14 +806,6 @@ fn measure_pij_kernel(engine: &EngineConfig) -> Value {
     let chunk = engine.cone_chunk();
 
     let fixed_cfg = PijConfig::fixed();
-    let adaptive_cfg = PijConfig {
-        exact_support: 0,
-        ..PijConfig::default()
-    };
-    let exact_cfg = PijConfig {
-        tolerance: 0.0,
-        ..PijConfig::default()
-    };
     let default_cfg = PijConfig::default();
 
     let run = |pij: &PijConfig| {
@@ -829,8 +818,6 @@ fn measure_pij_kernel(engine: &EngineConfig) -> Value {
         (first, first_s.min(rest_s))
     };
     let (fixed, fixed_s) = run(&fixed_cfg);
-    let (_, adaptive_s) = run(&adaptive_cfg);
-    let (_, exact_s) = run(&exact_cfg);
     let (default_m, default_s) = run(&default_cfg);
     let ((_, stats), _) = timed(|| {
         sensitization_probabilities_with_stats_cfg(
@@ -843,7 +830,7 @@ fn measure_pij_kernel(engine: &EngineConfig) -> Value {
         )
     });
 
-    // Default accuracy must stay default accuracy: the combined modes
+    // Default accuracy must stay default accuracy: adaptive stopping
     // may not drift visibly from the fixed-budget estimate.
     let mut max_delta = 0.0f64;
     for id in circuit.node_ids() {
@@ -853,7 +840,7 @@ fn measure_pij_kernel(engine: &EngineConfig) -> Value {
     }
     assert!(
         max_delta < 0.05,
-        "default estimator modes drifted {max_delta} from the fixed-budget estimate"
+        "default estimator drifted {max_delta} from the fixed-budget estimate"
     );
 
     eprintln!(
@@ -868,24 +855,10 @@ fn measure_pij_kernel(engine: &EngineConfig) -> Value {
         ("threads".into(), serde_json::to_value(&(threads as u64))),
         ("chunk".into(), serde_json::to_value(&(chunk as u64))),
         ("fixed_s".into(), serde_json::to_value(&fixed_s)),
-        ("adaptive_s".into(), serde_json::to_value(&adaptive_s)),
-        ("exact_s".into(), serde_json::to_value(&exact_s)),
         ("default_s".into(), serde_json::to_value(&default_s)),
-        (
-            "speedup_adaptive".into(),
-            serde_json::to_value(&(fixed_s / adaptive_s)),
-        ),
-        (
-            "speedup_exact".into(),
-            serde_json::to_value(&(fixed_s / exact_s)),
-        ),
         (
             "speedup_default".into(),
             serde_json::to_value(&(fixed_s / default_s)),
-        ),
-        (
-            "exact_roots".into(),
-            serde_json::to_value(&(stats.exact_roots as u64)),
         ),
         (
             "adaptive_stops".into(),

@@ -860,9 +860,9 @@ impl<'c> AnalysisSession<'c> {
             "aserta::resample_rows",
             return Err(AnalysisError::FaultInjected("aserta::resample_rows"))
         );
-        // Resampling must reuse the session's estimator modes: rows
-        // refilled under a different lane width / tolerance / exact
-        // threshold would silently mix accuracy settings in one matrix.
+        // Resampling must reuse the session's estimator tolerance: rows
+        // refilled under a different one would silently mix accuracy
+        // settings in one matrix.
         let update = resimulate_rows_cfg(
             self.circuit,
             nodes,

@@ -3,6 +3,12 @@
 //! vectors, strikes at every gate output, analog glitch widths at the
 //! POs), correlated over the nodes within a few levels of the primary
 //! outputs.
+//!
+//! The reference ([`ser_spice::circuit_sim`]) models every gate with
+//! ASERTA's own logical-effort device model. The correlation therefore
+//! tests ASERTA's approximations — the glitch LUTs, the attenuation
+//! model and the sampled `P_ij` — and not device-model error, which
+//! both sides share.
 
 use ser_cells::Library;
 use ser_logicsim::random::random_vectors;

@@ -11,16 +11,13 @@
 //! * **soft memory limit** (`SER_MEM_SOFT_LIMIT`) — byte budget the
 //!   governed estimator degrades under instead of OOMing.
 //!
-//! Two more knobs govern the `P_ij` **estimator** itself (see
-//! [`PijConfig`]). They trade accuracy bookkeeping for speed and are
+//! A fourth knob governs the `P_ij` **estimator** itself (see
+//! [`PijConfig`]). It trades accuracy bookkeeping for speed and is
 //! therefore part of a result's identity:
 //!
 //! * **adaptive tolerance** (`SER_PIJ_TOL`) — per-cone relative
 //!   half-width target for early sampling stops (`0` = the fixed-budget
-//!   bitwise-pinned mode);
-//! * **exact support threshold** (`SER_EXACT_SUPPORT`) — cones whose
-//!   primary-input support is at most this are enumerated exactly
-//!   instead of sampled (`0` = never).
+//!   bitwise-pinned mode).
 //!
 //! Precedence is **explicit > environment > default**: a field set on
 //! the config wins; an unset field falls through to the environment
@@ -61,12 +58,6 @@ pub const DEFAULT_CONE_CHUNK: usize = 128;
 /// fixed-budget accuracy). `0` disables adaptivity entirely.
 pub const DEFAULT_PIJ_TOLERANCE: f64 = 0.02;
 
-/// Default primary-input support threshold of the exact small-cone
-/// enumerator: cones observed through at most this many primary inputs
-/// are enumerated exhaustively instead of sampled. `0` disables the
-/// exact mode.
-pub const DEFAULT_EXACT_SUPPORT: usize = 20;
-
 /// A malformed engine environment variable, rejected by the strict
 /// [`EngineConfig::from_env`] overlay.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,8 +83,8 @@ impl fmt::Display for EngineConfigError {
 impl std::error::Error for EngineConfigError {}
 
 /// Configuration of the analysis engine: worker threads, streamed-arena
-/// chunk size and the soft memory budget, plus the two `P_ij`
-/// estimator knobs.
+/// chunk size and the soft memory budget, plus the `P_ij` estimator's
+/// adaptive tolerance.
 ///
 /// All fields are optional; an unset field resolves through the
 /// layering described in the [module docs](self). The resolved
@@ -113,9 +104,6 @@ pub struct EngineConfig {
     /// Relative tolerance of the adaptive `P_ij` sampler; `0` pins the
     /// fixed-budget bitwise path (`None` = [`DEFAULT_PIJ_TOLERANCE`]).
     pub pij_tolerance: Option<f64>,
-    /// Primary-input support threshold of the exact small-cone
-    /// enumerator; `0` disables it (`None` = [`DEFAULT_EXACT_SUPPORT`]).
-    pub exact_support: Option<usize>,
 }
 
 impl EngineConfig {
@@ -126,7 +114,6 @@ impl EngineConfig {
             cone_chunk: None,
             mem_soft_limit: None,
             pij_tolerance: None,
-            exact_support: None,
         }
     }
 
@@ -160,26 +147,18 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the exact enumerator's support threshold (`0` = off).
-    #[must_use]
-    pub fn with_exact_support(mut self, support: usize) -> Self {
-        self.exact_support = Some(support);
-        self
-    }
-
     /// The environment overlay: reads `SER_SIM_THREADS`,
-    /// `SER_CONE_CHUNK`, `SER_MEM_SOFT_LIMIT`, `SER_PIJ_TOL` and
-    /// `SER_EXACT_SUPPORT`, rejecting malformed values with a typed
-    /// [`EngineConfigError`] instead of silently ignoring them. Unset
-    /// variables leave the field unset.
+    /// `SER_CONE_CHUNK`, `SER_MEM_SOFT_LIMIT` and `SER_PIJ_TOL`,
+    /// rejecting malformed values with a typed [`EngineConfigError`]
+    /// instead of silently ignoring them. Unset variables leave the
+    /// field unset.
     ///
     /// # Errors
     ///
     /// [`EngineConfigError`] naming the offending variable when its
     /// value is not a positive integer (threads, chunk), a positive
-    /// byte count with optional `K`/`M`/`G` suffix (memory limit), a
-    /// finite non-negative number (tolerance) or a non-negative integer
-    /// (exact support).
+    /// byte count with optional `K`/`M`/`G` suffix (memory limit) or a
+    /// finite non-negative number (tolerance).
     pub fn from_env() -> Result<Self, EngineConfigError> {
         let mut cfg = EngineConfig::new();
         if let Ok(v) = std::env::var("SER_SIM_THREADS") {
@@ -210,13 +189,6 @@ impl EngineConfig {
                 expected: "a finite non-negative number (0 disables adaptivity)",
             })?);
         }
-        if let Ok(v) = std::env::var("SER_EXACT_SUPPORT") {
-            cfg.exact_support = Some(parse_support(&v).ok_or(EngineConfigError {
-                var: "SER_EXACT_SUPPORT",
-                value: v,
-                expected: "a non-negative integer (0 disables exact mode)",
-            })?);
-        }
         Ok(cfg)
     }
 
@@ -231,7 +203,6 @@ impl EngineConfig {
             cone_chunk: self.cone_chunk.or(under.cone_chunk),
             mem_soft_limit: self.mem_soft_limit.or(under.mem_soft_limit),
             pij_tolerance: self.pij_tolerance.or(under.pij_tolerance),
-            exact_support: self.exact_support.or(under.exact_support),
         }
     }
 
@@ -270,45 +241,33 @@ impl EngineConfig {
         }
     }
 
-    /// Resolved exact-enumerator support threshold (including the
-    /// disabling `0`); unset falls to [`DEFAULT_EXACT_SUPPORT`].
-    pub fn exact_support(&self) -> usize {
-        self.exact_support.unwrap_or(DEFAULT_EXACT_SUPPORT)
-    }
-
     /// The resolved estimator configuration consumed by the `P_ij`
     /// kernels (see [`crate::sensitize`]).
     pub fn pij(&self) -> PijConfig {
         PijConfig {
             tolerance: self.pij_tolerance(),
-            exact_support: self.exact_support(),
         }
     }
 }
 
-/// Resolved estimator knobs handed to the `P_ij` kernels: the adaptive
-/// sampler's relative tolerance and the exact enumerator's support
-/// threshold (both part of a result's identity unless pinned to their
-/// fixed-mode values).
+/// Resolved estimator knob handed to the `P_ij` kernels: the adaptive
+/// sampler's relative tolerance (part of a result's identity unless
+/// pinned to its fixed-mode `0`).
 ///
-/// [`PijConfig::default`] is the engine default (adaptive + exact on);
+/// [`PijConfig::default`] is the engine default (adaptive sampling on);
 /// [`PijConfig::fixed`] is the bitwise-pinned legacy mode that every
-/// historical estimate used (no early stops, no enumeration).
+/// historical estimate used (no early stops).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PijConfig {
     /// Relative half-width target for early sampling stops; `0`
     /// disables adaptivity.
     pub tolerance: f64,
-    /// Primary-input support threshold for exact enumeration; `0`
-    /// disables the exact mode.
-    pub exact_support: usize,
 }
 
 impl Default for PijConfig {
     fn default() -> Self {
         PijConfig {
             tolerance: DEFAULT_PIJ_TOLERANCE,
-            exact_support: DEFAULT_EXACT_SUPPORT,
         }
     }
 }
@@ -316,12 +275,9 @@ impl Default for PijConfig {
 impl PijConfig {
     /// The fixed-budget mode: bitwise identical to every estimate the
     /// engine produced before the estimator knobs existed, and the
-    /// reference the adaptive/exact paths are validated against.
+    /// reference the adaptive path is validated against.
     pub const fn fixed() -> Self {
-        PijConfig {
-            tolerance: 0.0,
-            exact_support: 0,
-        }
+        PijConfig { tolerance: 0.0 }
     }
 }
 
@@ -337,12 +293,6 @@ fn parse_tolerance(s: &str) -> Option<f64> {
         .parse::<f64>()
         .ok()
         .filter(|t| t.is_finite() && *t >= 0.0)
-}
-
-/// Parses an exact-support threshold; any non-negative integer (zero
-/// disables the mode).
-fn parse_support(s: &str) -> Option<usize> {
-    s.trim().parse::<usize>().ok()
 }
 
 /// Parses `"65536"`, `"64K"`, `"8M"`, `"1G"` into bytes (powers of
@@ -397,8 +347,7 @@ mod tests {
         let cfg = EngineConfig::new()
             .with_threads(4)
             .with_mem_soft_limit(1 << 20)
-            .with_pij_tolerance(0.01)
-            .with_exact_support(12);
+            .with_pij_tolerance(0.01);
         let v = serde::Serialize::serialize(&cfg);
         let back: EngineConfig = serde::Deserialize::deserialize(&v).unwrap();
         assert_eq!(cfg, back);
@@ -408,16 +357,13 @@ mod tests {
     fn estimator_knobs_resolve_with_defaults() {
         let cfg = EngineConfig::new();
         assert_eq!(cfg.pij_tolerance(), DEFAULT_PIJ_TOLERANCE);
-        assert_eq!(cfg.exact_support(), DEFAULT_EXACT_SUPPORT);
         assert_eq!(cfg.pij(), PijConfig::default());
     }
 
     #[test]
     fn estimator_knobs_accept_pinned_zeroes() {
-        // 0 is meaningful (fixed budget / exact off), not "unset".
-        let cfg = EngineConfig::new()
-            .with_pij_tolerance(0.0)
-            .with_exact_support(0);
+        // 0 is meaningful (fixed budget), not "unset".
+        let cfg = EngineConfig::new().with_pij_tolerance(0.0);
         assert_eq!(cfg.pij(), PijConfig::fixed());
     }
 
@@ -434,10 +380,10 @@ mod tests {
         let explicit = EngineConfig::new().with_pij_tolerance(0.0);
         let env = EngineConfig::new()
             .with_pij_tolerance(0.1)
-            .with_exact_support(8);
+            .with_cone_chunk(8);
         let merged = explicit.overlay(&env);
         assert_eq!(merged.pij_tolerance, Some(0.0));
-        assert_eq!(merged.exact_support, Some(8));
+        assert_eq!(merged.cone_chunk, Some(8));
     }
 
     // The env-reading paths are covered in `tests/engine_env.rs` as a

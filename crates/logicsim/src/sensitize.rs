@@ -55,32 +55,23 @@
 //!
 //! # Estimator modes ([`PijConfig`])
 //!
-//! Two composable speedups sit on top of the streamed driver, governed
-//! by the resolved [`PijConfig`] (knobs: `SER_PIJ_TOL`,
-//! `SER_EXACT_SUPPORT`; see [`crate::engine`]):
+//! One speedup sits on top of the streamed driver, governed by the
+//! resolved [`PijConfig`] (knob: `SER_PIJ_TOL`; see [`crate::engine`]):
+//! **adaptive sampling** (`tolerance > 0`). Vectors still run in
+//! 64-word blocks, but each root tracks its any-PO observability
+//! counter and stops early at a block boundary once the Wilson-score
+//! half-width of that proportion falls under
+//! `max(tolerance × estimate, floor)`, where `floor` is the half-width
+//! the full requested budget would reach — so the default tolerance can
+//! only stop once a cone is at least as tight as the fixed budget's own
+//! resolution. A run stops outright when every root has converged.
+//! `tolerance = 0` disables all early stopping and reproduces the
+//! historical fixed-budget stream bitwise.
 //!
-//! * **Adaptive sampling** (`tolerance > 0`): vectors still run in
-//!   64-word blocks, but each root tracks its any-PO observability
-//!   counter and stops early at a block boundary once the
-//!   Wilson-score half-width of that proportion falls under
-//!   `max(tolerance × estimate, floor)`, where `floor` is the
-//!   half-width the full requested budget would reach — so the default
-//!   tolerance can only stop once a cone is at least as tight as the
-//!   fixed budget's own resolution. A run stops outright when every
-//!   root has converged. `tolerance = 0` disables all early stopping
-//!   and reproduces the historical fixed-budget stream bitwise.
-//! * **Exact small cones** (`exact_support > 0`): a root whose strike
-//!   cone is observed through at most `exact_support` primary inputs
-//!   (the transitive fan-in support of the cone) and whose `2^support`
-//!   assignments do not exceed the requested vector budget is
-//!   *enumerated* instead of sampled — every assignment weighted
-//!   equally (PI probability 0.5), zero variance, and never more work
-//!   than the sampling it replaces.
-//!
-//! Adaptive and exact results remain bitwise identical across thread
-//! counts and chunk sizes; they differ from the fixed budget
-//! (deliberately) in *sample counts*, which is why the tolerance and
-//! support threshold are part of a result's identity — see
+//! Adaptive results remain bitwise identical across thread counts and
+//! chunk sizes; they differ from the fixed budget (deliberately) in
+//! *sample counts*, which is why the tolerance is part of a result's
+//! identity — see
 //! [`SensitizationMatrix::vectors_used`] and the serve-pool session
 //! keys.
 
@@ -361,8 +352,9 @@ pub struct EstimateStats {
     pub peak_bytes: usize,
     /// Total cone entries replayed (the Σ|cone| work term).
     pub cone_entries: usize,
-    /// Roots resolved by the exact small-cone enumerator instead of
-    /// sampling (0 unless [`PijConfig::exact_support`] is enabled).
+    /// Always 0. The exact small-cone enumerator that filled it is
+    /// gone; the field stays because the benchmark reports it as its
+    /// `logicsim.exact_roots` layer.
     pub exact_roots: usize,
     /// Roots the adaptive sampler stopped before the full vector
     /// budget (0 unless [`PijConfig::tolerance`] is positive).
@@ -420,11 +412,10 @@ pub fn sensitization_probabilities_with_stats_cfg(
 /// parameters. When it is `Some`, the run stopped at a word-block
 /// boundary and `matrix` is a consistent, smaller-sample result —
 /// never a torn one. In the fixed-budget estimator mode
-/// ([`PijConfig::fixed`], or `tolerance = 0` with the exact enumerator
-/// off) that truncated matrix is additionally bitwise identical to a
-/// *fresh* ungoverned estimate over exactly `vectors_completed`
-/// vectors at the same seed; with adaptive stopping or exact
-/// enumeration enabled the per-root sample counts depend on the
+/// ([`PijConfig::fixed`], i.e. `tolerance = 0`) that truncated matrix
+/// is additionally bitwise identical to a *fresh* ungoverned estimate
+/// over exactly `vectors_completed` vectors at the same seed; with
+/// adaptive stopping enabled the per-root sample counts depend on the
 /// requested budget, so the truncation is consistent but not
 /// budget-renamable.
 #[derive(Debug, Clone)]
@@ -717,13 +708,12 @@ fn plan_under_budget(
 /// samples)` is invoked exactly once per planned root, after the last
 /// completed block; `samples` is the number of input assignments behind
 /// that root's counters — `n_words * 64` in the fixed mode, the
-/// early-stop prefix for an adaptively converged root, `2^support` for
-/// an exactly enumerated one. Peak tracked memory is one chunk's arena
-/// plus programs; on top of that live the block's base rows
-/// (`node_count × block` words), one set of integer hit counters per
-/// planned root, and a copy of each root's reachable-column list
-/// (captured on the first block so the counters can be finalized even
-/// after the chunk arenas are gone).
+/// early-stop prefix for an adaptively converged root. Peak tracked
+/// memory is one chunk's arena plus programs; on top of that live the
+/// block's base rows (`node_count × block` words), one set of integer
+/// hit counters per planned root, and a copy of each root's
+/// reachable-column list (captured on the first block so the counters
+/// can be finalized even after the chunk arenas are gone).
 ///
 /// When `govern` is `Some`, the deadline/cancel token is checked at
 /// every word-block boundary — the only points where every counter
@@ -736,13 +726,11 @@ fn plan_under_budget(
 /// for governed memory; otherwise each chunk is released as soon as its
 /// block slice is replayed.
 ///
-/// Estimator modes (`pij`): a positive tolerance arms the per-root
-/// Wilson convergence check at block boundaries; a positive
-/// exact-support threshold routes qualifying roots through
-/// [`exact_roots_pass`] on block 0. Roots that are done (exact, converged, or with no
-/// reachable PO) are skipped by the replay workers, and chunks whose
-/// roots are all done are skipped entirely — including their arena
-/// rebuild.
+/// Estimator mode (`pij`): a positive tolerance arms the per-root
+/// Wilson convergence check at block boundaries. Roots that are done
+/// (converged, or with no reachable PO) are skipped by the replay
+/// workers, and chunks whose roots are all done are skipped entirely —
+/// including their arena rebuild.
 #[allow(clippy::too_many_arguments)]
 fn estimate_chunks(
     csr: &CsrView,
@@ -755,7 +743,13 @@ fn estimate_chunks(
     mut sink: impl FnMut(u32, &[u32], &[u64], u64, u64),
 ) -> (EstimateStats, usize, Option<Interrupted>) {
     let n_chunks = plan.chunk_count();
-    let mut pool: Vec<SimScratch> = (0..threads.max(1)).map(|_| SimScratch::default()).collect();
+    // Per-worker cone-local value rows of the replay (cache-line aligned
+    // for the wide kernels), grow-only and reused across chunks and
+    // blocks, so a multi-chunk run performs no per-chunk reallocation
+    // beyond the first.
+    let mut pool: Vec<AlignedWords> = (0..threads.max(1))
+        .map(|_| AlignedWords::default())
+        .collect();
     let mut compile_scratch = CompileScratch::default();
     let mut progs = ConePrograms::default();
     let mut base = AlignedWords::default();
@@ -790,8 +784,8 @@ fn estimate_chunks(
     let mut interrupted = None;
     for b in 0..n_blocks {
         if b > 0 && active.iter().all(|&a| a == 0) {
-            // Every root is exact or converged: the remaining budget
-            // cannot change any counter.
+            // Every root is converged or reaches no PO: the remaining
+            // budget cannot change any counter.
             break;
         }
         if let Some(g) = govern {
@@ -828,20 +822,6 @@ fn estimate_chunks(
                     if arena.reachable_cols(slot).is_empty() {
                         done[root_off[k] + slot] = true;
                     }
-                }
-                if pij.exact_support > 0 {
-                    stats.exact_roots += exact_roots_pass(
-                        csr,
-                        &progs,
-                        arena,
-                        pij.exact_support,
-                        total_vectors,
-                        &mut pool,
-                        &mut counts[count_off[k]..count_off[k + 1]],
-                        &mut obs_counts[root_off[k]..root_off[k + 1]],
-                        &mut done[root_off[k]..root_off[k + 1]],
-                        &mut samples[root_off[k]..root_off[k + 1]],
-                    );
                 }
                 active.push(
                     done[root_off[k]..root_off[k + 1]]
@@ -1031,7 +1011,7 @@ fn replay_block(
     base: &[u64],
     wc: usize,
     done: &[bool],
-    pool: &mut [SimScratch],
+    pool: &mut [AlignedWords],
     counts: &mut [u64],
     obs_counts: &mut [u64],
 ) {
@@ -1039,16 +1019,17 @@ fn replay_block(
     if n_roots == 0 || done.iter().all(|&d| d) {
         return;
     }
+    let vals_len = progs.max_cone.max(1) * wc;
     let workers = pool.len().min(n_roots).max(1);
     if workers == 1 {
-        pool[0].prepare(progs.max_cone, wc);
+        pool[0].ensure(vals_len);
         replay_roots(
             progs,
             base,
             wc,
             0..n_roots,
             done,
-            pool[0].vals.words_mut(),
+            pool[0].words_mut(),
             counts,
             obs_counts,
         );
@@ -1094,7 +1075,7 @@ fn replay_block(
         let mut count_consumed = 0usize;
         let mut root_consumed = 0usize;
         for (span, scratch) in spans.into_iter().zip(pool.iter_mut()) {
-            scratch.prepare(progs.max_cone, wc);
+            scratch.ensure(vals_len);
             let (c_span, c_rest) =
                 counts_rest.split_at_mut(progs.po_off[span.end] - count_consumed);
             let (o_span, o_rest) = obs_rest.split_at_mut(span.end - root_consumed);
@@ -1102,7 +1083,7 @@ fn replay_block(
             root_consumed = span.end;
             counts_rest = c_rest;
             obs_rest = o_rest;
-            let vals = scratch.vals.words_mut();
+            let vals = scratch.words_mut();
             let progs = &*progs;
             scope.spawn(move || replay_roots(progs, base, wc, span, done, vals, c_span, o_span));
         }
@@ -1293,23 +1274,6 @@ impl ConePrograms {
     }
 }
 
-/// Per-worker scratch pooled across chunks and blocks by the streamed
-/// estimator: the cone-local value rows of the sampling replay
-/// (cache-line aligned for the wide kernels) and the exact enumerator's
-/// closure/evaluation state. Grow-only, so a multi-chunk run performs
-/// no per-chunk reallocation beyond the first.
-#[derive(Default)]
-struct SimScratch {
-    vals: AlignedWords,
-    exact: ExactScratch,
-}
-
-impl SimScratch {
-    fn prepare(&mut self, max_cone: usize, wc: usize) {
-        self.vals.ensure(max_cone.max(1) * wc);
-    }
-}
-
 /// Replays the strike of every root in `roots` against one block's base
 /// rows (stride `wc`, see [`eval_base_block`]), accumulating flat
 /// reachable-PO hit counts and per-root any-PO union counts, [`LANES`]
@@ -1382,365 +1346,6 @@ fn replay_roots(
             .iter()
             .map(|&u| u64::from(u.count_ones()))
             .sum::<u64>();
-    }
-}
-
-// ------------------------------------------------------- exact cones
-
-/// Hard cap on the fan-in-closure size the exact qualifier will walk
-/// before giving up on a root — bounds the per-root qualification cost
-/// on deep circuits where the support check alone would crawl a large
-/// region just to find the 21st primary input.
-const EXACT_CLOSURE_CAP: usize = 1 << 13;
-
-/// Bit patterns giving primary input `t < 6` its truth-table value for
-/// the 64 assignments packed in one word: bit `v` of `PAT[t]` is bit
-/// `t` of the assignment index `v`.
-const EXACT_PAT: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
-
-/// Reusable per-worker state of the exact small-cone enumerator: the
-/// stamped visited map and work stack of the closure walk, the
-/// collected primary inputs and rank-ordered closure gates, and the
-/// node-indexed base values plus cone-local rows of the truth-table
-/// evaluation.
-#[derive(Default)]
-struct ExactScratch {
-    stamp: Vec<u32>,
-    epoch: u32,
-    stack: Vec<u32>,
-    pis: Vec<u32>,
-    gates: Vec<u32>,
-    node_vals: Vec<u64>,
-    local: Vec<u64>,
-}
-
-impl ExactScratch {
-    /// Sizes the maps for `n` nodes and returns a fresh stamp value.
-    fn begin(&mut self, n: usize) -> u32 {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-        }
-        if self.node_vals.len() < n {
-            self.node_vals.resize(n, 0);
-        }
-        if self.epoch == u32::MAX {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.epoch
-    }
-}
-
-/// Runs the exact enumerator over one compiled chunk: every root whose
-/// strike cone qualifies (see [`try_exact_root`]) gets its counters
-/// filled exactly, its `done` flag set and its sample count fixed to
-/// `2^support`. Roots are split into contiguous spans across the
-/// worker pool; per-root writes touch disjoint counter spans, so the
-/// result is bitwise identical for every thread count. Returns the
-/// number of roots enumerated.
-#[allow(clippy::too_many_arguments)]
-fn exact_roots_pass(
-    csr: &CsrView,
-    progs: &ConePrograms,
-    arena: &ConeArena,
-    max_support: usize,
-    budget_vectors: u64,
-    pool: &mut [SimScratch],
-    counts: &mut [u64],
-    obs_counts: &mut [u64],
-    done: &mut [bool],
-    samples: &mut [u64],
-) -> usize {
-    let n_roots = progs.root_count();
-    if n_roots == 0 {
-        return 0;
-    }
-    let before = done.iter().filter(|&&d| d).count();
-    let workers = pool.len().min(n_roots).max(1);
-    if workers == 1 {
-        exact_roots_span(
-            csr,
-            progs,
-            arena,
-            max_support,
-            budget_vectors,
-            0..n_roots,
-            &mut pool[0].exact,
-            counts,
-            obs_counts,
-            done,
-            samples,
-        );
-    } else {
-        let per = n_roots.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut counts_rest = &mut *counts;
-            let mut obs_rest = &mut *obs_counts;
-            let mut done_rest = &mut *done;
-            let mut samples_rest = &mut *samples;
-            let mut count_consumed = 0usize;
-            let mut root_consumed = 0usize;
-            for (w, scratch) in pool.iter_mut().enumerate().take(workers) {
-                let span = (w * per).min(n_roots)..((w + 1) * per).min(n_roots);
-                if span.is_empty() {
-                    break;
-                }
-                let (c_span, c_rest) =
-                    counts_rest.split_at_mut(progs.po_off[span.end] - count_consumed);
-                let (o_span, o_rest) = obs_rest.split_at_mut(span.end - root_consumed);
-                let (d_span, d_rest) = done_rest.split_at_mut(span.end - root_consumed);
-                let (s_span, s_rest) = samples_rest.split_at_mut(span.end - root_consumed);
-                count_consumed = progs.po_off[span.end];
-                root_consumed = span.end;
-                counts_rest = c_rest;
-                obs_rest = o_rest;
-                done_rest = d_rest;
-                samples_rest = s_rest;
-                let exact = &mut scratch.exact;
-                scope.spawn(move || {
-                    exact_roots_span(
-                        csr,
-                        progs,
-                        arena,
-                        max_support,
-                        budget_vectors,
-                        span,
-                        exact,
-                        c_span,
-                        o_span,
-                        d_span,
-                        s_span,
-                    )
-                });
-            }
-        });
-    }
-    done.iter().filter(|&&d| d).count() - before
-}
-
-/// [`exact_roots_pass`] worker body over one contiguous root span; all
-/// counter slices are span-relative.
-#[allow(clippy::too_many_arguments)]
-fn exact_roots_span(
-    csr: &CsrView,
-    progs: &ConePrograms,
-    arena: &ConeArena,
-    max_support: usize,
-    budget_vectors: u64,
-    roots: std::ops::Range<usize>,
-    scratch: &mut ExactScratch,
-    counts: &mut [u64],
-    obs_counts: &mut [u64],
-    done: &mut [bool],
-    samples: &mut [u64],
-) {
-    let count_base = progs.po_off[roots.start];
-    let root_base = roots.start;
-    for ri in roots {
-        if done[ri - root_base] {
-            continue;
-        }
-        let start = progs.po_off[ri] - count_base;
-        let end = progs.po_off[ri + 1] - count_base;
-        if let Some((obs, samp)) = try_exact_root(
-            csr,
-            progs,
-            ri,
-            arena.cone(ri),
-            max_support,
-            budget_vectors,
-            scratch,
-            &mut counts[start..end],
-        ) {
-            obs_counts[ri - root_base] = obs;
-            samples[ri - root_base] = samp;
-            done[ri - root_base] = true;
-        }
-    }
-}
-
-/// Attempts to resolve one root exactly: walks the transitive fan-in
-/// closure of its strike cone, and if the primary-input support `s`
-/// stays within `max_support` (and the enumeration is no more work
-/// than the sampling it replaces), evaluates all `2^s` input
-/// assignments — 64 per word via truth-table patterns — writing exact
-/// hit counts. Returns `(union_count, 2^s)` on success, `None` when
-/// the root must be sampled.
-///
-/// The support walk and the per-word evaluation order are functions of
-/// the cone alone (inputs sorted by node index, closure gates by
-/// topological rank), so the exact counters are identical no matter
-/// which chunk, thread or run computes them.
-#[allow(clippy::too_many_arguments)]
-fn try_exact_root(
-    csr: &CsrView,
-    progs: &ConePrograms,
-    ri: usize,
-    cone: &[u32],
-    max_support: usize,
-    budget_vectors: u64,
-    scratch: &mut ExactScratch,
-    counts: &mut [u64],
-) -> Option<(u64, u64)> {
-    let mark = scratch.begin(csr.node_count());
-    scratch.stack.clear();
-    scratch.pis.clear();
-    scratch.gates.clear();
-    let mut visited = 0usize;
-    for &v in cone {
-        if scratch.stamp[v as usize] != mark {
-            scratch.stamp[v as usize] = mark;
-            scratch.stack.push(v);
-            visited += 1;
-        }
-    }
-    while let Some(v) = scratch.stack.pop() {
-        if csr.kind(v as usize).is_input() {
-            scratch.pis.push(v);
-            if scratch.pis.len() > max_support {
-                return None;
-            }
-        } else {
-            scratch.gates.push(v);
-            for &f in csr.fanin_of(v as usize) {
-                if scratch.stamp[f as usize] != mark {
-                    scratch.stamp[f as usize] = mark;
-                    visited += 1;
-                    if visited > EXACT_CLOSURE_CAP {
-                        return None;
-                    }
-                    scratch.stack.push(f);
-                }
-            }
-        }
-    }
-    let s = scratch.pis.len();
-    if s >= 63 {
-        return None;
-    }
-    let ops = progs.ops_of(ri);
-    let slots = progs.po_slots_of(ri);
-    let n_ew: u64 = if s >= 6 { 1u64 << (s - 6) } else { 1 };
-    // Profitability guard: enumeration (closure gates + cone replay per
-    // truth-table word) must not exceed the sampling work it replaces,
-    // so exact mode is a strict win keyed on the *requested* budget.
-    let exact_work = n_ew.saturating_mul((scratch.gates.len() + ops.len() + slots.len()) as u64);
-    let sampled_work = (budget_vectors / 64)
-        .max(1)
-        .saturating_mul((ops.len() + slots.len() + 1) as u64);
-    if exact_work > sampled_work {
-        return None;
-    }
-
-    // Canonical orders make the enumeration run-invariant.
-    scratch.pis.sort_unstable();
-    scratch
-        .gates
-        .sort_unstable_by_key(|&g| csr.rank_of(g as usize));
-
-    if scratch.local.len() < cone.len() {
-        scratch.local.resize(cone.len(), 0);
-    }
-    let mask: u64 = if s >= 6 {
-        !0
-    } else {
-        (1u64 << (1u32 << s)) - 1
-    };
-    let root = cone[0] as usize;
-    let mut obs = 0u64;
-    for w in 0..n_ew {
-        for (t, &pi) in scratch.pis.iter().enumerate() {
-            scratch.node_vals[pi as usize] = if t < 6 {
-                EXACT_PAT[t]
-            } else if (w >> (t - 6)) & 1 == 1 {
-                !0
-            } else {
-                0
-            };
-        }
-        for &g in &scratch.gates {
-            let gi = g as usize;
-            let v = kernel::eval_gate(csr.kind(gi), csr.fanin_of(gi), &scratch.node_vals);
-            scratch.node_vals[gi] = v;
-        }
-        scratch.local[0] = !scratch.node_vals[root];
-        for (e, op) in ops.iter().enumerate() {
-            let args = &progs.operands[op.off as usize..(op.off + op.n_in) as usize];
-            let v = eval_tagged_scalar(op.kind, args, &scratch.local, &scratch.node_vals);
-            scratch.local[e + 1] = v;
-        }
-        let mut union = 0u64;
-        for (t, slot) in slots.iter().enumerate() {
-            let diff =
-                (scratch.local[slot.local as usize] ^ scratch.node_vals[slot.po as usize]) & mask;
-            counts[t] += u64::from(diff.count_ones());
-            union |= diff;
-        }
-        obs += u64::from(union.count_ones());
-    }
-    Some((obs, 1u64 << s))
-}
-
-/// Scalar (one-word) evaluation of a compiled cone op whose operands
-/// carry the [`LOCAL`] tag — the exact enumerator's counterpart of the
-/// row interpreter in [`replay_roots`].
-#[inline(always)]
-fn eval_tagged_scalar(kind: GateKind, args: &[u32], local: &[u64], node_vals: &[u64]) -> u64 {
-    let rv = |t: u32| -> u64 {
-        if t & LOCAL != 0 {
-            local[(t & !LOCAL) as usize]
-        } else {
-            node_vals[t as usize]
-        }
-    };
-    match *args {
-        [a] => {
-            let x = rv(a);
-            if kind.is_inverting() {
-                !x
-            } else {
-                x
-            }
-        }
-        [a, b] => {
-            let x = rv(a);
-            let y = rv(b);
-            match kind {
-                GateKind::And => x & y,
-                GateKind::Nand => !(x & y),
-                GateKind::Or => x | y,
-                GateKind::Nor => !(x | y),
-                GateKind::Xor => x ^ y,
-                GateKind::Xnor => !(x ^ y),
-                GateKind::Not | GateKind::Buf | GateKind::Input => unreachable!(),
-            }
-        }
-        [a, ref more @ ..] => {
-            let mut acc = rv(a);
-            for &m in more {
-                let x = rv(m);
-                acc = match kind {
-                    GateKind::And | GateKind::Nand => acc & x,
-                    GateKind::Or | GateKind::Nor => acc | x,
-                    GateKind::Xor | GateKind::Xnor => acc ^ x,
-                    GateKind::Not | GateKind::Buf | GateKind::Input => unreachable!(),
-                };
-            }
-            if kind.is_inverting() {
-                !acc
-            } else {
-                acc
-            }
-        }
-        [] => unreachable!("gates have at least one fan-in"),
     }
 }
 
@@ -2005,101 +1610,6 @@ mod tests {
         );
         // And the stats probe returns the same matrix.
         assert_eq!(m, estimate_at(&c, 512, 77, 1, 32));
-    }
-
-    #[test]
-    fn exact_mode_resolves_small_cones_exactly() {
-        // y = AND(a, b) has a 2-input support: the exact enumerator
-        // covers all four assignments, so P(a→y) is 0.5 *exactly* even
-        // at a budget far too small for sampling to settle.
-        let mut bb = CircuitBuilder::new("and");
-        let a = bb.input("a");
-        let b2 = bb.input("b");
-        let y = bb.gate(GateKind::And, "y", &[a, b2]).unwrap();
-        bb.mark_output(y);
-        let c = bb.finish().unwrap();
-        let (m, stats) =
-            sensitization_probabilities_with_stats_cfg(&c, 128, 1, 1, 8, &PijConfig::default());
-        assert_eq!(m.p(a, 0), 0.5);
-        assert_eq!(m.p(b2, 0), 0.5);
-        assert_eq!(m.p(y, 0), 1.0);
-        assert_eq!(stats.exact_roots, c.node_count());
-        assert_eq!(stats.adaptive_stops, 0);
-    }
-
-    #[test]
-    fn exact_union_counter_is_exact() {
-        // Same circuit as `measured_union_can_exceed_row_max`: under
-        // exact mode the any-PO union lands on 0.75 with zero variance.
-        let mut bb = CircuitBuilder::new("u");
-        let a = bb.input("a");
-        let b = bb.input("b");
-        let c = bb.input("c");
-        let y0 = bb.gate(GateKind::And, "y0", &[a, b]).unwrap();
-        let y1 = bb.gate(GateKind::And, "y1", &[a, c]).unwrap();
-        bb.mark_output(y0);
-        bb.mark_output(y1);
-        let circ = bb.finish().unwrap();
-        let m = sensitization_probabilities_cfg(&circ, 256, 9, 1, 4, &PijConfig::default());
-        assert_eq!(m.p(a, 0), 0.5);
-        assert_eq!(m.p(a, 1), 0.5);
-        assert_eq!(m.observability(a), 0.75);
-    }
-
-    #[test]
-    fn adaptive_sampling_stops_early_within_tolerance() {
-        // c17's cones all resolve exactly under the default config, so
-        // the exact run is an oracle. The adaptive-only run (exact mode
-        // off) must converge before exhausting a deliberately oversized
-        // budget, and land within the advertised tolerance of the
-        // oracle.
-        let c = generate::c17();
-        let (oracle, ostats) =
-            sensitization_probabilities_with_stats_cfg(&c, 256, 7, 1, 8, &PijConfig::default());
-        assert_eq!(ostats.exact_roots, c.node_count());
-        // A 10% relative tolerance so mid-probability cones (p ≈ 0.5,
-        // the slowest to converge) settle before the budget runs out —
-        // the default 2% needs nearly the full fixed budget there,
-        // which is exactly the accuracy-preserving intent.
-        let adaptive = PijConfig {
-            exact_support: 0,
-            tolerance: 0.1,
-        };
-        let budget = 64 * 64 * 4; // four convergence blocks
-        let (m, stats) = sensitization_probabilities_with_stats_cfg(&c, budget, 7, 1, 8, &adaptive);
-        assert_eq!(stats.exact_roots, 0);
-        assert!(stats.adaptive_stops > 0, "no root converged: {stats:?}");
-        assert!(
-            m.vectors_used() < budget,
-            "no early exit: {} of {budget}",
-            m.vectors_used()
-        );
-        let floor = CONV_Z * (0.25 / budget as f64).sqrt();
-        for id in c.node_ids() {
-            for j in 0..m.outputs().len() {
-                let tol = (adaptive.tolerance * oracle.p(id, j)).max(floor) * 2.0;
-                assert!(
-                    (m.p(id, j) - oracle.p(id, j)).abs() <= tol,
-                    "node {id} col {j}: {} vs exact {}",
-                    m.p(id, j),
-                    oracle.p(id, j)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn default_config_enumerates_small_circuits_seed_free() {
-        // Under the default config every c17 root is exact, so two
-        // different seeds must agree perfectly.
-        let c = generate::c17();
-        let m1 = default_estimate(&c, 256, 1);
-        let m2 = default_estimate(&c, 256, 2);
-        for id in c.node_ids() {
-            for j in 0..m1.outputs().len() {
-                assert_eq!(m1.p(id, j), m2.p(id, j), "node {id} col {j}");
-            }
-        }
     }
 
     #[test]

@@ -14,12 +14,11 @@ use ser_netlist::generate;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-const VARS: [&str; 5] = [
+const VARS: [&str; 4] = [
     "SER_SIM_THREADS",
     "SER_CONE_CHUNK",
     "SER_MEM_SOFT_LIMIT",
     "SER_PIJ_TOL",
-    "SER_EXACT_SUPPORT",
 ];
 
 /// Runs `f` with exactly `set` in the engine environment, restoring the
@@ -98,15 +97,11 @@ fn strict_overlay_rejects_malformed_chunk_and_threads() {
 
 #[test]
 fn strict_overlay_reads_estimator_knobs() {
-    let cfg = with_env(
-        &[("SER_PIJ_TOL", "0.05"), ("SER_EXACT_SUPPORT", "12")],
-        || EngineConfig::from_env().unwrap(),
-    );
+    let cfg = with_env(&[("SER_PIJ_TOL", "0.05")], || {
+        EngineConfig::from_env().unwrap()
+    });
     assert_eq!(cfg.pij_tolerance, Some(0.05));
-    assert_eq!(cfg.exact_support, Some(12));
-    let pij = cfg.pij();
-    assert_eq!(pij.tolerance, 0.05);
-    assert_eq!(pij.exact_support, 12);
+    assert_eq!(cfg.pij().tolerance, 0.05);
 }
 
 #[test]
@@ -116,10 +111,10 @@ fn strict_overlay_rejects_malformed_estimator_knobs() {
     });
     assert_eq!(err.var, "SER_PIJ_TOL");
 
-    let err = with_env(&[("SER_EXACT_SUPPORT", "many")], || {
+    let err = with_env(&[("SER_PIJ_TOL", "inf")], || {
         EngineConfig::from_env().unwrap_err()
     });
-    assert_eq!(err.var, "SER_EXACT_SUPPORT");
+    assert_eq!(err.var, "SER_PIJ_TOL");
 }
 
 #[test]
@@ -139,8 +134,7 @@ fn explicit_beats_env_beats_default() {
 #[test]
 fn estimator_entry_points_ignore_the_environment() {
     // 4 blocks of 64 words: enough for adaptive stops, so a tolerance
-    // or exact-support read from the environment would change the
-    // result.
+    // read from the environment would change the result.
     let n_vectors = 64 * 64 * 4;
     let c = generate::sec32("env");
     let nodes: Vec<_> = c.node_ids().filter(|id| id.index() % 5 == 1).collect();
@@ -152,14 +146,7 @@ fn estimator_entry_points_ignore_the_environment() {
         )
     };
     let cleared = with_env(&[], run);
-    let set = with_env(
-        &[
-            ("SER_PIJ_TOL", "0"),
-            ("SER_EXACT_SUPPORT", "0"),
-            ("SER_SIM_THREADS", "1"),
-        ],
-        run,
-    );
+    let set = with_env(&[("SER_PIJ_TOL", "0"), ("SER_SIM_THREADS", "1")], run);
     assert_eq!(set, cleared);
     // The pinned settings would have mattered had they been read.
     let fixed = sensitization_probabilities_cfg(

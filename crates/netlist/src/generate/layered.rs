@@ -110,7 +110,11 @@ impl LayeredSpec {
 /// layers with geometric bias towards nearby ones (locality plus
 /// occasional long-range edges — the recipe for reconvergent fan-out).
 /// Dangling nodes are folded in as extra pins of downstream multi-input
-/// gates, so — like the real benchmarks — (almost) every net is observed.
+/// gates, so (almost) every net is *wired* to an output. That is a
+/// structural property, not a logical one: deep stacks of random
+/// AND/OR gates drive many signal probabilities to 0 or 1, so a large
+/// share of the nets is never logically observable (the ROADMAP item on
+/// making the ISCAS'85 stand-ins behave like real logic).
 ///
 /// # Panics
 ///

@@ -4,7 +4,7 @@
 //! ```text
 //! ser-serve serve    --listen unix:/tmp/ser.sock [--workers N] [--pool-budget BYTES]
 //!                    [--pool-dir DIR] [--max-frame BYTES] [--threads N] [--cone-chunk N]
-//!                    [--pij-tol T] [--exact-support N]
+//!                    [--pij-tol T]
 //! ser-serve ping     --connect unix:/tmp/ser.sock
 //! ser-serve stats    --connect ...
 //! ser-serve analyze  --connect ... --circuit c17 [--vectors N] [--charge-fc Q]
@@ -19,9 +19,10 @@
 //!
 //! Client subcommands print the server's JSON response on stdout and
 //! exit non-zero on a typed error, so shell traces (the CI smoke job)
-//! can assert on both. Engine knobs resolve as explicit flag > `SER_*`
-//! environment variable > built-in default; a malformed environment is
-//! a startup error, not a silent fallback.
+//! can assert on both. `serve` rejects a flag it does not know with a
+//! usage error (exit 2) rather than ignoring it. Engine knobs resolve as
+//! explicit flag > `SER_*` environment variable > built-in default; a
+//! malformed environment is a startup error, not a silent fallback.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -110,13 +111,33 @@ const USAGE: &str =
     "usage: ser-serve <serve|ping|stats|analyze|sweep|optimize|snapshot|shutdown> [flags]
   serve     --listen unix:<path>|tcp:<host:port> [--workers N] [--pool-budget BYTES]
             [--pool-dir DIR] [--max-frame BYTES] [--threads N] [--cone-chunk N]
-            [--pij-tol T] [--exact-support N]
+            [--pij-tol T]
   clients   --connect unix:<path>|tcp:<host:port> plus per-command flags
             (see the crate README's Serving section)";
 
 // ------------------------------------------------------------- serve
 
+/// The flags `serve` accepts; each takes one value.
+const SERVE_FLAGS: [&str; 8] = [
+    "--listen",
+    "--workers",
+    "--pool-budget",
+    "--pool-dir",
+    "--max-frame",
+    "--threads",
+    "--cone-chunk",
+    "--pij-tol",
+];
+
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
+    for pair in args.chunks(2) {
+        if !SERVE_FLAGS.contains(&pair[0].as_str()) {
+            return Err(format!("serve: unknown flag `{}`\n{USAGE}", pair[0]));
+        }
+        if pair.len() < 2 {
+            return Err(format!("serve: `{}` needs a value", pair[0]));
+        }
+    }
     let listen = Listen::parse(
         flag(args, "--listen").ok_or("serve needs --listen unix:<path> or tcp:<host:port>")?,
     )?;
@@ -129,7 +150,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     if let Some(chunk) = flag_parse_opt::<usize>(args, "--cone-chunk")? {
         explicit = explicit.with_cone_chunk(chunk);
     }
-    // Estimator knobs are validated here, not silently sanitized at
+    // The estimator knob is validated here, not silently sanitized at
     // resolution: a daemon started with a bad accuracy flag must refuse
     // to boot, exactly like a malformed SER_* variable.
     if let Some(tol) = flag_parse_opt::<f64>(args, "--pij-tol")? {
@@ -139,9 +160,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             ));
         }
         explicit = explicit.with_pij_tolerance(tol);
-    }
-    if let Some(support) = flag_parse_opt::<usize>(args, "--exact-support")? {
-        explicit = explicit.with_exact_support(support);
     }
     let engine = explicit.overlay(&env_engine);
 

@@ -8,11 +8,10 @@
 //! deliberately: moving the charge is a cheap warm delta
 //! (`try_set_charge`), so requests that differ only in charge share one
 //! warm session instead of fragmenting the pool. The resolved `P_ij`
-//! estimator knobs ([`EngineConfig::pij`]: adaptive tolerance,
-//! exact-support threshold) are *included*: a daemon
-//! restarted with different accuracy settings must never serve a
-//! `.sersnap` image whose matrices were estimated under the old ones,
-//! so warm hits never mix accuracy settings. The key is an FNV-1a hash
+//! estimator knob ([`EngineConfig::pij`]: the adaptive tolerance) is
+//! *included*: a daemon restarted with a different accuracy setting
+//! must never serve a `.sersnap` image whose matrices were estimated
+//! under the old one, so warm hits never mix accuracy settings. The key is an FNV-1a hash
 //! of the circuit's canonical snapshot encoding plus the charge-zeroed
 //! config JSON plus the estimator tag; a hit additionally requires full
 //! equality on the circuit and config, so a hash collision can never
@@ -146,16 +145,12 @@ fn identity_cfg(cfg: &AsertaConfig) -> AsertaConfig {
     id
 }
 
-/// The estimator knobs' contribution to a pool identity. The tolerance
+/// The estimator knob's contribution to a pool identity. The tolerance
 /// is tagged by its exact bit pattern — two tolerances that differ in
 /// the last ulp are different accuracy contracts, and bit equality is
 /// the only float comparison that round-trips through text losslessly.
 fn estimator_tag(pij: &PijConfig) -> String {
-    format!(
-        "tol={:016x};exact={}",
-        pij.tolerance.to_bits(),
-        pij.exact_support
-    )
+    format!("tol={:016x}", pij.tolerance.to_bits())
 }
 
 fn pool_key(circuit: &Circuit, cfg: &AsertaConfig, grids: GridKind, pij: &PijConfig) -> u64 {
@@ -512,14 +507,8 @@ mod tests {
         let base = pool_key(c17, &cfg, GridKind::Coarse, &PijConfig::default());
         let tightened = PijConfig {
             tolerance: PijConfig::default().tolerance / 2.0,
-            ..PijConfig::default()
         };
         assert_ne!(base, pool_key(c17, &cfg, GridKind::Coarse, &tightened));
-        let no_exact = PijConfig {
-            exact_support: 0,
-            ..PijConfig::default()
-        };
-        assert_ne!(base, pool_key(c17, &cfg, GridKind::Coarse, &no_exact));
         // The fully pinned fixed-budget estimator is its own identity.
         assert_ne!(
             base,

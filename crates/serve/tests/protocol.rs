@@ -9,7 +9,8 @@
 //!   connection);
 //! * a daemon `kill -9`'d mid-trace and restarted on the same pool
 //!   directory restores its sessions from the eager `.sersnap` images
-//!   and keeps answering bitwise-identically.
+//!   and keeps answering bitwise-identically;
+//! * `ser-serve serve` refuses a flag it does not know.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -328,6 +329,46 @@ fn spawn_daemon(socket: &Path, pool_dir: &Path) -> std::process::Child {
 }
 
 #[test]
+fn serve_rejects_unknown_flags() {
+    let dir = temp_dir("unknown-flag");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ser-serve"))
+        .args([
+            "serve",
+            "--listen",
+            &format!("unix:{}", dir.join("daemon.sock").display()),
+            "--exact-support",
+            "20",
+        ])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("ser-serve spawns");
+    // A daemon that ignored the flag would come up and never exit.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll child") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("serve started despite an unknown flag");
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--exact-support"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn kill_dash_nine_restart_restores_the_pool_bitwise() {
     let dir = temp_dir("kill9");
     let socket = dir.join("daemon.sock");
@@ -413,10 +454,8 @@ fn estimator_knobs_split_pool_identity_across_restarts() {
         grids: GridKind::Coarse,
         deadline_ms: None,
     };
-    // The fixed-budget estimator: no early stops, no exact mode.
-    let fixed = EngineConfig::default()
-        .with_pij_tolerance(0.0)
-        .with_exact_support(0);
+    // The fixed-budget estimator: no early stops.
+    let fixed = EngineConfig::default().with_pij_tolerance(0.0);
 
     let boot = |tag: &str, engine: EngineConfig| {
         serve(ServerConfig {
@@ -447,7 +486,7 @@ fn estimator_knobs_split_pool_identity_across_restarts() {
     };
     shutdown(&mut client, handle);
 
-    // Second life, same directory, default (adaptive + exact) knobs:
+    // Second life, same directory, default (adaptive) knobs:
     // the fixed-budget image restores but must NOT serve this request.
     let handle = boot("second", EngineConfig::default());
     let mut client = Client::connect(&handle.endpoint()).expect("connect");

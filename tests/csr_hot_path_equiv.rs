@@ -228,7 +228,7 @@ proptest! {
     }
 
     /// The blocked/parallel estimator in fixed-budget mode
-    /// ([`PijConfig::fixed`]: tolerance 0, exact mode off) reproduces
+    /// ([`PijConfig::fixed`]: tolerance 0) reproduces
     /// the seed estimate exactly, and every thread count yields
     /// bitwise-identical matrices.
     #[test]

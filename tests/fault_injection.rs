@@ -513,7 +513,7 @@ fn deadline_at_every_checkpoint_is_typed_and_recoverable() {
 
         let _guard = failpoint::scenario();
         failpoint::set_after("govern::deadline", FailAction::Error, k, 1);
-        let result = session.try_apply(&[(g, delta.clone())]);
+        let result = session.try_apply(&[(g, delta)]);
         if failpoint::hits("govern::deadline") == 0 {
             // The call crossed fewer than k+1 checkpoints and ran clean.
             result.expect("unarmed run succeeds");
@@ -531,7 +531,7 @@ fn deadline_at_every_checkpoint_is_typed_and_recoverable() {
                 assert_eq!(i.reason, InterruptReason::Injected);
                 assert!(!session.is_poisoned(), "entry rejection must not poison");
                 // The exhausted fail point lets the retry through.
-                session.try_apply(&[(g, delta.clone())]).expect("retry");
+                session.try_apply(&[(g, delta)]).expect("retry");
             }
             // Later checkpoints: stage boundaries inside the recompute
             // poison (caches are partially updated there).
@@ -547,8 +547,7 @@ fn deadline_at_every_checkpoint_is_typed_and_recoverable() {
             other => panic!("checkpoint {k}: unexpected error {other:?}"),
         }
 
-        twin.try_apply(&[(g, delta.clone())])
-            .expect("twin is clean");
+        twin.try_apply(&[(g, delta)]).expect("twin is clean");
         assert_eq!(
             snapshot(&session),
             snapshot(&twin),

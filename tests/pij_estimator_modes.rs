@@ -1,21 +1,22 @@
-//! Property-based validation of the estimator modes added with the
-//! vectorized P_ij kernels, on random small-support layered circuits
-//! (≤ 8 primary inputs, so every cone's support is enumerable and a
-//! brute-force truth table fits in one word):
+//! Validation of the `P_ij` estimator modes against a brute-force truth
+//! table, on circuits with ≤ 8 primary inputs (so every input
+//! assignment can be enumerated):
 //!
-//! * the exact small-cone enumerator agrees with the fixed-budget
-//!   sampled estimator within the sampling noise the fixed run itself
-//!   carries — and nails the brute-force ground truth exactly wherever
-//!   it qualifies;
+//! * the fixed-budget sampled estimator agrees with the truth within
+//!   its own sampling noise;
 //! * adaptive early-exit never increases the estimate's error over the
 //!   fixed-budget run on the same seed beyond the advertised stop
 //!   tolerance: rows that ran to the full budget are bitwise identical
 //!   to the fixed run, rows that stopped early stay within the
-//!   convergence half-width they stopped at.
+//!   convergence half-width they stopped at;
+//! * on c17, adaptive sampling stops early under an oversized budget
+//!   and still lands within tolerance of the truth.
 
 use proptest::prelude::*;
-use soft_error::logicsim::sensitize::{sensitization_probabilities_cfg, PijConfig};
-use soft_error::netlist::generate::{layered, LayeredSpec};
+use soft_error::logicsim::sensitize::{
+    sensitization_probabilities_cfg, sensitization_probabilities_with_stats_cfg, PijConfig,
+};
+use soft_error::netlist::generate::{self, layered, LayeredSpec};
 use soft_error::netlist::{Circuit, GateKind};
 
 /// Random circuits small enough to brute-force: 2–8 inputs.
@@ -105,12 +106,10 @@ fn exhaustive_pij(circuit: &Circuit) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Exact mode agrees with fixed-budget sampling within the sampling
-    /// noise of the fixed run (the exact rows carry none of their own),
-    /// and wherever the whole matrix came out exact it equals the
-    /// brute-force truth table to the last bit of the division.
+    /// Fixed-budget sampling agrees with the brute-force truth table
+    /// within its own binomial noise.
     #[test]
-    fn exact_mode_agrees_with_sampling_and_truth(
+    fn fixed_budget_agrees_with_truth(
         circuit in small_support_circuit(),
         seed in 0u64..1 << 40,
     ) {
@@ -118,10 +117,6 @@ proptest! {
         let chunk = 16;
         let sampled = sensitization_probabilities_cfg(
             &circuit, n_vectors, seed, 1, chunk, &PijConfig::fixed(),
-        );
-        let exact_cfg = PijConfig { exact_support: 20, ..PijConfig::fixed() };
-        let exact = sensitization_probabilities_cfg(
-            &circuit, n_vectors, seed, 1, chunk, &exact_cfg,
         );
         let truth = exhaustive_pij(&circuit);
         let n_pos = circuit.primary_outputs().len();
@@ -131,23 +126,9 @@ proptest! {
             for j in 0..n_pos {
                 let t = truth[id.index() * n_pos + j];
                 prop_assert!(
-                    (exact.p(id, j) - sampled.p(id, j)).abs() <= noise,
-                    "node {} col {}: exact {} vs sampled {}",
-                    id, j, exact.p(id, j), sampled.p(id, j)
-                );
-                prop_assert!(
                     (sampled.p(id, j) - t).abs() <= noise,
                     "node {} col {}: sampled {} vs truth {}",
                     id, j, sampled.p(id, j), t
-                );
-                // Exact rows are either bitwise-sampled (root did not
-                // qualify) or dead on the truth value.
-                let is_sampled_row = exact.p(id, j) == sampled.p(id, j)
-                    && exact.observability(id) == sampled.observability(id);
-                prop_assert!(
-                    is_sampled_row || (exact.p(id, j) - t).abs() < 1e-12,
-                    "node {} col {}: exact {} vs truth {}",
-                    id, j, exact.p(id, j), t
                 );
             }
         }
@@ -168,7 +149,7 @@ proptest! {
         let fixed = sensitization_probabilities_cfg(
             &circuit, n_vectors, seed, 1, chunk, &PijConfig::fixed(),
         );
-        let adaptive_cfg = PijConfig { tolerance, ..PijConfig::fixed() };
+        let adaptive_cfg = PijConfig { tolerance };
         let adaptive = sensitization_probabilities_cfg(
             &circuit, n_vectors, seed, 1, chunk, &adaptive_cfg,
         );
@@ -198,6 +179,42 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn adaptive_sampling_stops_early_within_tolerance() {
+    // The adaptive run must converge before exhausting a deliberately
+    // oversized budget, and land within the advertised tolerance of the
+    // brute-force truth.
+    let c = generate::c17();
+    let oracle = exhaustive_pij(&c);
+    let n_pos = c.primary_outputs().len();
+    // A 10% relative tolerance so mid-probability cones (p ≈ 0.5, the
+    // slowest to converge) settle before the budget runs out — the
+    // default 2% needs nearly the full fixed budget there, which is
+    // exactly the accuracy-preserving intent.
+    let adaptive = PijConfig { tolerance: 0.1 };
+    let budget = 64 * 64 * 4; // four convergence blocks
+    let (m, stats) = sensitization_probabilities_with_stats_cfg(&c, budget, 7, 1, 8, &adaptive);
+    assert!(stats.adaptive_stops > 0, "no root converged: {stats:?}");
+    assert!(
+        m.vectors_used() < budget,
+        "no early exit: {} of {budget}",
+        m.vectors_used()
+    );
+    // The estimator's convergence floor (95% half-width at the budget).
+    let floor = 1.96 * (0.25 / budget as f64).sqrt();
+    for id in c.node_ids() {
+        for j in 0..n_pos {
+            let t = oracle[id.index() * n_pos + j];
+            let tol = (adaptive.tolerance * t).max(floor) * 2.0;
+            assert!(
+                (m.p(id, j) - t).abs() <= tol,
+                "node {id} col {j}: {} vs truth {t}",
+                m.p(id, j)
+            );
         }
     }
 }
