@@ -83,7 +83,12 @@
 //! fitted log-log slope of time versus gates. Under `--gate` the slope
 //! is compared against the baseline's — catching asymptotic regressions
 //! that per-circuit constants would miss — alongside the usual
-//! per-point wall-time ratios.
+//! per-point wall-time ratios. A separate `wide` record measures one
+//! SRAM periphery with hundreds of POs (`sram128x64` in smoke mode,
+//! `sram256x128` otherwise): `P_ij` reachable pairs and stored bytes
+//! per node, `pij`/`analyze_fresh` times and its own peak RSS. It is
+//! not gated against the baseline; CI runs it under the scaling job's
+//! address-space ceiling, which a dense `node × PO` matrix overruns.
 
 use aserta::{
     timing_view, AnalysisSession, AsertaConfig, AsertaReport, CircuitCells, ExpectedWidths,
@@ -97,7 +102,7 @@ use ser_logicsim::sensitize::{
     sensitization_probabilities_cfg, sensitization_probabilities_with_stats_cfg, PijConfig,
 };
 use ser_logicsim::{EngineConfig, SensitizationMatrix};
-use ser_netlist::generate::{self, LayeredSpec, TiledSpec};
+use ser_netlist::generate::{self, LayeredSpec, SramSpec, TiledSpec};
 use ser_netlist::Circuit;
 use ser_serve::api::AnalyzeResult;
 use ser_serve::{serve, CircuitSource, Client, GridKind, Listen, Request, Response, ServerConfig};
@@ -1028,7 +1033,7 @@ fn measure_scaling(engine: &EngineConfig, smoke: bool) -> Value {
             ),
             (
                 "peak_rss_bytes".into(),
-                match peak_rss_bytes() {
+                match proc_status_bytes("VmHWM:") {
                     Some(b) => serde_json::to_value(&b),
                     None => Value::Null,
                 },
@@ -1046,6 +1051,81 @@ fn measure_scaling(engine: &EngineConfig, smoke: bool) -> Value {
             "slope_analyze_fresh".into(),
             match slope {
                 Some(s) => serde_json::to_value(&s),
+                None => Value::Null,
+            },
+        ),
+        ("wide".into(), measure_wide(engine, smoke, vectors, reps)),
+    ])
+}
+
+/// The wide-output record of the scaling section: one SRAM periphery
+/// (`sram128x64` in smoke mode, `sram256x128` otherwise), whose
+/// hundreds of POs are each reached from only a sliver of the nodes —
+/// the shape where `P_ij`'s storage, not its cones, sets the memory.
+/// Records the `P_ij` structure (reachable pairs, stored bytes per
+/// node), best-of-`reps` `pij` and `analyze_fresh` wall times and the
+/// peak RSS while it ran: the high-water mark is reset to the current
+/// RSS first, which is recorded too, since the heap the tiled points
+/// grew is still resident (`null` where the reset is unavailable).
+/// Kept out of the tiled `points`, so the slope fit and the committed
+/// baseline do not see it.
+fn measure_wide(engine: &EngineConfig, smoke: bool, vectors: usize, reps: usize) -> Value {
+    let (name, rows, cols) = if smoke {
+        ("sram128x64", 128, 64)
+    } else {
+        ("sram256x128", 256, 128)
+    };
+    // Writing 5 to clear_refs resets VmHWM to the current RSS.
+    let rss_reset = std::fs::write("/proc/self/clear_refs", "5").is_ok();
+    let rss_before = proc_status_bytes("VmRSS:");
+    let circuit = generate::sram_periphery(&SramSpec::new(name, rows, cols, cols));
+    let nodes = circuit.node_count();
+    let pos = circuit.primary_outputs().len();
+    let cells = CircuitCells::nominal(&circuit);
+    let cfg = AsertaConfig {
+        sensitization_vectors: vectors,
+        seed: SEED,
+        ..AsertaConfig::default()
+    };
+    let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
+    checked_analyze(&circuit, &cells, &mut lib, &cfg);
+
+    let (pij, first_s) = timed(|| estimate(&circuit, engine, vectors));
+    let pairs = pij.reachable_pairs();
+    let stored = pij.stored_bytes();
+    drop(pij);
+    let pij_s = first_s.min(best_of(reps - 1, || {
+        timed(|| estimate(&circuit, engine, vectors)).1
+    }));
+    let analyze_s = best_of(reps, || {
+        timed(|| checked_analyze(&circuit, &cells, &mut lib, &cfg)).1
+    });
+    eprintln!("measured wide-output record {name} ({nodes} nodes, {pos} POs)");
+    Value::Object(vec![
+        ("name".into(), serde_json::to_value(&name)),
+        ("nodes".into(), serde_json::to_value(&(nodes as u64))),
+        ("pos".into(), serde_json::to_value(&(pos as u64))),
+        (
+            "reachable_pairs".into(),
+            serde_json::to_value(&(pairs as u64)),
+        ),
+        ("pij_s".into(), serde_json::to_value(&pij_s)),
+        ("analyze_fresh_s".into(), serde_json::to_value(&analyze_s)),
+        (
+            "pij_bytes_per_node".into(),
+            serde_json::to_value(&(stored as f64 / nodes as f64)),
+        ),
+        (
+            "rss_before_bytes".into(),
+            match rss_before.filter(|_| rss_reset) {
+                Some(b) => serde_json::to_value(&b),
+                None => Value::Null,
+            },
+        ),
+        (
+            "peak_rss_bytes".into(),
+            match proc_status_bytes("VmHWM:").filter(|_| rss_reset) {
+                Some(b) => serde_json::to_value(&b),
                 None => Value::Null,
             },
         ),
@@ -1075,13 +1155,14 @@ fn fit_loglog_slope(points: &[Value], key: &str) -> Option<f64> {
     (sxx > 0.0).then(|| sxy / sxx)
 }
 
-/// Peak resident-set size of this process from `/proc/self/status`
-/// (`VmHWM`), in bytes. `None` off Linux.
-fn peak_rss_bytes() -> Option<u64> {
+/// A `kB` field of `/proc/self/status` in bytes — `VmHWM:` is the
+/// process's peak resident-set size, `VmRSS:` the current one. `None`
+/// off Linux.
+fn proc_status_bytes(key: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let line = status.lines().find(|l| l.starts_with(key))?;
     let kb: u64 = line
-        .trim_start_matches("VmHWM:")
+        .trim_start_matches(key)
         .trim()
         .trim_end_matches("kB")
         .trim()

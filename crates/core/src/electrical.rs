@@ -367,23 +367,29 @@ impl WeightCache {
         blk_off.push(0u32);
         let mut successors: Vec<(NodeId, f64)> = Vec::new();
         let mut w_buf: Vec<f64> = Vec::new();
+        let mut pos_buf: Vec<u32> = Vec::new();
+        let mut p_sj: Vec<f64> = Vec::new();
         for i in 0..n {
             let id = NodeId::new(i);
             successor_sensitizations_into(circuit, probs, id, &mut successors);
             succ_nodes.extend(successors.iter().map(|&(s, _)| s.index() as u32));
             succ_off.push(succ_nodes.len() as u32);
-            for &col in pij.reachable_columns(id) {
-                let j = col as usize;
-                let p_ij = pij.p(id, j);
+            for (&col, &p_ij) in pij.reachable_columns(id).iter().zip(pij.row(id)) {
                 if p_ij > 0.0 && !successors.is_empty() {
-                    pi_weights_into(&successors, p_ij, |s| pij.p(s, j), &mut w_buf);
+                    // Each successor's position of `col` on its own
+                    // reachable list indexes both its stored `P_sj` and
+                    // (via `succ_pos`) its sparse width row.
+                    pos_buf.clear();
+                    p_sj.clear();
+                    for &(s, _) in &successors {
+                        let pos = pij.reachable_columns(s).binary_search(&col).ok();
+                        pos_buf.push(pos.map_or(u32::MAX, |t| t as u32));
+                        p_sj.push(pos.map_or(0.0, |t| pij.row(s)[t]));
+                    }
+                    pi_weights_into(&successors, p_ij, &p_sj, &mut w_buf);
                     if !w_buf.iter().all(|&x| x == 0.0) {
                         pis.extend_from_slice(&w_buf);
-                        succ_pos.extend(successors.iter().map(|&(s, _)| {
-                            pij.reachable_columns(s)
-                                .binary_search(&col)
-                                .map_or(u32::MAX, |t| t as u32)
-                        }));
+                        succ_pos.extend_from_slice(&pos_buf);
                     }
                 }
                 blk_off.push(pis.len() as u32);

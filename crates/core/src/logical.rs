@@ -84,22 +84,28 @@ pub fn pi_weights(
     p_ij: f64,
     p_sj: impl Fn(NodeId) -> f64,
 ) -> Vec<f64> {
+    let p_sj: Vec<f64> = successors.iter().map(|&(s, _)| p_sj(s)).collect();
     let mut out = Vec::new();
-    pi_weights_into(successors, p_ij, p_sj, &mut out);
+    pi_weights_into(successors, p_ij, &p_sj, &mut out);
     out
 }
 
-/// [`pi_weights`] into a caller-owned buffer (cleared first) — called
+/// [`pi_weights`] into a caller-owned buffer (cleared first), with the
+/// successors' `P_sj` given position-aligned with `successors` — called
 /// once per `(node, reachable PO)` pair during weight-cache
 /// construction, so the buffer reuse matters at 100k gates.
-pub fn pi_weights_into(
-    successors: &[(NodeId, f64)],
-    p_ij: f64,
-    p_sj: impl Fn(NodeId) -> f64,
-    out: &mut Vec<f64>,
-) {
+///
+/// # Panics
+///
+/// Panics if `p_sj` and `successors` differ in length.
+pub fn pi_weights_into(successors: &[(NodeId, f64)], p_ij: f64, p_sj: &[f64], out: &mut Vec<f64>) {
+    assert_eq!(p_sj.len(), successors.len(), "one P_sj per successor");
     out.clear();
-    let denom: f64 = successors.iter().map(|&(s, s_is)| s_is * p_sj(s)).sum();
+    let denom: f64 = successors
+        .iter()
+        .zip(p_sj)
+        .map(|(&(_, s_is), &p)| s_is * p)
+        .sum();
     if denom <= 0.0 || p_ij <= 0.0 {
         out.resize(successors.len(), 0.0);
         return;

@@ -521,16 +521,16 @@ impl<'c> AnalysisSession<'c> {
 
     /// Approximate resident footprint of the session's caches, bytes —
     /// the accounting unit a byte-budget session pool evicts by. The
-    /// estimate covers the dominant tables (`P_ij` rows, expected-width
+    /// estimate covers the dominant tables (`P_ij` as stored, expected-width
     /// tables, the per-node vectors); per-cell library state and
     /// allocator overhead are not counted, so treat it as a lower-bound
     /// proxy, not an allocator measurement.
     pub fn resident_bytes(&self) -> usize {
         let f = std::mem::size_of::<f64>();
         let n = self.circuit.node_count();
-        let n_pos = self.circuit.primary_outputs().len();
-        // P_ij: dense row-major rows + union observability + reach CSR.
-        let pij = n * n_pos * f + n * f + self.pij.reachable_pairs() * 4;
+        // P_ij: value + column per reachable pair, plus the per-node
+        // offsets and union observabilities.
+        let pij = self.pij.stored_bytes();
         // Expected-width tables (sparse per-node slabs).
         let widths = std::mem::size_of_val(self.widths.ws());
         // Per-node vectors: static probs, generated widths, per-gate U,
@@ -863,7 +863,7 @@ impl<'c> AnalysisSession<'c> {
         // Resampling must reuse the session's estimator tolerance: rows
         // refilled under a different one would silently mix accuracy
         // settings in one matrix.
-        let update = resimulate_rows_cfg(
+        resimulate_rows_cfg(
             self.circuit,
             nodes,
             n_vectors,
@@ -871,8 +871,8 @@ impl<'c> AnalysisSession<'c> {
             self.engine.threads(),
             self.engine.cone_chunk(),
             &self.engine.pij(),
+            &mut self.pij,
         );
-        self.pij.apply_update(&update);
         // π weights read P rows of both a node and its successors; a full
         // rebuild is simplest and exact (refinement is a rare, heavy op).
         self.weights = WeightCache::build(self.circuit, &self.static_probs, &self.pij);
@@ -1603,7 +1603,7 @@ mod tests {
             .build()
             .unwrap();
         let before_u = session.unreliability();
-        let before_row = session.pij().row(c.find("10").unwrap()).to_vec();
+        let before_pij = session.pij().clone();
         let stats = session.resample_pij_rows(
             &[c.find("10").unwrap()],
             cfg().sensitization_vectors,
@@ -1611,7 +1611,8 @@ mod tests {
         );
         assert_eq!(stats.rows_changed, 0, "same vectors+seed must be a no-op");
         assert_eq!(session.unreliability(), before_u);
-        assert_eq!(session.pij().row(c.find("10").unwrap()), &before_row[..]);
+        // Values, supports and observabilities alike.
+        assert_eq!(session.pij(), &before_pij);
         assert_matches_fresh(&session);
     }
 
@@ -1627,7 +1628,7 @@ mod tests {
         // Oracle: fresh analysis over the hand-patched matrix.
         let engine = session.engine();
         let mut pij = estimate_pij(&c, &cfg(), engine);
-        let up = ser_logicsim::sensitize::resimulate_rows_cfg(
+        ser_logicsim::sensitize::resimulate_rows_cfg(
             &c,
             &targets,
             2048,
@@ -1635,10 +1636,11 @@ mod tests {
             engine.threads(),
             engine.cone_chunk(),
             &engine.pij(),
+            &mut pij,
         );
-        pij.apply_update(&up);
         let mut l = lib();
         let fresh = analyze(&c, session.cells(), &mut l, &pij, session.config());
+        assert_eq!(session.pij(), &pij);
         assert_eq!(session.expected_widths().ws(), fresh.expected_widths.ws());
         assert_eq!(session.unreliability(), fresh.unreliability);
     }

@@ -4,7 +4,8 @@
 //! A [`SessionSnapshot`] holds the session's *inputs* only — the circuit,
 //! the configuration, the characterized library, the cell assignment and
 //! the Monte-Carlo `P_ij` matrix (stored sparse, one probability per
-//! reachable `(node, PO)` pair) — plus two check values: the circuit
+//! reachable `(node, PO)` pair — the matrix's own in-memory layout, so
+//! its slices are written as they are) — plus two check values: the circuit
 //! unreliability and critical delay the live session had at capture
 //! time. Timing, width tables and per-gate unreliability are a cheap,
 //! deterministic pass over those inputs, so they are not stored.
@@ -270,7 +271,7 @@ impl SessionSnapshot {
             .collect();
         w.vec_u32(&po_cols);
         w.u64(self.pij.node_count() as u64);
-        w.vec_f64(&self.pij.reachable_probabilities().collect::<Vec<_>>());
+        w.vec_f64(self.pij.reachable_probabilities());
         w.vec_f64(self.pij.observabilities());
         let mut off = Vec::with_capacity(self.pij.reach_offsets().len());
         for &o in self.pij.reach_offsets() {
@@ -385,7 +386,7 @@ impl SessionSnapshot {
         let reach_cols = s.vec_u32()?;
         let vectors_used = s.read_len()?;
         s.finish()?;
-        // Checked before `from_raw_parts` sizes its dense rows by them.
+        // The matrix must match the circuit it is restored against.
         if outputs != circuit.primary_outputs() || n_nodes != n {
             return Err(malformed(
                 TAG_PIJ,

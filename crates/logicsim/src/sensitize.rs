@@ -18,12 +18,25 @@
 //! * [`sensitization_probabilities_governed_cfg`] — the full matrix
 //!   under a [`Deadline`] and the resolved [`EngineConfig`]'s soft
 //!   memory budget;
-//! * [`resimulate_rows_cfg`] — selected rows only, bitwise equal to the
-//!   full estimate's rows.
+//! * [`resimulate_rows_cfg`] — refills selected rows of an existing
+//!   matrix in place, bitwise equal to the full estimate's rows.
 //!
 //! None of them reads the environment: callers resolve the `SER_*`
 //! knobs once with [`EngineConfig::from_env`] and pass the threads,
 //! chunk size and [`PijConfig`] down.
+//!
+//! # Storage
+//!
+//! A [`SensitizationMatrix`] holds `P_ij` only where it can be nonzero:
+//! one value per `(node, reachable PO)` pair, in reachability-CSR order
+//! ([`SensitizationMatrix::row`] is aligned with
+//! [`SensitizationMatrix::reachable_columns`]). Wide circuits reach few
+//! of their POs from any one node — an SRAM periphery with hundreds of
+//! outputs fills well under 1% of the `node × PO` array — so no
+//! structure in this module is sized by that product. The full estimate
+//! appends each node's row as it finishes (in ascending node order), a
+//! snapshot persists the same slices, and a refill overwrites a row
+//! after checking its reachable columns match.
 //!
 //! # Hot-path architecture
 //!
@@ -39,10 +52,10 @@
 //! [`ChunkedConeArena`] plans a PO-region partition of the roots
 //! (`chunk_size` roots per chunk), and the estimator builds each
 //! chunk's arena on first touch, compiles and replays its cone
-//! programs, scatters the counts, and releases the chunk before
-//! touching the next. Peak arena memory is therefore bounded by one
-//! chunk — not the whole-circuit cone closure, which on 100k-gate
-//! circuits runs to gigabytes. Per-thread simulation buffers and the
+//! programs, accumulates the per-root hit counters, and releases the
+//! chunk before touching the next. Peak arena memory is therefore
+//! bounded by one chunk — not the whole-circuit cone closure, which on
+//! 100k-gate circuits runs to gigabytes. Per-thread simulation buffers and the
 //! program-compile scratch live in a pool that is reused across chunks,
 //! so the inner loop performs no per-node allocation.
 //!
@@ -85,14 +98,20 @@ use crate::kernel;
 use crate::kernel::AlignedWords;
 use crate::random::random_word;
 
-/// Dense `node × PO` matrix of sensitization probabilities, plus the
-/// directly measured any-PO observability and the reachability lists the
-/// estimate was computed over.
+/// Sparse `node × PO` matrix of sensitization probabilities, plus the
+/// directly measured any-PO observability.
+///
+/// Storage is the reachability CSR: node `i` reaches the PO columns
+/// `reach_cols[reach_off[i]..reach_off[i + 1]]` (ascending), and
+/// `p[reach_off[i] + t]` is `P_ij` for its `t`-th reachable column.
+/// Every other `P_ij` is structurally zero and not stored, so the matrix
+/// costs `O(Σ|reach(i)|)` rather than `O(V·|PO|)` — the same layout the
+/// snapshot's `PIJM` section persists and selective refills write into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensitizationMatrix {
     outputs: Vec<NodeId>,
-    n_nodes: usize,
-    /// node-major storage: `p[node * outputs.len() + j]`.
+    /// Values of every `(node, reachable column)` pair, aligned with
+    /// `reach_cols`.
     p: Vec<f64>,
     /// Directly measured union probability per node.
     obs: Vec<f64>,
@@ -114,7 +133,8 @@ impl SensitizationMatrix {
     }
 
     /// `P_ij` for a node and PO **column index** (see
-    /// [`SensitizationMatrix::outputs`]).
+    /// [`SensitizationMatrix::outputs`]); 0.0 off the node's
+    /// [reachable columns](SensitizationMatrix::reachable_columns).
     ///
     /// # Panics
     ///
@@ -122,14 +142,17 @@ impl SensitizationMatrix {
     #[inline]
     pub fn p(&self, node: NodeId, po_col: usize) -> f64 {
         assert!(po_col < self.outputs.len(), "PO column out of range");
-        self.p[node.index() * self.outputs.len() + po_col]
+        let col = po_col as u32;
+        self.reachable_columns(node)
+            .binary_search(&col)
+            .map_or(0.0, |t| self.row(node)[t])
     }
 
-    /// The whole row of a node (one entry per PO).
+    /// The stored row of a node: one value per entry of
+    /// [`SensitizationMatrix::reachable_columns`], in the same order.
     #[inline]
     pub fn row(&self, node: NodeId) -> &[f64] {
-        let n = self.outputs.len();
-        &self.p[node.index() * n..(node.index() + 1) * n]
+        &self.p[self.reach_off[node.index()]..self.reach_off[node.index() + 1]]
     }
 
     /// Probability that a flip of `node` is observed at *any* output.
@@ -151,7 +174,7 @@ impl SensitizationMatrix {
     }
 
     /// Total `(node, reachable PO)` pair count across the matrix — the
-    /// size of the reachability CSR, useful for footprint accounting.
+    /// number of stored probabilities.
     pub fn reachable_pairs(&self) -> usize {
         self.reach_cols.len()
     }
@@ -159,26 +182,20 @@ impl SensitizationMatrix {
     /// Number of nodes the matrix covers (the row space).
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.n_nodes
+        self.obs.len()
     }
 
-    /// The full node-major probability storage
-    /// (`p[node * outputs.len() + col]`), zero off the reachability CSR.
-    #[inline]
-    pub fn probabilities(&self) -> &[f64] {
-        &self.p
+    /// Bytes of the stored matrix: 12 per reachable pair (value plus
+    /// column) and 16 per node (offset plus observability).
+    pub fn stored_bytes(&self) -> usize {
+        12 * self.reach_cols.len() + 16 * self.obs.len() + 8
     }
 
     /// The probabilities of every `(node, reachable column)` pair, in
-    /// reachability-CSR order — the sparse payload a snapshot encoder
-    /// persists bitwise (every other entry is structurally zero).
-    pub fn reachable_probabilities(&self) -> impl Iterator<Item = f64> + '_ {
-        let n_pos = self.outputs.len();
-        (0..self.n_nodes).flat_map(move |i| {
-            self.reachable_columns(NodeId::new(i))
-                .iter()
-                .map(move |&c| self.p[i * n_pos + c as usize])
-        })
+    /// reachability-CSR order — the whole stored payload.
+    #[inline]
+    pub fn reachable_probabilities(&self) -> &[f64] {
+        &self.p
     }
 
     /// The measured any-PO union observability per node (see
@@ -203,10 +220,9 @@ impl SensitizationMatrix {
     }
 
     /// Reassembles a matrix from the raw parts exposed by the accessors
-    /// above (`p` in [`SensitizationMatrix::reachable_probabilities`]
-    /// order, scattered into dense rows), re-validating every structural
-    /// invariant — the funnel a snapshot decoder must pass so a damaged
-    /// file can never produce a silently-wrong matrix.
+    /// above, re-validating every structural invariant — the funnel a
+    /// snapshot decoder must pass so a damaged file can never produce a
+    /// silently-wrong matrix.
     ///
     /// # Errors
     ///
@@ -253,89 +269,23 @@ impl SensitizationMatrix {
         if p.iter().chain(&obs).any(|&x| !(0.0..=1.0).contains(&x)) {
             return Err("probability outside [0, 1]".into());
         }
-        let mut rows = vec![0.0; n_nodes.checked_mul(n_pos).ok_or("matrix size overflows")?];
-        for i in 0..n_nodes {
-            let (lo, hi) = (reach_off[i], reach_off[i + 1]);
-            let cols = &reach_cols[lo..hi];
+        for (i, w) in reach_off.windows(2).enumerate() {
+            let cols = &reach_cols[w[0]..w[1]];
             if cols.iter().any(|&c| c as usize >= n_pos) {
                 return Err(format!("node {i} reaches a column out of range"));
             }
             if cols.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("node {i} columns not strictly ascending"));
             }
-            for (&c, &pij) in cols.iter().zip(&p[lo..hi]) {
-                rows[i * n_pos + c as usize] = pij;
-            }
         }
         Ok(SensitizationMatrix {
             outputs,
-            n_nodes,
-            p: rows,
+            p,
             obs,
             reach_off,
             reach_cols,
             vectors_used,
         })
-    }
-
-    /// Patches the rows covered by a selective re-simulation
-    /// ([`resimulate_rows_cfg`]) into the matrix, replacing the per-PO
-    /// probabilities and the measured union observability of exactly the
-    /// re-simulated nodes. Reachability is structural and stays as built.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the update was computed for a different circuit shape
-    /// (PO count or node range mismatch).
-    pub fn apply_update(&mut self, update: &PijRowUpdate) {
-        assert_eq!(
-            update.n_pos,
-            self.outputs.len(),
-            "update and matrix must share the PO column space"
-        );
-        let n_pos = self.outputs.len();
-        for (t, &node) in update.nodes.iter().enumerate() {
-            let i = node as usize;
-            assert!(i < self.n_nodes, "update node out of range");
-            self.p[i * n_pos..(i + 1) * n_pos]
-                .copy_from_slice(&update.p[t * n_pos..(t + 1) * n_pos]);
-            self.obs[i] = update.obs[t];
-        }
-    }
-}
-
-/// Dense replacement rows for a subset of nodes, produced by
-/// [`resimulate_rows_cfg`] and consumed by
-/// [`SensitizationMatrix::apply_update`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PijRowUpdate {
-    nodes: Vec<u32>,
-    n_pos: usize,
-    /// `p[t * n_pos + j]` for the `t`-th node in `nodes`.
-    p: Vec<f64>,
-    obs: Vec<f64>,
-    vectors_used: usize,
-}
-
-impl PijRowUpdate {
-    /// The re-simulated node indices, in request order.
-    pub fn nodes(&self) -> &[u32] {
-        &self.nodes
-    }
-
-    /// The replacement row of the `t`-th node.
-    pub fn row(&self, t: usize) -> &[f64] {
-        &self.p[t * self.n_pos..(t + 1) * self.n_pos]
-    }
-
-    /// The replacement any-PO union observability of the `t`-th node.
-    pub fn observability(&self, t: usize) -> f64 {
-        self.obs[t]
-    }
-
-    /// Number of random vectors behind the update.
-    pub fn vectors_used(&self) -> usize {
-        self.vectors_used
     }
 }
 
@@ -397,9 +347,8 @@ pub fn sensitization_probabilities_with_stats_cfg(
     chunk_size: usize,
     pij: &PijConfig,
 ) -> (SensitizationMatrix, EstimateStats) {
-    let est = estimate(
-        circuit, None, n_vectors, seed, threads, chunk_size, pij, None,
-    );
+    let est = estimate_matrix(circuit, n_vectors, seed, threads, chunk_size, pij, None)
+        .expect("an ungoverned run always completes");
     (est.matrix, est.stats)
 }
 
@@ -469,40 +418,41 @@ pub fn sensitization_probabilities_governed_cfg(
         deadline,
         mem_soft_limit: engine.mem_soft_limit(),
     };
-    let est = estimate(
+    estimate_matrix(
         circuit,
-        None,
         n_vectors,
         seed,
         engine.threads(),
         engine.cone_chunk(),
         &engine.pij(),
         Some(&governor),
-    );
-    if est.vectors_completed == 0 {
-        return Err(est
-            .interrupted
-            .expect("a run that did no work must have been interrupted"));
-    }
-    Ok(est)
+    )
 }
 
-/// Selectively re-simulates the strike cones of `nodes` only, with the
-/// same word-blocked kernels, vector stream and counting rules as
-/// [`sensitization_probabilities_cfg`] — the rows it returns are
-/// **bitwise identical** to the corresponding rows of the full estimate
-/// at the same `(n_vectors, seed, pij)`, at a cost proportional to the
-/// listed cones instead of the whole circuit. Sessions that cache a
-/// matrix must therefore refill it with the [`PijConfig`] it was built
-/// with.
+/// Selectively re-simulates the strike cones of `nodes` only and writes
+/// their rows into `matrix` in place, with the same word-blocked
+/// kernels, vector stream and counting rules as
+/// [`sensitization_probabilities_cfg`] — the rows written are **bitwise
+/// identical** to the corresponding rows of the full estimate at the
+/// same `(n_vectors, seed, pij)`, at a cost proportional to the listed
+/// cones instead of the whole circuit. Sessions that cache a matrix
+/// must therefore refill it with the [`PijConfig`] it was built with.
 ///
 /// This is the cache-refill primitive of the incremental engine: when a
 /// consumer invalidates (or wants to re-estimate at higher accuracy) the
-/// `P_ij` rows of a few nodes, only those cones are replayed.
+/// `P_ij` rows of a few nodes, only those cones are replayed. Each
+/// listed node's per-PO values and measured union observability are
+/// replaced; everything else, [`SensitizationMatrix::vectors_used`]
+/// included, stays as built. Duplicate nodes are re-simulated once.
 ///
 /// # Panics
 ///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
+/// Panics if `n_vectors`, `threads` or `chunk_size` is 0, if a node is
+/// out of range, if `matrix` was not estimated over `circuit`
+/// (different outputs or node count), or if a re-simulated row's
+/// reachable columns differ from the matrix's — all checked before any
+/// row is written, so a panic leaves `matrix` as it was.
+#[allow(clippy::too_many_arguments)]
 pub fn resimulate_rows_cfg(
     circuit: &Circuit,
     nodes: &[NodeId],
@@ -511,9 +461,15 @@ pub fn resimulate_rows_cfg(
     threads: usize,
     chunk_size: usize,
     pij: &PijConfig,
-) -> PijRowUpdate {
+    matrix: &mut SensitizationMatrix,
+) {
+    assert!(
+        matrix.outputs() == circuit.primary_outputs()
+            && matrix.node_count() == circuit.node_count(),
+        "refill target must be a matrix of this circuit"
+    );
     let roots: Vec<u32> = nodes.iter().map(|id| id.index() as u32).collect();
-    let est = estimate(
+    let run = estimate(
         circuit,
         Some(&roots),
         n_vectors,
@@ -523,13 +479,23 @@ pub fn resimulate_rows_cfg(
         pij,
         None,
     );
-    PijRowUpdate {
-        nodes: roots,
-        n_pos: circuit.primary_outputs().len(),
-        p: est.matrix.p,
-        obs: est.matrix.obs,
-        vectors_used: n_vectors.div_ceil(64) * 64,
-    }
+    // Every support is checked before any row is written, so a refusal
+    // leaves the matrix as it was.
+    run.for_each_row(|root, cols, _, _, _| {
+        let have = matrix.reachable_columns(NodeId::new(root as usize));
+        assert!(
+            have == cols,
+            "refill of node {root}: re-simulated support {cols:?} differs from the matrix's {have:?}"
+        );
+    });
+    run.for_each_row(|root, cols, counts, obs_count, samples| {
+        let total = samples as f64;
+        let lo = matrix.reach_off[root as usize];
+        for (dst, &c) in matrix.p[lo..lo + cols.len()].iter_mut().zip(counts) {
+            *dst = c as f64 / total;
+        }
+        matrix.obs[root as usize] = obs_count as f64 / total;
+    });
 }
 
 /// Execution governor of an estimation run: the deadline checked at
@@ -539,16 +505,110 @@ struct Governor<'a> {
     mem_soft_limit: Option<usize>,
 }
 
+/// Outcome of one estimation run: its profile and the final hit
+/// counters, one entry per planned root in plan order. The counters
+/// outlive the chunk arenas, cone programs and base rows, so the rows
+/// are assembled after those are freed.
+struct Run {
+    stats: EstimateStats,
+    /// Words simulated before the run finished or was stopped.
+    words_done: usize,
+    events: Vec<DegradationEvent>,
+    interrupted: Option<Interrupted>,
+    roots: Vec<u32>,
+    /// Per-root offsets into `cols` and `counts`.
+    col_off: Vec<usize>,
+    /// Each root's reachable PO columns, ascending.
+    cols: Vec<u32>,
+    /// Difference hits per reachable column, aligned with `cols`.
+    counts: Vec<u64>,
+    /// Any-PO union hits per root.
+    obs: Vec<u64>,
+    /// Input assignments behind each root's counters: the full budget,
+    /// or the early-stop prefix of an adaptively converged root.
+    samples: Vec<u64>,
+}
+
+impl Run {
+    /// Calls `f(root, reachable_cols, counts_per_col, union_count,
+    /// samples)` once per planned root, in ascending node order.
+    fn for_each_row(&self, mut f: impl FnMut(u32, &[u32], &[u64], u64, u64)) {
+        let mut order: Vec<usize> = (0..self.roots.len()).collect();
+        order.sort_unstable_by_key(|&g| self.roots[g]);
+        for g in order {
+            let range = self.col_off[g]..self.col_off[g + 1];
+            f(
+                self.roots[g],
+                &self.cols[range.clone()],
+                &self.counts[range],
+                self.obs[g],
+                self.samples[g],
+            );
+        }
+    }
+}
+
+/// The full matrix: every node's row appended to the reachability CSR
+/// in ascending node order.
+///
+/// # Errors
+///
+/// The [`Interrupted`] verdict when the governor stopped the run before
+/// one word block completed.
+fn estimate_matrix(
+    circuit: &Circuit,
+    n_vectors: usize,
+    seed: u64,
+    threads: usize,
+    chunk_size: usize,
+    pij: &PijConfig,
+    govern: Option<&Governor<'_>>,
+) -> Result<GovernedEstimate, Interrupted> {
+    let run = estimate(
+        circuit, None, n_vectors, seed, threads, chunk_size, pij, govern,
+    );
+    if run.words_done == 0 {
+        return Err(run
+            .interrupted
+            .expect("a run that did no work must have been interrupted"));
+    }
+    let n_nodes = circuit.node_count();
+    let mut p: Vec<f64> = Vec::with_capacity(run.cols.len());
+    let mut reach_cols: Vec<u32> = Vec::with_capacity(run.cols.len());
+    let mut obs: Vec<f64> = Vec::with_capacity(n_nodes);
+    let mut reach_off: Vec<usize> = Vec::with_capacity(n_nodes + 1);
+    reach_off.push(0);
+    run.for_each_row(|_, cols, counts, obs_count, samples| {
+        let total = samples as f64;
+        reach_cols.extend_from_slice(cols);
+        p.extend(counts.iter().map(|&c| c as f64 / total));
+        reach_off.push(reach_cols.len());
+        obs.push(obs_count as f64 / total);
+    });
+    let vectors = run.words_done * 64;
+    Ok(GovernedEstimate {
+        matrix: SensitizationMatrix {
+            outputs: circuit.primary_outputs().to_vec(),
+            p,
+            obs,
+            reach_off,
+            reach_cols,
+            vectors_used: vectors,
+        },
+        vectors_completed: vectors,
+        stats: run.stats,
+        events: run.events,
+        interrupted: run.interrupted,
+    })
+}
+
 /// The one estimation driver behind every public entry point: builds
 /// the CSR view and the chunk plan (under the governor's memory budget,
-/// if any), streams the word blocks through [`estimate_chunks`],
-/// scatters the per-root counts into dense rows and assembles the
-/// reachability CSR.
+/// if any) and streams the word blocks through [`estimate_chunks`].
 ///
-/// `roots` selects the rows: `None` estimates every node (row `i` is
-/// node `i`); `Some(list)` re-simulates only the listed cones, and row
-/// `t` answers request slot `t` (duplicates repeat the row of their
-/// first slot). Without a governor no deadline is ever checked.
+/// `roots` selects the cones: `None` estimates every node; `Some(list)`
+/// re-simulates only the listed ones (duplicates once). Without a
+/// governor no deadline is ever checked.
 #[allow(clippy::too_many_arguments)]
 fn estimate(
     circuit: &Circuit,
@@ -559,11 +619,9 @@ fn estimate(
     chunk_size: usize,
     pij: &PijConfig,
     govern: Option<&Governor<'_>>,
-) -> GovernedEstimate {
+) -> Run {
     assert!(n_vectors > 0, "need at least one vector");
     assert!(threads > 0, "need at least one worker thread");
-    let n_pos = circuit.primary_outputs().len();
-    let n_nodes = circuit.node_count();
 
     // Only the planned cones are materialized (and only one chunk of
     // them at a time), so the setup cost is one O(V+E) flattening pass
@@ -572,22 +630,7 @@ fn estimate(
     let mut events = Vec::new();
     let limit = govern.and_then(|g| g.mem_soft_limit);
     let mut plan = plan_under_budget(&csr, roots, chunk_size, limit, &mut events);
-
-    // The chunk plan visits roots deduplicated, in PO-region order; each
-    // root's counts land in its row (its first request slot when
-    // selective). The (row, col) pairs rebuild the row-ordered
-    // reachability CSR after the chunk arenas are gone.
-    let mut row_of: Vec<u32> = (0..n_nodes as u32).collect();
-    if let Some(roots) = roots {
-        for (t, &r) in roots.iter().enumerate().rev() {
-            row_of[r as usize] = t as u32;
-        }
-    }
-    let n_rows = roots.map_or(n_nodes, <[u32]>::len);
-    let mut p = vec![0.0f64; n_rows * n_pos];
-    let mut obs = vec![0.0f64; n_rows];
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let (stats, words_done, interrupted) = estimate_chunks(
+    let mut run = estimate_chunks(
         &csr,
         &mut plan,
         seed,
@@ -595,57 +638,14 @@ fn estimate(
         n_vectors.div_ceil(64),
         pij,
         govern,
-        |root, cols, counts, obs_count, samples| {
-            let total = samples as f64;
-            let row = row_of[root as usize];
-            let r = row as usize;
-            for (t, &col) in cols.iter().enumerate() {
-                p[r * n_pos + col as usize] = counts[t] as f64 / total;
-                pairs.push((row, col));
-            }
-            obs[r] = obs_count as f64 / total;
-        },
     );
     if plan.evictions() > 0 {
         events.push(DegradationEvent::ConesShed {
             evictions: plan.evictions(),
         });
     }
-    if let Some(roots) = roots {
-        for (t, &r) in roots.iter().enumerate() {
-            let first = row_of[r as usize] as usize;
-            if first != t {
-                p.copy_within(first * n_pos..(first + 1) * n_pos, t * n_pos);
-                obs[t] = obs[first];
-            }
-        }
-    }
-
-    pairs.sort_unstable();
-    let mut reach_off = vec![0usize; n_rows + 1];
-    for &(r, _) in &pairs {
-        reach_off[r as usize + 1] += 1;
-    }
-    for r in 0..n_rows {
-        reach_off[r + 1] += reach_off[r];
-    }
-    let reach_cols: Vec<u32> = pairs.iter().map(|&(_, c)| c).collect();
-
-    GovernedEstimate {
-        matrix: SensitizationMatrix {
-            outputs: circuit.primary_outputs().to_vec(),
-            n_nodes: n_rows,
-            p,
-            obs,
-            reach_off,
-            reach_cols,
-            vectors_used: words_done * 64,
-        },
-        vectors_completed: words_done * 64,
-        stats,
-        events,
-        interrupted,
-    }
+    run.events = events;
+    run
 }
 
 /// Plans the chunked cone arena over `roots` (every node when `None`)
@@ -704,16 +704,14 @@ fn plan_under_budget(
 /// regardless of the chunk count, so the chunk size trades only peak
 /// arena memory against per-block recompilation, not simulation time.
 ///
-/// `sink(root_node, reachable_cols, counts_per_col, union_count,
-/// samples)` is invoked exactly once per planned root, after the last
-/// completed block; `samples` is the number of input assignments behind
-/// that root's counters — `n_words * 64` in the fixed mode, the
-/// early-stop prefix for an adaptively converged root. Peak tracked
-/// memory is one chunk's arena plus programs; on top of that live the
-/// block's base rows (`node_count × block` words), one set of integer
-/// hit counters per planned root, and a copy of each root's
-/// reachable-column list (captured on the first block so the counters
-/// can be finalized even after the chunk arenas are gone).
+/// The returned [`Run`] holds every planned root's final counters
+/// (empty when no block completed). Peak tracked memory is one chunk's
+/// arena plus programs; on top of that live the block's base rows
+/// (`node_count × block` words), one set of integer hit counters per
+/// planned root, and a copy of each root's reachable-column list
+/// (captured on the first block so the counters can be finalized even
+/// after the chunk arenas are gone). The run's `events` are left empty
+/// for the caller.
 ///
 /// When `govern` is `Some`, the deadline/cancel token is checked at
 /// every word-block boundary — the only points where every counter
@@ -740,8 +738,7 @@ fn estimate_chunks(
     n_words: usize,
     pij: &PijConfig,
     govern: Option<&Governor<'_>>,
-    mut sink: impl FnMut(u32, &[u32], &[u64], u64, u64),
-) -> (EstimateStats, usize, Option<Interrupted>) {
+) -> Run {
     let n_chunks = plan.chunk_count();
     // Per-worker cone-local value rows of the replay (cache-line aligned
     // for the wide kernels), grow-only and reused across chunks and
@@ -876,24 +873,24 @@ fn estimate_chunks(
         }
     }
 
-    if words_done > 0 {
-        for (g, &root) in plan.planned_roots().iter().enumerate() {
-            let range = root_po_off[g]..root_po_off[g + 1];
-            let samp = if samples[g] > 0 {
-                samples[g]
-            } else {
-                (words_done * 64) as u64
-            };
-            sink(
-                root,
-                &cols_flat[range.clone()],
-                &counts[range],
-                obs_counts[g],
-                samp,
-            );
+    // Roots still sampling at the end ran the whole completed budget.
+    for s in &mut samples {
+        if *s == 0 {
+            *s = (words_done * 64) as u64;
         }
     }
-    (stats, words_done, interrupted)
+    Run {
+        stats,
+        words_done,
+        events: Vec::new(),
+        interrupted,
+        roots: plan.planned_roots().to_vec(),
+        col_off: root_po_off,
+        cols: cols_flat,
+        counts,
+        obs: obs_counts,
+        samples,
+    }
 }
 
 /// `z` of the adaptive convergence test: 95% two-sided confidence —
@@ -1378,16 +1375,19 @@ mod tests {
         estimate_at(c, n_vectors, seed, 2, DEFAULT_CONE_CHUNK)
     }
 
-    /// Default-config re-simulation at an explicit thread count and
-    /// chunk size.
+    /// `base` with the rows of `nodes` refilled by a default-config
+    /// re-simulation at an explicit thread count and chunk size.
+    #[allow(clippy::too_many_arguments)]
     fn resim_at(
         c: &Circuit,
+        base: &SensitizationMatrix,
         nodes: &[NodeId],
         n_vectors: usize,
         seed: u64,
         threads: usize,
         chunk_size: usize,
-    ) -> PijRowUpdate {
+    ) -> SensitizationMatrix {
+        let mut m = base.clone();
         resimulate_rows_cfg(
             c,
             nodes,
@@ -1396,11 +1396,19 @@ mod tests {
             threads,
             chunk_size,
             &PijConfig::default(),
-        )
+            &mut m,
+        );
+        m
     }
 
-    fn default_resim(c: &Circuit, nodes: &[NodeId], n_vectors: usize, seed: u64) -> PijRowUpdate {
-        resim_at(c, nodes, n_vectors, seed, 2, DEFAULT_CONE_CHUNK)
+    fn default_resim(
+        c: &Circuit,
+        base: &SensitizationMatrix,
+        nodes: &[NodeId],
+        n_vectors: usize,
+        seed: u64,
+    ) -> SensitizationMatrix {
+        resim_at(c, base, nodes, n_vectors, seed, 2, DEFAULT_CONE_CHUNK)
     }
 
     /// A governed engine config at an explicit thread count, chunk size
@@ -1565,10 +1573,11 @@ mod tests {
     #[test]
     fn resim_chunk_sizes_agree_bitwise() {
         let c = generate::sec32("t");
+        let base = default_estimate(&c, 128, 1);
         let subset: Vec<_> = c.node_ids().filter(|id| id.index() % 4 == 1).collect();
-        let whole = resim_at(&c, &subset, 512, 77, 1, c.node_count());
+        let whole = resim_at(&c, &base, &subset, 512, 77, 1, c.node_count());
         for chunk_size in [1, 7] {
-            let up = resim_at(&c, &subset, 512, 77, 2, chunk_size);
+            let up = resim_at(&c, &base, &subset, 512, 77, 2, chunk_size);
             assert_eq!(up, whole, "chunk {chunk_size}");
         }
     }
@@ -1576,15 +1585,16 @@ mod tests {
     #[test]
     fn resim_handles_duplicate_nodes() {
         let c = generate::c17();
+        let base = default_estimate(&c, 128, 1);
         let g = c.gates().next().unwrap();
         let h = c.gates().nth(2).unwrap();
-        let up = resim_at(&c, &[g, h, g], 256, 5, 1, 2);
-        assert_eq!(
-            up.nodes(),
-            &[g.index() as u32, h.index() as u32, g.index() as u32]
-        );
-        assert_eq!(up.row(0), up.row(2), "duplicate rows repeat");
-        assert_eq!(up.observability(0), up.observability(2));
+        let twice = resim_at(&c, &base, &[g, h, g], 256, 5, 1, 2);
+        assert_eq!(twice, resim_at(&c, &base, &[h, g], 256, 5, 1, 2));
+        let full = default_estimate(&c, 256, 5);
+        for id in [g, h] {
+            assert_eq!(twice.row(id), full.row(id), "row of {id}");
+            assert_eq!(twice.observability(id), full.observability(id));
+        }
     }
 
     #[test]
@@ -1616,15 +1626,16 @@ mod tests {
     fn selective_resim_matches_full_rows_bitwise() {
         let c = generate::sec32("t");
         let m = estimate_at(&c, 512, 77, 1, DEFAULT_CONE_CHUNK);
-        // A scattered subset: every third node, in shuffled-ish order.
+        let base = default_estimate(&c, 128, 1);
+        // A scattered subset: every third node.
         let subset: Vec<_> = c.node_ids().filter(|id| id.index() % 3 == 1).collect();
         for threads in [1usize, 3] {
-            let up = resim_at(&c, &subset, 512, 77, threads, DEFAULT_CONE_CHUNK);
-            assert_eq!(up.nodes().len(), subset.len());
-            for (t, &id) in subset.iter().enumerate() {
-                assert_eq!(up.row(t), m.row(id), "row of {id} ({threads} threads)");
+            let up = resim_at(&c, &base, &subset, 512, 77, threads, DEFAULT_CONE_CHUNK);
+            for &id in &subset {
+                assert_eq!(up.row(id), m.row(id), "row of {id} ({threads} threads)");
+                assert_eq!(up.reachable_columns(id), m.reachable_columns(id));
                 assert_eq!(
-                    up.observability(t),
+                    up.observability(id),
                     m.observability(id),
                     "obs of {id} ({threads} threads)"
                 );
@@ -1633,35 +1644,88 @@ mod tests {
     }
 
     #[test]
-    fn apply_update_patches_only_listed_rows() {
+    fn refill_patches_only_listed_rows() {
         let c = generate::c17();
         let m256 = default_estimate(&c, 256, 5);
         let m512 = default_estimate(&c, 512, 5);
         let subset: Vec<_> = c.gates().take(3).collect();
-        let up = default_resim(&c, &subset, 512, 5);
-        let mut patched = m256.clone();
-        patched.apply_update(&up);
+        let patched = default_resim(&c, &m256, &subset, 512, 5);
         for id in c.node_ids() {
-            if subset.contains(&id) {
-                assert_eq!(patched.row(id), m512.row(id), "patched row of {id}");
-                assert_eq!(patched.observability(id), m512.observability(id));
-            } else {
-                assert_eq!(patched.row(id), m256.row(id), "untouched row of {id}");
-            }
+            let want = if subset.contains(&id) { &m512 } else { &m256 };
+            assert_eq!(patched.row(id), want.row(id), "row of {id}");
+            assert_eq!(patched.observability(id), want.observability(id));
         }
-        // Patching with a same-(vectors, seed) update is a no-op.
-        let noop = default_resim(&c, &subset, 256, 5);
-        let mut same = m256.clone();
-        same.apply_update(&noop);
-        assert_eq!(same, m256);
+        assert_eq!(patched.reach_columns_flat(), m256.reach_columns_flat());
+        assert_eq!(patched.vectors_used(), m256.vectors_used());
+        // Refilling at the matrix's own (vectors, seed) is a no-op.
+        assert_eq!(default_resim(&c, &m256, &subset, 256, 5), m256);
     }
 
     #[test]
     fn empty_resim_is_trivial() {
         let c = generate::c17();
-        let up = default_resim(&c, &[], 128, 1);
-        assert!(up.nodes().is_empty());
-        assert_eq!(up.vectors_used(), 128);
+        let base = default_estimate(&c, 128, 1);
+        assert_eq!(default_resim(&c, &base, &[], 512, 9), base);
+    }
+
+    #[test]
+    fn refill_with_a_different_support_panics() {
+        // A matrix whose stored support for one gate lacks a column the
+        // gate's cone reaches: refilling that row must refuse loudly
+        // instead of writing values against the wrong columns, and
+        // leave the matrix untouched.
+        let c = generate::c17();
+        let m = default_estimate(&c, 128, 1);
+        let g = c
+            .gates()
+            .filter(|&g| !m.reachable_columns(g).is_empty())
+            .last()
+            .unwrap();
+        let mut p = m.reachable_probabilities().to_vec();
+        let mut off = m.reach_offsets().to_vec();
+        let mut cols = m.reach_columns_flat().to_vec();
+        let lo = off[g.index()];
+        p.remove(lo);
+        cols.remove(lo);
+        for o in &mut off[g.index() + 1..] {
+            *o -= 1;
+        }
+        let mut damaged = SensitizationMatrix::from_raw_parts(
+            m.outputs().to_vec(),
+            m.node_count(),
+            p,
+            m.observabilities().to_vec(),
+            off,
+            cols,
+            m.vectors_used(),
+        )
+        .unwrap();
+        let before = damaged.clone();
+        let others: Vec<NodeId> = c.gates().filter(|&h| h != g).collect();
+        let refill = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let nodes: Vec<NodeId> = others.iter().copied().chain([g]).collect();
+            resimulate_rows_cfg(
+                &c,
+                &nodes,
+                512,
+                9,
+                1,
+                16,
+                &PijConfig::default(),
+                &mut damaged,
+            );
+        }));
+        let payload = refill.expect_err("a support mismatch must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(
+            msg.contains(&format!("refill of node {}", g.index()))
+                && msg.contains("differs from the matrix's"),
+            "{msg}"
+        );
+        assert_eq!(damaged, before, "no row of a refused refill is written");
     }
 
     #[test]
@@ -1669,9 +1733,11 @@ mod tests {
         let c = generate::sec32("t");
         let m = default_estimate(&c, 256, 3);
         for id in c.node_ids() {
+            assert_eq!(m.row(id).len(), m.reachable_columns(id).len());
             for j in 0..m.outputs().len() {
-                if !m.reachable_columns(id).contains(&(j as u32)) {
-                    assert_eq!(m.p(id, j), 0.0, "node {id} col {j}");
+                match m.reachable_columns(id).binary_search(&(j as u32)) {
+                    Ok(t) => assert_eq!(m.p(id, j), m.row(id)[t], "node {id} col {j}"),
+                    Err(_) => assert_eq!(m.p(id, j), 0.0, "node {id} col {j}"),
                 }
             }
         }
@@ -1681,7 +1747,7 @@ mod tests {
     fn raw_parts_round_trip_is_bitwise() {
         let c = generate::sec32("t");
         let m = default_estimate(&c, 512, 77);
-        let reach_p: Vec<f64> = m.reachable_probabilities().collect();
+        let reach_p = m.reachable_probabilities().to_vec();
         assert_eq!(reach_p.len(), m.reachable_pairs());
         let rebuilt = SensitizationMatrix::from_raw_parts(
             m.outputs().to_vec(),
@@ -1695,7 +1761,10 @@ mod tests {
         .unwrap();
         assert_eq!(rebuilt, m);
         let bits = |m: &SensitizationMatrix| -> Vec<u64> {
-            m.probabilities().iter().map(|x| x.to_bits()).collect()
+            m.reachable_probabilities()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect()
         };
         assert_eq!(bits(&rebuilt), bits(&m));
     }
@@ -1708,7 +1777,7 @@ mod tests {
         let c = generate::c17();
         let m = default_estimate(&c, 128, 5);
         let parts = |f: &DamageFn| {
-            let mut p: Vec<f64> = m.reachable_probabilities().collect();
+            let mut p = m.reachable_probabilities().to_vec();
             let mut off = m.reach_offsets().to_vec();
             let mut cols = m.reach_columns_flat().to_vec();
             let mut vecs = m.vectors_used();

@@ -140,10 +140,19 @@ fn estimator_entry_points_ignore_the_environment() {
     let nodes: Vec<_> = c.node_ids().filter(|id| id.index() % 5 == 1).collect();
     let run = || {
         let pij = PijConfig::default();
-        (
-            sensitization_probabilities_cfg(&c, n_vectors, 7, 2, DEFAULT_CONE_CHUNK, &pij),
-            resimulate_rows_cfg(&c, &nodes, n_vectors, 7, 2, DEFAULT_CONE_CHUNK, &pij),
-        )
+        let full = sensitization_probabilities_cfg(&c, n_vectors, 7, 2, DEFAULT_CONE_CHUNK, &pij);
+        let mut refilled = sensitization_probabilities_cfg(&c, 64, 7, 2, DEFAULT_CONE_CHUNK, &pij);
+        resimulate_rows_cfg(
+            &c,
+            &nodes,
+            n_vectors,
+            7,
+            2,
+            DEFAULT_CONE_CHUNK,
+            &pij,
+            &mut refilled,
+        );
+        (full, refilled)
     };
     let cleared = with_env(&[], run);
     let set = with_env(&[("SER_PIJ_TOL", "0"), ("SER_SIM_THREADS", "1")], run);

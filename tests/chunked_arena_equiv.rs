@@ -116,20 +116,32 @@ proptest! {
             .filter(|id| id.index() % stride == 1)
             .collect();
         prop_assert!(!subset.is_empty(), "node index 1 always exists at these sizes");
+        // Refill a coarser estimate of the same circuit in place: the
+        // listed rows must become the full estimate's, bit for bit.
+        let base = sensitization_probabilities_cfg(
+            &circuit, 64, seed ^ 1, 1, circuit.node_count(), &pij,
+        );
         let n_pos = circuit.primary_outputs().len();
         for threads in [1usize, 3] {
             for chunk_size in [1usize, 4, 64] {
-                let up = resimulate_rows_cfg(
-                    &circuit, &subset, n_vectors, seed, threads, chunk_size, &pij,
+                let mut up = base.clone();
+                resimulate_rows_cfg(
+                    &circuit, &subset, n_vectors, seed, threads, chunk_size, &pij, &mut up,
                 );
-                for (t, &id) in subset.iter().enumerate() {
+                for &id in &subset {
                     prop_assert_eq!(
-                        up.row(t),
+                        up.reachable_columns(id),
+                        full.reachable_columns(id),
+                        "support {} threads {} chunk {}", id, threads, chunk_size
+                    );
+                    prop_assert_eq!(
+                        up.row(id),
                         full.row(id),
                         "row {} threads {} chunk {}", id, threads, chunk_size
                     );
+                    prop_assert_eq!(up.observability(id), full.observability(id));
                     for j in 0..n_pos {
-                        prop_assert_eq!(up.row(t)[j], full.p(id, j));
+                        prop_assert_eq!(up.p(id, j), full.p(id, j));
                     }
                 }
             }

@@ -91,6 +91,11 @@ proptest! {
             &engine.pij(),
         );
         for id in circuit.node_ids() {
+            prop_assert_eq!(
+                session.pij().reachable_columns(id),
+                fresh_pij.reachable_columns(id),
+                "P support of {}", id
+            );
             prop_assert_eq!(session.pij().row(id), fresh_pij.row(id), "P row of {}", id);
         }
 

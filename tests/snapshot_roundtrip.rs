@@ -58,7 +58,14 @@ fn fingerprint(s: &AnalysisSession<'_>) -> Vec<u64> {
     ] {
         v.extend(table.iter().map(|x| x.to_bits()));
     }
-    v.extend(s.pij().probabilities().iter().map(|x| x.to_bits()));
+    v.extend(
+        s.pij()
+            .reachable_probabilities()
+            .iter()
+            .map(|x| x.to_bits()),
+    );
+    v.extend(s.pij().reach_offsets().iter().map(|&o| o as u64));
+    v.extend(s.pij().reach_columns_flat().iter().map(|&c| u64::from(c)));
     v.extend(s.pij().observabilities().iter().map(|x| x.to_bits()));
     let ws = s.expected_widths();
     for i in s.circuit().node_ids() {
