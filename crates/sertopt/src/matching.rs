@@ -86,7 +86,7 @@ pub fn match_delays(
 /// [`match_delays`] wrapper compiles a plan and applies it once): every
 /// allowed candidate's parameters and characterized cell are folded into
 /// flat tables, so realizing a delay assignment never touches the
-/// library — no hashing, no characterization, no `&mut` anywhere.
+/// library — no hashing and no characterization.
 ///
 /// With a `reference` anchor the pass-1 loads/ramps come from the
 /// reference assignment's timing view and every candidate's pass-1
@@ -100,6 +100,22 @@ pub fn match_delays(
 /// strict `<`, and the VDD-monotonicity floor is enforced in the same
 /// reverse topological sweep — the `matching` test module pins both
 /// anchor modes bitwise against the pre-consolidation implementation.
+///
+/// # Scan memo
+///
+/// The candidate tables never change after [`MatchPlan::build`], but the
+/// plan remembers, per gate and per pass kind (pass 1, refinement), the
+/// inputs of that gate's last scan and the candidate it chose. The
+/// inputs are everything a gate's scan reads that varies between
+/// realizations: the target delay, the VDD floor set by its successors'
+/// choices and — in a from-scratch pass 1 or a refinement pass — its
+/// (load, input ramp) operating point. A scan whose inputs all match the
+/// memo bit for bit reuses the stored choice; any other scan runs over
+/// the candidates and records its result. The choice is a pure function
+/// of those inputs over the fixed tables, so reuse is exact: a plan
+/// realizes every target vector to the same cells whatever it realized
+/// before. Optimizer moves change a few targets at a time, so most
+/// gates' scans are reused.
 #[derive(Debug, Clone)]
 pub struct MatchPlan {
     /// Gate nodes in reverse topological order (primary inputs skipped).
@@ -125,6 +141,27 @@ pub struct MatchPlan {
     load_model: LoadModel,
     assumed_ramp: f64,
     energy_tiebreak: f64,
+    /// Per-node memo of the last pass-1 scan (`[0]`) and the last
+    /// refinement scan (`[1]`).
+    memo: [Vec<ScanMemo>; 2],
+}
+
+/// One gate's last scan in one pass kind: the bit patterns of its
+/// inputs (target, VDD floor, load, input ramp; the anchored pass 1
+/// reads its load and ramp from the tables and stores 0 for both) and
+/// the candidate it chose.
+#[derive(Debug, Clone, Copy)]
+struct ScanMemo {
+    key: [u64; 4],
+    /// Chosen candidate (`u32::MAX`: never scanned).
+    choice: u32,
+}
+
+impl ScanMemo {
+    const EMPTY: ScanMemo = ScanMemo {
+        key: [0; 4],
+        choice: u32::MAX,
+    };
 }
 
 /// How one matching pass derives each gate's (load, ramp) operating
@@ -226,6 +263,7 @@ impl MatchPlan {
             load_model: cfg.load_model,
             assumed_ramp: cfg.assumed_ramp,
             energy_tiebreak: cfg.energy_tiebreak,
+            memo: [vec![ScanMemo::EMPTY; n], vec![ScanMemo::EMPTY; n]],
         }
     }
 
@@ -237,7 +275,7 @@ impl MatchPlan {
     /// Panics on any condition [`MatchPlan::try_realize`] reports as an
     /// error (wrong target count, non-finite targets, unsatisfiable
     /// grid).
-    pub fn realize(&self, circuit: &Circuit, target_delays: &[f64]) -> CircuitCells {
+    pub fn realize(&mut self, circuit: &Circuit, target_delays: &[f64]) -> CircuitCells {
         match self.try_realize(circuit, target_delays) {
             Ok(cells) => cells,
             Err(e) => panic!("realize: {e}"),
@@ -246,10 +284,14 @@ impl MatchPlan {
 
     /// Fallible [`MatchPlan::realize`]: rejects malformed targets (wrong
     /// count, non-finite entries) and an unsatisfiable candidate grid
-    /// with a typed [`EvalError`] instead of panicking. The plan itself
-    /// is immutable, so a failed realization has no state to corrupt.
+    /// with a typed [`EvalError`] instead of panicking.
+    ///
+    /// The only state a realization changes is the scan memo (see the
+    /// type docs), and every entry it records is the exact choice for
+    /// its inputs — so a failed realization leaves nothing to corrupt,
+    /// and later realizations are bitwise those of a fresh plan.
     pub fn try_realize(
-        &self,
+        &mut self,
         circuit: &Circuit,
         target_delays: &[f64],
     ) -> Result<CircuitCells, EvalError> {
@@ -297,13 +339,20 @@ impl MatchPlan {
 
     /// One reverse-topological matching pass (see [`ScanMode`] for how
     /// the per-gate operating point is derived).
+    ///
+    /// Each gate first consults its memo for this pass kind and scans the
+    /// candidates only on a miss.
     fn scan(
-        &self,
+        &mut self,
         circuit: &Circuit,
         target_delays: &[f64],
         mode: ScanMode<'_>,
         choice: &mut [u32],
     ) -> Result<(), EvalError> {
+        let slot = match mode {
+            ScanMode::Anchored | ScanMode::Scratch => 0,
+            ScanMode::Timing(..) => 1,
+        };
         let mut chosen_vdd: Vec<f64> = vec![f64::NAN; circuit.node_count()];
         for &i in &self.order {
             let id = NodeId::new(i as usize);
@@ -319,10 +368,12 @@ impl MatchPlan {
                     }
                 })
                 .fold(0.0, f64::max);
-            // Scratch mode: the load comes from the successors chosen so
-            // far (fan-outs precede their drivers in reverse topological
-            // order, so every successor already has a pooled cell).
-            let scratch_load = match mode {
+            let (load, ramp) = match mode {
+                // The anchor (load, ramp) is folded into the tables.
+                ScanMode::Anchored => (0.0, 0.0),
+                // The load comes from the successors chosen so far
+                // (fan-outs precede their drivers in reverse topological
+                // order, so every successor already has a pooled cell).
                 ScanMode::Scratch => {
                     let mut load = 0.0;
                     for &s in circuit.fanout(id) {
@@ -335,11 +386,23 @@ impl MatchPlan {
                     if circuit.is_primary_output(id) {
                         load += self.load_model.po_load;
                     }
-                    load
+                    (load, self.assumed_ramp)
                 }
-                _ => 0.0,
+                ScanMode::Timing(loads, in_ramps) => (loads[i as usize], in_ramps[i as usize]),
             };
             let target = target_delays[i as usize];
+            let key = [
+                target.to_bits(),
+                vdd_floor.to_bits(),
+                load.to_bits(),
+                ramp.to_bits(),
+            ];
+            let memo = self.memo[slot][i as usize];
+            if memo.choice != u32::MAX && memo.key == key {
+                chosen_vdd[i as usize] = self.cand_params[memo.choice as usize].vdd;
+                choice[i as usize] = memo.choice;
+                continue;
+            }
             let lo = self.cand_off[i as usize] as usize;
             let hi = self.cand_off[i as usize + 1] as usize;
             let mut best: Option<(f64, usize)> = None;
@@ -351,17 +414,9 @@ impl MatchPlan {
                     ScanMode::Anchored => {
                         (self.cand_delay[c] - target).abs() + self.cand_tiebreak[c]
                     }
-                    ScanMode::Scratch => {
+                    ScanMode::Scratch | ScanMode::Timing(..) => {
                         let cell = &self.pool[self.cand_cell[c] as usize];
-                        let d = cell.delay_at(scratch_load, self.assumed_ramp);
-                        let e_norm =
-                            cell.leak_power * 1e9 + cell.dynamic_energy(scratch_load) * 1e12;
-                        (d - target).abs() + self.energy_tiebreak * e_norm * 1.0e-12
-                    }
-                    ScanMode::Timing(loads, in_ramps) => {
-                        let load = loads[i as usize];
-                        let cell = &self.pool[self.cand_cell[c] as usize];
-                        let d = cell.delay_at(load, in_ramps[i as usize]);
+                        let d = cell.delay_at(load, ramp);
                         let e_norm = cell.leak_power * 1e9 + cell.dynamic_energy(load) * 1e12;
                         (d - target).abs() + self.energy_tiebreak * e_norm * 1.0e-12
                     }
@@ -381,6 +436,10 @@ impl MatchPlan {
             };
             chosen_vdd[i as usize] = self.cand_params[c].vdd;
             choice[i as usize] = c as u32;
+            self.memo[slot][i as usize] = ScanMemo {
+                key,
+                choice: c as u32,
+            };
         }
         Ok(())
     }
@@ -667,7 +726,7 @@ mod tests {
                     cfg.refine_passes = refine_passes;
                     let nominal = aserta::CircuitCells::nominal(&circuit);
                     let reference = with_reference.then_some(&nominal);
-                    let plan = MatchPlan::build(&circuit, &mut l, &cfg, reference);
+                    let mut plan = MatchPlan::build(&circuit, &mut l, &cfg, reference);
                     for round in 0..3u32 {
                         let targets: Vec<f64> = (0..circuit.node_count())
                             .map(|i| 8.0e-12 + ((i as u32 * 7 + round * 13) % 11) as f64 * 9.0e-12)
@@ -684,6 +743,57 @@ mod tests {
                             );
                             assert_eq!(wrapped.get(g), want.get(g), "wrapper, gate {g}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The optimizer's access pattern: one plan realizes a sequence of
+    /// target vectors that differ in a few gates, so most scans reuse
+    /// the memo. Each round retargets three gates across 4–150 ps, which
+    /// moves their VDD choices (their fan-ins' VDD floor) and, in
+    /// refinement passes, their fan-ins' loads and their fan-outs' input
+    /// ramps. Every round must still match the reference bitwise; a memo
+    /// key without the VDD floor, or without the ramp, fails here.
+    #[test]
+    fn memoized_plan_tracks_sparse_target_changes_bitwise() {
+        let circuit = generate::iscas85("c432").unwrap();
+        let mut allowed = AllowedParams::tiny();
+        allowed.vdds = vec![0.8, 1.0];
+        let gates: Vec<NodeId> = circuit.gates().collect();
+        for refine_passes in [0usize, 1, 2] {
+            for with_reference in [false, true] {
+                let mut l = lib();
+                let mut cfg = MatchingConfig::new(allowed.clone());
+                cfg.refine_passes = refine_passes;
+                let nominal = aserta::CircuitCells::nominal(&circuit);
+                let reference = with_reference.then_some(&nominal);
+                let mut plan = MatchPlan::build(&circuit, &mut l, &cfg, reference);
+                let mut targets: Vec<f64> = (0..circuit.node_count())
+                    .map(|i| 60.0e-12 + ((i * 7) % 11) as f64 * 9.0e-12)
+                    .collect();
+                let levels_ps = [4.0, 12.0, 20.0, 30.0, 45.0, 70.0, 100.0, 150.0];
+                let mut state = 0x9e37_79b9_7f4a_7c15u64;
+                for round in 0..16 {
+                    if round > 0 {
+                        for _ in 0..3 {
+                            state = state
+                                .wrapping_mul(6_364_136_223_846_793_005)
+                                .wrapping_add(1_442_695_040_888_963_407);
+                            let g = gates[(state >> 33) as usize % gates.len()].index();
+                            targets[g] =
+                                levels_ps[(state >> 20) as usize % levels_ps.len()] * 1e-12;
+                        }
+                    }
+                    let want = reference_match_delays(&circuit, &targets, &mut l, &cfg, reference);
+                    let got = plan.realize(&circuit, &targets);
+                    for &g in &gates {
+                        assert_eq!(
+                            got.get(g),
+                            want.get(g),
+                            "gate {g} round {round} refine {refine_passes} ref {with_reference}"
+                        );
                     }
                 }
             }

@@ -15,8 +15,10 @@
 //! # Evaluation engine
 //!
 //! Every evaluation realizes the targets through the precompiled
-//! [`MatchPlan`] and then measures the assignment one of two ways
-//! ([`EvalStrategy`]):
+//! [`MatchPlan`] — incrementally: the plan's scan memo re-matches only
+//! the gates whose target, VDD floor or (load, ramp) moved since their
+//! last scan, bitwise equal to a full match — and then measures the
+//! assignment one of two ways ([`EvalStrategy`]):
 //!
 //! * [`EvalStrategy::Incremental`] (default) — a persistent
 //!   [`AnalysisSession`] per worker: the candidate is *diffed* against
@@ -218,7 +220,6 @@ pub struct DelayProblem<'a> {
     plan: MatchPlan,
     replicas: Vec<Replica<'a>>,
     fresh_lib: Library,
-    fresh_pij: SensitizationMatrix,
 }
 
 impl<'a> DelayProblem<'a> {
@@ -296,7 +297,7 @@ impl<'a> DelayProblem<'a> {
             library.clone(),
             aserta_cfg.clone(),
         )
-        .pij(pij.clone())
+        .pij(pij)
         .build()
         {
             Ok(s) => s,
@@ -323,7 +324,6 @@ impl<'a> DelayProblem<'a> {
             plan,
             replicas,
             fresh_lib: library.clone(),
-            fresh_pij: pij,
         }
     }
 
@@ -429,12 +429,14 @@ impl<'a> DelayProblem<'a> {
             let clone = self.replicas[0].clone();
             self.replicas.push(clone);
         }
-        // Realize all candidates up front (cheap scans over the plan),
-        // then measure them on per-worker sessions in round-robin strides.
-        let jobs: Vec<Result<CircuitCells, EvalError>> = phis
-            .iter()
-            .map(|phi| self.plan.try_realize(self.circuit, &self.targets_for(phi)))
-            .collect();
+        // Realize all candidates up front, in input order (the plan's
+        // scan memo makes this cheap and needs `&mut`), then measure
+        // them on per-worker sessions in round-robin strides.
+        let mut jobs: Vec<Result<CircuitCells, EvalError>> = Vec::with_capacity(phis.len());
+        for phi in phis {
+            let targets = self.targets_for(phi);
+            jobs.push(self.plan.try_realize(self.circuit, &targets));
+        }
         let energy = &self.energy;
         let weights = &self.weights;
         let baseline = &self.baseline;
@@ -507,13 +509,14 @@ impl<'a> DelayProblem<'a> {
     }
 
     /// The fresh measurement: one cold-start analysis session over the
-    /// private library per move — kept as the oracle and perf baseline.
+    /// private library and the replicas' shared `P_ij` per move — kept
+    /// as the oracle and perf baseline.
     fn evaluate_fresh(&mut self, cells: CircuitCells) -> Candidate {
         let breakdown = evaluate(
             self.circuit,
             &cells,
             &mut self.fresh_lib,
-            &self.fresh_pij,
+            self.replicas[0].session.pij(),
             &self.aserta_cfg,
             &self.energy,
             &self.weights,
@@ -643,7 +646,7 @@ mod tests {
     fn wrong_length_targets_are_a_typed_error() {
         let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
         let p = problem_for_c17(&mut lib);
-        let plan = MatchPlan::build(p.circuit, &mut lib, &p.matching, Some(&p.baseline_cells));
+        let mut plan = MatchPlan::build(p.circuit, &mut lib, &p.matching, Some(&p.baseline_cells));
         let err = plan.try_realize(p.circuit, &[1.0e-12]).unwrap_err();
         assert!(matches!(err, crate::error::EvalError::Match { .. }));
         let err = plan

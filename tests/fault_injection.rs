@@ -35,7 +35,9 @@ use soft_error::netlist::govern::InterruptReason;
 use soft_error::netlist::snapshot::SnapshotError;
 use soft_error::netlist::{generate, Circuit, NodeId};
 use soft_error::sertopt::matching::MatchingConfig;
-use soft_error::sertopt::{AllowedParams, CostWeights, DelayProblem, EnergyModel, EvalError};
+use soft_error::sertopt::{
+    AllowedParams, CostWeights, DelayProblem, EnergyModel, EvalError, MatchPlan,
+};
 use soft_error::spice::transient::{try_simulate_gate, TransientConfig};
 use soft_error::spice::waveform::ramp;
 use soft_error::spice::{GateElectrical, GateParams, Technology, TransientError};
@@ -277,6 +279,45 @@ fn matching_faults_are_typed_and_transient() {
         .expect("points disarmed")
         .cost;
     assert_eq!(clean.to_bits(), after.to_bits());
+}
+
+/// `sertopt::match_refine` between two refinement passes — the failed
+/// realization has already recorded its pass-1 and first refinement
+/// scans in the plan's memo, and every later realization must still be
+/// bitwise that of a freshly built plan.
+#[test]
+fn refine_fault_leaves_later_realizations_fresh() {
+    let circuit = generate::c17();
+    let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
+    let mut allowed = AllowedParams::tiny();
+    allowed.vdds = vec![0.8, 1.0];
+    let mut cfg = MatchingConfig::new(allowed);
+    cfg.refine_passes = 2;
+    let nominal = CircuitCells::nominal(&circuit);
+    let targets = |round: usize| -> Vec<f64> {
+        (0..circuit.node_count())
+            .map(|i| 8.0e-12 + ((i * 7 + round * 13) % 11) as f64 * 9.0e-12)
+            .collect()
+    };
+    let mut plan = MatchPlan::build(&circuit, &mut lib, &cfg, Some(&nominal));
+
+    let _guard = failpoint::scenario();
+    plan.try_realize(&circuit, &targets(0))
+        .expect("no faults armed");
+    failpoint::set_after("sertopt::match_refine", FailAction::Error, 1, 1);
+    let err = plan.try_realize(&circuit, &targets(1)).unwrap_err();
+    assert_eq!(err, EvalError::FaultInjected("sertopt::match_refine"));
+    assert_eq!(failpoint::hits("sertopt::match_refine"), 1);
+
+    for round in [1, 0, 2, 1] {
+        let got = plan
+            .try_realize(&circuit, &targets(round))
+            .expect("point disarmed");
+        let want = MatchPlan::build(&circuit, &mut lib, &cfg, Some(&nominal))
+            .try_realize(&circuit, &targets(round))
+            .expect("point disarmed");
+        assert_eq!(got, want, "round {round}");
+    }
 }
 
 /// `sertopt::replica_evaluate` (Error) — an injected evaluation fault
