@@ -35,12 +35,6 @@ pub struct AsertaReport {
     /// The timing view (loads, ramps, delays) used for electrical
     /// masking.
     pub timing: TimingView,
-    /// Human-readable graceful-degradation events recorded while this
-    /// analysis ran under an execution/memory budget (estimate
-    /// truncation, cone-arena shrinks or evictions). Empty for
-    /// ungoverned runs — a non-empty list means the numbers above were
-    /// produced with a reduced accuracy/performance envelope.
-    pub degradations: Vec<String>,
 }
 
 impl AsertaReport {

@@ -74,7 +74,7 @@ pub use config::AsertaConfig;
 pub use electrical::ExpectedWidths;
 pub use error::{AnalysisError, PoisonReason};
 pub use ser_logicsim::engine::{EngineConfig, EngineConfigError};
-pub use ser_netlist::govern::{CancelToken, Deadline, DegradationEvent, Interrupted};
+pub use ser_netlist::govern::{CancelToken, Deadline, Interrupted};
 pub use session::{AnalysisSession, ApplyStats, SessionBuilder};
 pub use snapshot::{SessionSnapshot, SessionSnapshotError};
 

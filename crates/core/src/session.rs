@@ -77,13 +77,11 @@ use std::path::Path;
 use ser_cells::{CharacterizedCell, Library};
 use ser_logicsim::engine::EngineConfig;
 use ser_logicsim::probability::static_probabilities_analytic;
-use ser_logicsim::sensitize::{
-    resimulate_rows_cfg, sensitization_probabilities_cfg, sensitization_probabilities_governed_cfg,
-};
+use ser_logicsim::sensitize::{resimulate_rows_cfg, sensitization_probabilities_cfg};
 use ser_logicsim::SensitizationMatrix;
 use ser_netlist::csr::CsrView;
 use ser_netlist::dirty::{close_over_fanout, strict_ancestors, SparseSet};
-use ser_netlist::govern::{Deadline, DegradationEvent};
+use ser_netlist::govern::Deadline;
 use ser_netlist::{Circuit, NodeId};
 use ser_spice::GateParams;
 
@@ -178,7 +176,6 @@ pub struct AnalysisSession<'c> {
     poison: Option<PoisonReason>,
     deadline: Deadline,
     engine: EngineConfig,
-    degradations: Vec<DegradationEvent>,
     scratch: Scratch,
 }
 
@@ -190,17 +187,18 @@ pub struct AnalysisSession<'c> {
 ///
 /// * [`SessionBuilder::pij`] supplies a precomputed sensitization
 ///   matrix (to share one estimate across sessions); without it the
-///   builder runs the Monte-Carlo estimate itself;
-/// * [`SessionBuilder::deadline`] installs a cooperative execution
-///   budget; when the builder estimates `P_ij` the estimate runs
-///   *governed* under it (truncations and memory-governor events are
-///   recorded as [`DegradationEvent`]s);
+///   builder runs the Monte-Carlo estimate itself, always to
+///   completion;
 /// * [`SessionBuilder::engine`] pins execution-resource knobs
-///   (threads, chunking, soft memory budget); unset fields fall
+///   (threads, chunking, estimator tolerance); unset fields fall
 ///   through to the strict environment overlay
 ///   ([`EngineConfig::from_env`]) and then the built-in defaults —
 ///   explicit > env > default. Results are bitwise identical for every
-///   engine setting.
+///   thread count and chunk size.
+///
+/// A session takes an execution budget after it is built, with
+/// [`AnalysisSession::set_deadline`]; the budget then governs its
+/// mutations, never its construction.
 #[derive(Debug)]
 #[must_use = "a SessionBuilder does nothing until `.build()`"]
 pub struct SessionBuilder<'c> {
@@ -209,7 +207,6 @@ pub struct SessionBuilder<'c> {
     library: Library,
     cfg: AsertaConfig,
     pij: Option<SensitizationMatrix>,
-    deadline: Option<Deadline>,
     engine: EngineConfig,
 }
 
@@ -219,15 +216,6 @@ impl<'c> SessionBuilder<'c> {
     /// primary outputs.
     pub fn pij(mut self, pij: SensitizationMatrix) -> Self {
         self.pij = Some(pij);
-        self
-    }
-
-    /// Installs a cooperative execution budget. A builder-run `P_ij`
-    /// estimate runs governed under it (see [`AnalysisSession::builder`]);
-    /// the deadline stays installed on the session, so later mutations
-    /// keep honoring it ([`AnalysisSession::set_deadline`]).
-    pub fn deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -256,36 +244,13 @@ impl<'c> SessionBuilder<'c> {
     /// * [`AnalysisError::InvalidGateParams`] for non-finite or
     ///   unphysical parameters;
     /// * [`AnalysisError::BadCell`] when a gate's characterized library
-    ///   cell fails validation (non-finite lookup tables or scalars);
-    /// * [`AnalysisError::Interrupted`] when a deadline expires before
-    ///   even one estimate block completes (there is no partial state
-    ///   worth keeping).
+    ///   cell fails validation (non-finite lookup tables or scalars).
     pub fn build(self) -> Result<AnalysisSession<'c>, AnalysisError> {
         validate_config(&self.cfg)?;
         let engine = self.engine.overlay(&EngineConfig::from_env()?);
-        let (pij, events) = match (self.pij, &self.deadline) {
-            (Some(pij), _) => (pij, Vec::new()),
-            (None, None) => (estimate_pij(self.circuit, &self.cfg, &engine), Vec::new()),
-            (None, Some(deadline)) => {
-                let est = sensitization_probabilities_governed_cfg(
-                    self.circuit,
-                    self.cfg.sensitization_vectors,
-                    self.cfg.seed,
-                    &engine,
-                    deadline,
-                )
-                .map_err(AnalysisError::Interrupted)?;
-                let mut events = est.events;
-                if est.interrupted.is_some()
-                    && est.vectors_completed < self.cfg.sensitization_vectors
-                {
-                    events.push(DegradationEvent::EstimateTruncated {
-                        completed: est.vectors_completed,
-                        requested: self.cfg.sensitization_vectors,
-                    });
-                }
-                (est.matrix, events)
-            }
+        let pij = match self.pij {
+            Some(pij) => pij,
+            None => estimate_pij(self.circuit, &self.cfg, &engine),
         };
         let mut session = AnalysisSession::construct(
             self.circuit,
@@ -296,15 +261,11 @@ impl<'c> SessionBuilder<'c> {
             engine.threads(),
         )?;
         session.engine = engine;
-        if let Some(deadline) = self.deadline {
-            session.deadline = deadline;
-        }
-        session.degradations = events;
         Ok(session)
     }
 }
 
-/// The ungoverned `P_ij` estimate of a session build: `cfg`'s vector
+/// The `P_ij` estimate of a session build: `cfg`'s vector
 /// count and seed, with threads, chunk size and estimator modes from
 /// the resolved `engine`.
 pub(crate) fn estimate_pij(
@@ -326,7 +287,7 @@ impl<'c> AnalysisSession<'c> {
     /// Starts the single construction path: a [`SessionBuilder`] over
     /// the circuit, cell assignment, library and analysis
     /// configuration. See [`SessionBuilder`] for the optional pieces
-    /// (precomputed `P_ij`, deadline, engine knobs).
+    /// (precomputed `P_ij`, engine knobs).
     pub fn builder(
         circuit: &'c Circuit,
         cells: CircuitCells,
@@ -339,7 +300,6 @@ impl<'c> AnalysisSession<'c> {
             library,
             cfg,
             pij: None,
-            deadline: None,
             engine: EngineConfig::new(),
         }
     }
@@ -441,7 +401,6 @@ impl<'c> AnalysisSession<'c> {
             poison: None,
             deadline: Deadline::none(),
             engine: EngineConfig::new(),
-            degradations: Vec::new(),
             scratch: Scratch::new(n),
         };
         session.resum_unreliability();
@@ -555,14 +514,6 @@ impl<'c> AnalysisSession<'c> {
         self.deadline = Deadline::none();
     }
 
-    /// Graceful-degradation events recorded while building or governing
-    /// this session (estimate truncation, cone-arena shrinks/evictions
-    /// under a soft memory budget). Also surfaced on
-    /// [`AnalysisSession::report`].
-    pub fn degradations(&self) -> &[DegradationEvent] {
-        &self.degradations
-    }
-
     /// Per-node `U_i` (Eq. 3); zero for primary inputs.
     pub fn per_gate_unreliability(&self) -> &[f64] {
         &self.per_gate_u
@@ -598,7 +549,6 @@ impl<'c> AnalysisSession<'c> {
             expected_widths: self.widths.clone(),
             static_probs: self.static_probs.clone(),
             timing: self.timing.clone(),
-            degradations: self.degradations.iter().map(ToString::to_string).collect(),
         }
     }
 
@@ -613,7 +563,6 @@ impl<'c> AnalysisSession<'c> {
             expected_widths: self.widths,
             static_probs: self.static_probs,
             timing: self.timing,
-            degradations: self.degradations.iter().map(ToString::to_string).collect(),
         }
     }
 
@@ -1866,36 +1815,6 @@ mod tests {
         session.recover_with(CircuitCells::nominal(&c)).unwrap();
         assert!(!session.is_poisoned());
         assert_matches_fresh(&session);
-    }
-
-    #[test]
-    fn governed_construction_matches_ungoverned_bitwise() {
-        let c = generate::sec32("s");
-        let plain = AnalysisSession::builder(&c, CircuitCells::nominal(&c), lib(), cfg())
-            .build()
-            .unwrap();
-        let governed = AnalysisSession::builder(&c, CircuitCells::nominal(&c), lib(), cfg())
-            .deadline(Deadline::within(std::time::Duration::from_secs(3600)))
-            .build()
-            .unwrap();
-        assert_eq!(governed.pij(), plain.pij());
-        assert_eq!(governed.unreliability(), plain.unreliability());
-        assert_eq!(
-            governed.per_gate_unreliability(),
-            plain.per_gate_unreliability()
-        );
-        assert!(governed.degradations().is_empty());
-        assert!(governed.report().degradations.is_empty());
-    }
-
-    #[test]
-    fn exhausted_budget_at_construction_is_a_typed_interruption() {
-        let c = generate::c17();
-        let err = AnalysisSession::builder(&c, CircuitCells::nominal(&c), lib(), cfg())
-            .deadline(Deadline::within(std::time::Duration::ZERO))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, AnalysisError::Interrupted(_)), "{err}");
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! [`EngineConfig`]: one explicit home for the engine's knobs, and
 //! the only code in the workspace that reads the `SER_*` environment.
 //!
-//! Three knobs govern how (not what) the engine computes — none of them
+//! Two knobs govern how (not what) the engine computes — neither of them
 //! affects results, which are bitwise identical for every setting:
 //!
 //! * **worker threads** (`SER_SIM_THREADS`) — simulation/replica
 //!   parallelism;
 //! * **cone chunk size** (`SER_CONE_CHUNK`) — roots per streamed
-//!   cone-arena chunk (peak memory vs recompilation trade);
-//! * **soft memory limit** (`SER_MEM_SOFT_LIMIT`) — byte budget the
-//!   governed estimator degrades under instead of OOMing.
+//!   cone-arena chunk (peak memory vs recompilation trade).
 //!
-//! A fourth knob governs the `P_ij` **estimator** itself (see
+//! A third knob governs the `P_ij` **estimator** itself (see
 //! [`PijConfig`]). It trades accuracy bookkeeping for speed and is
 //! therefore part of a result's identity:
 //!
@@ -30,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use ser_logicsim::engine::EngineConfig;
+//! use ser_logicsim::engine::{EngineConfig, DEFAULT_PIJ_TOLERANCE};
 //!
 //! // Explicit beats environment beats default.
 //! let cfg = EngineConfig::new().with_threads(2).overlay(
@@ -38,7 +36,7 @@
 //! );
 //! assert_eq!(cfg.threads(), 2); // explicit
 //! assert_eq!(cfg.cone_chunk(), 64); // from the overlay
-//! assert_eq!(cfg.mem_soft_limit(), None); // default
+//! assert_eq!(cfg.pij_tolerance(), DEFAULT_PIJ_TOLERANCE); // default
 //! ```
 
 use std::fmt;
@@ -82,14 +80,14 @@ impl fmt::Display for EngineConfigError {
 
 impl std::error::Error for EngineConfigError {}
 
-/// Configuration of the analysis engine: worker threads, streamed-arena
-/// chunk size and the soft memory budget, plus the `P_ij` estimator's
-/// adaptive tolerance.
+/// Configuration of the analysis engine: worker threads and
+/// streamed-arena chunk size, plus the `P_ij` estimator's adaptive
+/// tolerance.
 ///
 /// All fields are optional; an unset field resolves through the
 /// layering described in the [module docs](self). The resolved
 /// accessors ([`EngineConfig::threads`], [`EngineConfig::cone_chunk`],
-/// [`EngineConfig::mem_soft_limit`]) apply the built-in defaults, so a
+/// [`EngineConfig::pij_tolerance`]) apply the built-in defaults, so a
 /// fully-unset config is always usable.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -98,9 +96,6 @@ pub struct EngineConfig {
     /// Roots per streamed cone-arena chunk (`None` =
     /// [`DEFAULT_CONE_CHUNK`]).
     pub cone_chunk: Option<usize>,
-    /// Soft memory budget in bytes for governed estimation (`None` =
-    /// ungoverned).
-    pub mem_soft_limit: Option<usize>,
     /// Relative tolerance of the adaptive `P_ij` sampler; `0` pins the
     /// fixed-budget bitwise path (`None` = [`DEFAULT_PIJ_TOLERANCE`]).
     pub pij_tolerance: Option<f64>,
@@ -112,7 +107,6 @@ impl EngineConfig {
         EngineConfig {
             sim_threads: None,
             cone_chunk: None,
-            mem_soft_limit: None,
             pij_tolerance: None,
         }
     }
@@ -132,13 +126,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the soft memory budget, bytes.
-    #[must_use]
-    pub fn with_mem_soft_limit(mut self, bytes: usize) -> Self {
-        self.mem_soft_limit = Some(bytes);
-        self
-    }
-
     /// Sets the adaptive sampler's relative tolerance (`0` = fixed
     /// budget, bitwise-pinned).
     #[must_use]
@@ -148,7 +135,7 @@ impl EngineConfig {
     }
 
     /// The environment overlay: reads `SER_SIM_THREADS`,
-    /// `SER_CONE_CHUNK`, `SER_MEM_SOFT_LIMIT` and `SER_PIJ_TOL`,
+    /// `SER_CONE_CHUNK` and `SER_PIJ_TOL`,
     /// rejecting malformed values with a typed [`EngineConfigError`]
     /// instead of silently ignoring them. Unset variables leave the
     /// field unset.
@@ -156,9 +143,8 @@ impl EngineConfig {
     /// # Errors
     ///
     /// [`EngineConfigError`] naming the offending variable when its
-    /// value is not a positive integer (threads, chunk), a positive
-    /// byte count with optional `K`/`M`/`G` suffix (memory limit) or a
-    /// finite non-negative number (tolerance).
+    /// value is not a positive integer (threads, chunk) or a finite
+    /// non-negative number (tolerance).
     pub fn from_env() -> Result<Self, EngineConfigError> {
         let mut cfg = EngineConfig::new();
         if let Ok(v) = std::env::var("SER_SIM_THREADS") {
@@ -173,13 +159,6 @@ impl EngineConfig {
                 var: "SER_CONE_CHUNK",
                 value: v,
                 expected: "a positive integer",
-            })?);
-        }
-        if let Ok(v) = std::env::var("SER_MEM_SOFT_LIMIT") {
-            cfg.mem_soft_limit = Some(parse_byte_size(&v).ok_or(EngineConfigError {
-                var: "SER_MEM_SOFT_LIMIT",
-                value: v,
-                expected: "a positive byte count with optional K/M/G suffix",
             })?);
         }
         if let Ok(v) = std::env::var("SER_PIJ_TOL") {
@@ -201,7 +180,6 @@ impl EngineConfig {
         EngineConfig {
             sim_threads: self.sim_threads.or(under.sim_threads),
             cone_chunk: self.cone_chunk.or(under.cone_chunk),
-            mem_soft_limit: self.mem_soft_limit.or(under.mem_soft_limit),
             pij_tolerance: self.pij_tolerance.or(under.pij_tolerance),
         }
     }
@@ -224,11 +202,6 @@ impl EngineConfig {
             Some(n) if n > 0 => n,
             _ => DEFAULT_CONE_CHUNK,
         }
-    }
-
-    /// Resolved soft memory budget, bytes (`None` = ungoverned).
-    pub fn mem_soft_limit(&self) -> Option<usize> {
-        self.mem_soft_limit.filter(|&b| b > 0)
     }
 
     /// Resolved adaptive tolerance: the configured value when finite
@@ -295,20 +268,6 @@ fn parse_tolerance(s: &str) -> Option<f64> {
         .filter(|t| t.is_finite() && *t >= 0.0)
 }
 
-/// Parses `"65536"`, `"64K"`, `"8M"`, `"1G"` into bytes (powers of
-/// 1024). `None` for malformed or zero values.
-pub(crate) fn parse_byte_size(s: &str) -> Option<usize> {
-    let t = s.trim();
-    let (num, mult) = match t.as_bytes().last()? {
-        b'k' | b'K' => (&t[..t.len() - 1], 1usize << 10),
-        b'm' | b'M' => (&t[..t.len() - 1], 1usize << 20),
-        b'g' | b'G' => (&t[..t.len() - 1], 1usize << 30),
-        _ => (t, 1),
-    };
-    let n: usize = num.trim().parse().ok()?;
-    (n > 0).then(|| n.saturating_mul(mult))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,7 +279,6 @@ mod tests {
         let merged = explicit.overlay(&env);
         assert_eq!(merged.sim_threads, Some(3));
         assert_eq!(merged.cone_chunk, Some(32));
-        assert_eq!(merged.mem_soft_limit, None);
     }
 
     #[test]
@@ -328,25 +286,13 @@ mod tests {
         let cfg = EngineConfig::new();
         assert!(cfg.threads() >= 1);
         assert_eq!(cfg.cone_chunk(), DEFAULT_CONE_CHUNK);
-        assert_eq!(cfg.mem_soft_limit(), None);
-    }
-
-    #[test]
-    fn byte_sizes_parse_with_suffixes() {
-        assert_eq!(parse_byte_size("65536"), Some(65536));
-        assert_eq!(parse_byte_size("64K"), Some(64 << 10));
-        assert_eq!(parse_byte_size(" 8M "), Some(8 << 20));
-        assert_eq!(parse_byte_size("1g"), Some(1 << 30));
-        assert_eq!(parse_byte_size("0"), None);
-        assert_eq!(parse_byte_size("lots"), None);
-        assert_eq!(parse_byte_size(""), None);
     }
 
     #[test]
     fn serde_round_trip() {
         let cfg = EngineConfig::new()
             .with_threads(4)
-            .with_mem_soft_limit(1 << 20)
+            .with_cone_chunk(32)
             .with_pij_tolerance(0.01);
         let v = serde::Serialize::serialize(&cfg);
         let back: EngineConfig = serde::Deserialize::deserialize(&v).unwrap();

@@ -49,4 +49,4 @@ pub mod sensitize;
 pub mod sim;
 
 pub use engine::{EngineConfig, EngineConfigError};
-pub use sensitize::{GovernedEstimate, SensitizationMatrix};
+pub use sensitize::SensitizationMatrix;

@@ -10,20 +10,18 @@
 //!
 //! # Entry points
 //!
-//! Four functions cover every use, all backed by one private driver:
+//! Three functions cover every use, all backed by one private driver
+//! that always runs to completion:
 //!
 //! * [`sensitization_probabilities_cfg`] — the full matrix;
 //! * [`sensitization_probabilities_with_stats_cfg`] — the same plus the
 //!   run's [`EstimateStats`] memory/work profile;
-//! * [`sensitization_probabilities_governed_cfg`] — the full matrix
-//!   under a [`Deadline`] and the resolved [`EngineConfig`]'s soft
-//!   memory budget;
 //! * [`resimulate_rows_cfg`] — refills selected rows of an existing
 //!   matrix in place, bitwise equal to the full estimate's rows.
 //!
 //! None of them reads the environment: callers resolve the `SER_*`
-//! knobs once with [`EngineConfig::from_env`] and pass the threads,
-//! chunk size and [`PijConfig`] down.
+//! knobs once with [`EngineConfig::from_env`](crate::engine::EngineConfig::from_env)
+//! and pass the threads, chunk size and [`PijConfig`] down.
 //!
 //! # Storage
 //!
@@ -89,10 +87,8 @@
 //! keys.
 
 use ser_netlist::csr::{ChunkedConeArena, ConeArena, CsrView};
-use ser_netlist::govern::{Deadline, DegradationEvent, Interrupted};
 use ser_netlist::{Circuit, GateKind, NodeId};
 
-use crate::engine::EngineConfig;
 pub use crate::engine::PijConfig;
 use crate::kernel;
 use crate::kernel::AlignedWords;
@@ -347,86 +343,31 @@ pub fn sensitization_probabilities_with_stats_cfg(
     chunk_size: usize,
     pij: &PijConfig,
 ) -> (SensitizationMatrix, EstimateStats) {
-    let est = estimate_matrix(circuit, n_vectors, seed, threads, chunk_size, pij, None)
-        .expect("an ungoverned run always completes");
-    (est.matrix, est.stats)
-}
-
-/// Outcome of a *governed* estimation run: the matrix built from every
-/// word block that completed before the budget ran out, plus the
-/// degradation record.
-///
-/// When `interrupted` is `None` the run finished in full and `matrix`
-/// is bitwise identical to the ungoverned estimate at the same
-/// parameters. When it is `Some`, the run stopped at a word-block
-/// boundary and `matrix` is a consistent, smaller-sample result —
-/// never a torn one. In the fixed-budget estimator mode
-/// ([`PijConfig::fixed`], i.e. `tolerance = 0`) that truncated matrix
-/// is additionally bitwise identical to a *fresh* ungoverned estimate
-/// over exactly `vectors_completed` vectors at the same seed; with
-/// adaptive stopping enabled the per-root sample counts depend on the
-/// requested budget, so the truncation is consistent but not
-/// budget-renamable.
-#[derive(Debug, Clone)]
-pub struct GovernedEstimate {
-    /// The estimated matrix (over `vectors_completed` vectors).
-    pub matrix: SensitizationMatrix,
-    /// Random vectors actually simulated (a multiple of 64; equals the
-    /// rounded-up request unless the run was interrupted).
-    pub vectors_completed: usize,
-    /// Memory/work profile of the run.
-    pub stats: EstimateStats,
-    /// Memory-governor degradations applied to stay under the soft
-    /// budget, in the order they occurred. Empty when nothing degraded.
-    pub events: Vec<DegradationEvent>,
-    /// `Some` when a deadline/cancellation stopped the run early (at a
-    /// word-block boundary); the matrix still holds every completed
-    /// block.
-    pub interrupted: Option<Interrupted>,
-}
-
-/// [`sensitization_probabilities_cfg`] under a wall-clock/cancellation
-/// budget, with threads, chunk size, estimator modes and the soft
-/// memory budget all taken from the resolved `engine` config.
-///
-/// The soft memory budget ([`EngineConfig::mem_soft_limit`]) is never
-/// a failure: before the run, the cone chunk size is halved (and the
-/// chunks replanned) until one chunk's build fits, and during the run
-/// resident chunks are shed LRU-first; both degradations are recorded
-/// as [`DegradationEvent`]s. The deadline (or its cancel token) is
-/// checked at every 64-word block boundary — the points where the hit
-/// counters hold a consistent prefix of the vector stream.
-///
-/// # Errors
-///
-/// Returns the [`Interrupted`] budget verdict only when **zero** word
-/// blocks completed — there is no partial result to hand back. Any
-/// later interruption returns `Ok` with
-/// [`GovernedEstimate::interrupted`] set.
-///
-/// # Panics
-///
-/// Panics if `n_vectors` is 0.
-pub fn sensitization_probabilities_governed_cfg(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    engine: &EngineConfig,
-    deadline: &Deadline,
-) -> Result<GovernedEstimate, Interrupted> {
-    let governor = Governor {
-        deadline,
-        mem_soft_limit: engine.mem_soft_limit(),
+    let run = estimate(circuit, None, n_vectors, seed, threads, chunk_size, pij);
+    // Every node's row, appended to the reachability CSR in ascending
+    // node order.
+    let n_nodes = circuit.node_count();
+    let mut p: Vec<f64> = Vec::with_capacity(run.cols.len());
+    let mut reach_cols: Vec<u32> = Vec::with_capacity(run.cols.len());
+    let mut obs: Vec<f64> = Vec::with_capacity(n_nodes);
+    let mut reach_off: Vec<usize> = Vec::with_capacity(n_nodes + 1);
+    reach_off.push(0);
+    run.for_each_row(|_, cols, counts, obs_count, samples| {
+        let total = samples as f64;
+        reach_cols.extend_from_slice(cols);
+        p.extend(counts.iter().map(|&c| c as f64 / total));
+        reach_off.push(reach_cols.len());
+        obs.push(obs_count as f64 / total);
+    });
+    let matrix = SensitizationMatrix {
+        outputs: circuit.primary_outputs().to_vec(),
+        p,
+        obs,
+        reach_off,
+        reach_cols,
+        vectors_used: run.words_done * 64,
     };
-    estimate_matrix(
-        circuit,
-        n_vectors,
-        seed,
-        engine.threads(),
-        engine.cone_chunk(),
-        &engine.pij(),
-        Some(&governor),
-    )
+    (matrix, run.stats)
 }
 
 /// Selectively re-simulates the strike cones of `nodes` only and writes
@@ -477,7 +418,6 @@ pub fn resimulate_rows_cfg(
         threads,
         chunk_size,
         pij,
-        None,
     );
     // Every support is checked before any row is written, so a refusal
     // leaves the matrix as it was.
@@ -498,23 +438,15 @@ pub fn resimulate_rows_cfg(
     });
 }
 
-/// Execution governor of an estimation run: the deadline checked at
-/// every word-block boundary and the optional soft memory budget.
-struct Governor<'a> {
-    deadline: &'a Deadline,
-    mem_soft_limit: Option<usize>,
-}
-
 /// Outcome of one estimation run: its profile and the final hit
 /// counters, one entry per planned root in plan order. The counters
 /// outlive the chunk arenas, cone programs and base rows, so the rows
 /// are assembled after those are freed.
 struct Run {
     stats: EstimateStats,
-    /// Words simulated before the run finished or was stopped.
+    /// Words simulated: the full request, or fewer when every root
+    /// converged early.
     words_done: usize,
-    events: Vec<DegradationEvent>,
-    interrupted: Option<Interrupted>,
     roots: Vec<u32>,
     /// Per-root offsets into `cols` and `counts`.
     col_off: Vec<usize>,
@@ -548,68 +480,12 @@ impl Run {
     }
 }
 
-/// The full matrix: every node's row appended to the reachability CSR
-/// in ascending node order.
-///
-/// # Errors
-///
-/// The [`Interrupted`] verdict when the governor stopped the run before
-/// one word block completed.
-fn estimate_matrix(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-    pij: &PijConfig,
-    govern: Option<&Governor<'_>>,
-) -> Result<GovernedEstimate, Interrupted> {
-    let run = estimate(
-        circuit, None, n_vectors, seed, threads, chunk_size, pij, govern,
-    );
-    if run.words_done == 0 {
-        return Err(run
-            .interrupted
-            .expect("a run that did no work must have been interrupted"));
-    }
-    let n_nodes = circuit.node_count();
-    let mut p: Vec<f64> = Vec::with_capacity(run.cols.len());
-    let mut reach_cols: Vec<u32> = Vec::with_capacity(run.cols.len());
-    let mut obs: Vec<f64> = Vec::with_capacity(n_nodes);
-    let mut reach_off: Vec<usize> = Vec::with_capacity(n_nodes + 1);
-    reach_off.push(0);
-    run.for_each_row(|_, cols, counts, obs_count, samples| {
-        let total = samples as f64;
-        reach_cols.extend_from_slice(cols);
-        p.extend(counts.iter().map(|&c| c as f64 / total));
-        reach_off.push(reach_cols.len());
-        obs.push(obs_count as f64 / total);
-    });
-    let vectors = run.words_done * 64;
-    Ok(GovernedEstimate {
-        matrix: SensitizationMatrix {
-            outputs: circuit.primary_outputs().to_vec(),
-            p,
-            obs,
-            reach_off,
-            reach_cols,
-            vectors_used: vectors,
-        },
-        vectors_completed: vectors,
-        stats: run.stats,
-        events: run.events,
-        interrupted: run.interrupted,
-    })
-}
-
 /// The one estimation driver behind every public entry point: builds
-/// the CSR view and the chunk plan (under the governor's memory budget,
-/// if any) and streams the word blocks through [`estimate_chunks`].
+/// the CSR view and the chunk plan and streams the word blocks through
+/// [`estimate_chunks`].
 ///
 /// `roots` selects the cones: `None` estimates every node; `Some(list)`
-/// re-simulates only the listed ones (duplicates once). Without a
-/// governor no deadline is ever checked.
-#[allow(clippy::too_many_arguments)]
+/// re-simulates only the listed ones (duplicates once).
 fn estimate(
     circuit: &Circuit,
     roots: Option<&[u32]>,
@@ -618,7 +494,6 @@ fn estimate(
     threads: usize,
     chunk_size: usize,
     pij: &PijConfig,
-    govern: Option<&Governor<'_>>,
 ) -> Run {
     assert!(n_vectors > 0, "need at least one vector");
     assert!(threads > 0, "need at least one worker thread");
@@ -627,69 +502,11 @@ fn estimate(
     // them at a time), so the setup cost is one O(V+E) flattening pass
     // plus work proportional to the planned cones.
     let csr = CsrView::build(circuit);
-    let mut events = Vec::new();
-    let limit = govern.and_then(|g| g.mem_soft_limit);
-    let mut plan = plan_under_budget(&csr, roots, chunk_size, limit, &mut events);
-    let mut run = estimate_chunks(
-        &csr,
-        &mut plan,
-        seed,
-        threads,
-        n_vectors.div_ceil(64),
-        pij,
-        govern,
-    );
-    if plan.evictions() > 0 {
-        events.push(DegradationEvent::ConesShed {
-            evictions: plan.evictions(),
-        });
-    }
-    run.events = events;
-    run
-}
-
-/// Plans the chunked cone arena over `roots` (every node when `None`)
-/// under an optional soft byte budget: halve the chunk size (and
-/// replan) while building the first chunk overshoots the limit, then
-/// install the limit as the plan's LRU residency budget. The probe
-/// inspects the first chunk only — the limit stays *soft* for
-/// pathological cones — and every shrink is recorded as a
-/// [`DegradationEvent::ChunkShrunk`].
-fn plan_under_budget(
-    csr: &CsrView,
-    roots: Option<&[u32]>,
-    chunk_size: usize,
-    limit: Option<usize>,
-    events: &mut Vec<DegradationEvent>,
-) -> ChunkedConeArena {
-    let plan_at = |size| match roots {
-        None => ChunkedConeArena::plan(csr, size),
-        Some(roots) => ChunkedConeArena::plan_for(csr, roots, size),
+    let mut plan = match roots {
+        None => ChunkedConeArena::plan(&csr, chunk_size),
+        Some(roots) => ChunkedConeArena::plan_for(&csr, roots, chunk_size),
     };
-    let Some(limit) = limit else {
-        return plan_at(chunk_size);
-    };
-    let mut size = chunk_size;
-    loop {
-        let mut plan = plan_at(size);
-        if plan.chunk_count() > 0 {
-            plan.ensure(csr, 0);
-            let probe = plan.peak_bytes();
-            plan.release(0);
-            if probe > limit && size > 1 {
-                size = (size / 2).max(1);
-                continue;
-            }
-        }
-        if size != chunk_size {
-            events.push(DegradationEvent::ChunkShrunk {
-                from: chunk_size,
-                to: size,
-                limit_bytes: limit,
-            });
-        }
-        return plan.with_budget(limit);
-    }
+    estimate_chunks(&csr, &mut plan, seed, threads, n_vectors.div_ceil(64), pij)
 }
 
 /// The streamed estimation driver: for each [`BLOCK`]-word block, the
@@ -704,32 +521,19 @@ fn plan_under_budget(
 /// regardless of the chunk count, so the chunk size trades only peak
 /// arena memory against per-block recompilation, not simulation time.
 ///
-/// The returned [`Run`] holds every planned root's final counters
-/// (empty when no block completed). Peak tracked memory is one chunk's
-/// arena plus programs; on top of that live the block's base rows
-/// (`node_count × block` words), one set of integer hit counters per
-/// planned root, and a copy of each root's reachable-column list
-/// (captured on the first block so the counters can be finalized even
-/// after the chunk arenas are gone). The run's `events` are left empty
-/// for the caller.
-///
-/// When `govern` is `Some`, the deadline/cancel token is checked at
-/// every word-block boundary — the only points where every counter
-/// holds a consistent prefix of the vector stream — and an expiry stops
-/// the loop there, finalizing whatever blocks completed.
-///
-/// When the governor carries a soft memory budget (installed on `plan`
-/// as its LRU byte budget), chunk arenas stay resident across blocks
-/// and the budget decides what to shed, trading the per-block rebuild
-/// for governed memory; otherwise each chunk is released as soon as its
-/// block slice is replayed.
+/// The returned [`Run`] holds every planned root's final counters.
+/// Peak tracked memory is one chunk's arena plus programs, because each
+/// chunk is released as soon as its block slice is replayed; on top of
+/// that live the block's base rows (`node_count × block` words), one set
+/// of integer hit counters per planned root, and a copy of each root's
+/// reachable-column list (captured on the first block so the counters
+/// can be finalized even after the chunk arenas are gone).
 ///
 /// Estimator mode (`pij`): a positive tolerance arms the per-root
 /// Wilson convergence check at block boundaries. Roots that are done
 /// (converged, or with no reachable PO) are skipped by the replay
 /// workers, and chunks whose roots are all done are skipped entirely —
 /// including their arena rebuild.
-#[allow(clippy::too_many_arguments)]
 fn estimate_chunks(
     csr: &CsrView,
     plan: &mut ChunkedConeArena,
@@ -737,7 +541,6 @@ fn estimate_chunks(
     threads: usize,
     n_words: usize,
     pij: &PijConfig,
-    govern: Option<&Governor<'_>>,
 ) -> Run {
     let n_chunks = plan.chunk_count();
     // Per-worker cone-local value rows of the replay (cache-line aligned
@@ -770,7 +573,6 @@ fn estimate_chunks(
         ..EstimateStats::default()
     };
 
-    let keep_resident = govern.is_some_and(|g| g.mem_soft_limit.is_some());
     let total_vectors = (n_words * 64) as u64;
     // A root may stop early only once it is at least as tight as the
     // full requested budget's own worst-case resolution.
@@ -778,18 +580,11 @@ fn estimate_chunks(
     let adaptive = pij.tolerance > 0.0;
     let n_blocks = n_words.div_ceil(BLOCK);
     let mut words_done = 0usize;
-    let mut interrupted = None;
     for b in 0..n_blocks {
         if b > 0 && active.iter().all(|&a| a == 0) {
             // Every root is converged or reaches no PO: the remaining
             // budget cannot change any counter.
             break;
-        }
-        if let Some(g) = govern {
-            if let Err(stop) = g.deadline.check("sensitize::block") {
-                interrupted = Some(stop);
-                break;
-            }
         }
         let w0 = b * BLOCK;
         let wc = BLOCK.min(n_words - w0);
@@ -839,9 +634,7 @@ fn estimate_chunks(
                 &mut obs_counts[root_off[k]..root_off[k + 1]],
             );
 
-            if !keep_resident {
-                plan.release(k);
-            }
+            plan.release(k);
         }
         words_done += wc;
 
@@ -882,8 +675,6 @@ fn estimate_chunks(
     Run {
         stats,
         words_done,
-        events: Vec::new(),
-        interrupted,
         roots: plan.planned_roots().to_vec(),
         col_off: root_po_off,
         cols: cols_flat,
@@ -1350,7 +1141,6 @@ fn replay_roots(
 mod tests {
     use super::*;
     use crate::engine::DEFAULT_CONE_CHUNK;
-    use ser_netlist::govern::{CancelToken, InterruptReason};
     use ser_netlist::{generate, CircuitBuilder, GateKind};
 
     /// The default estimator at an explicit thread count and chunk size.
@@ -1409,18 +1199,6 @@ mod tests {
         seed: u64,
     ) -> SensitizationMatrix {
         resim_at(c, base, nodes, n_vectors, seed, 2, DEFAULT_CONE_CHUNK)
-    }
-
-    /// A governed engine config at an explicit thread count, chunk size
-    /// and soft memory budget.
-    fn governed_engine(threads: usize, chunk_size: usize, limit: Option<usize>) -> EngineConfig {
-        let engine = EngineConfig::new()
-            .with_threads(threads)
-            .with_cone_chunk(chunk_size);
-        match limit {
-            Some(bytes) => engine.with_mem_soft_limit(bytes),
-            None => engine,
-        }
     }
 
     #[test]
@@ -1806,103 +1584,5 @@ mod tests {
             .is_err(),
             "offsets must cover the column list"
         );
-    }
-
-    #[test]
-    fn governed_full_run_matches_ungoverned_bitwise() {
-        let c = generate::sec32("t");
-        let plain = estimate_at(&c, 512, 77, 2, 13);
-        let gov = sensitization_probabilities_governed_cfg(
-            &c,
-            512,
-            77,
-            &governed_engine(2, 13, None),
-            &Deadline::none(),
-        )
-        .unwrap();
-        assert!(gov.interrupted.is_none());
-        assert!(gov.events.is_empty());
-        assert_eq!(gov.vectors_completed, 512);
-        assert_eq!(gov.matrix, plain);
-    }
-
-    #[test]
-    fn expired_deadline_interrupts_before_any_work() {
-        let c = generate::c17();
-        let deadline = Deadline::within(std::time::Duration::ZERO);
-        let err = sensitization_probabilities_governed_cfg(
-            &c,
-            512,
-            7,
-            &governed_engine(1, 16, None),
-            &deadline,
-        )
-        .unwrap_err();
-        assert_eq!(err.stage, "sensitize::block");
-        assert_eq!(err.reason, InterruptReason::DeadlineExpired);
-    }
-
-    #[test]
-    fn cancelled_token_interrupts_with_typed_reason() {
-        let c = generate::c17();
-        let token = CancelToken::new();
-        token.cancel();
-        let deadline = Deadline::none().with_token(token);
-        let err = sensitization_probabilities_governed_cfg(
-            &c,
-            512,
-            7,
-            &governed_engine(1, 16, None),
-            &deadline,
-        )
-        .unwrap_err();
-        assert_eq!(err.reason, InterruptReason::Cancelled);
-    }
-
-    #[test]
-    fn memory_governor_shrinks_chunks_and_stays_bitwise() {
-        let c = generate::sec32("t");
-        // A one-byte budget forces the preflight all the way down to
-        // one-root chunks and arms LRU shedding; the matrix must still
-        // be bitwise identical (chunk-size invariance).
-        let plain = estimate_at(&c, 512, 77, 2, 64);
-        let gov = sensitization_probabilities_governed_cfg(
-            &c,
-            512,
-            77,
-            &governed_engine(2, 64, Some(1)),
-            &Deadline::none(),
-        )
-        .unwrap();
-        assert_eq!(gov.matrix, plain);
-        assert!(
-            gov.events
-                .iter()
-                .any(|e| matches!(e, DegradationEvent::ChunkShrunk { to: 1, .. })),
-            "events: {:?}",
-            gov.events
-        );
-        assert!(
-            gov.events
-                .iter()
-                .any(|e| matches!(e, DegradationEvent::ConesShed { .. })),
-            "events: {:?}",
-            gov.events
-        );
-    }
-
-    #[test]
-    fn generous_memory_budget_degrades_nothing() {
-        let c = generate::c17();
-        let gov = sensitization_probabilities_governed_cfg(
-            &c,
-            256,
-            5,
-            &governed_engine(1, 16, Some(1 << 30)),
-            &Deadline::none(),
-        )
-        .unwrap();
-        assert!(gov.events.is_empty(), "events: {:?}", gov.events);
-        assert_eq!(gov.matrix, estimate_at(&c, 256, 5, 1, 16));
     }
 }

@@ -8,18 +8,15 @@
 
 use std::sync::Mutex;
 
-use ser_logicsim::engine::{EngineConfig, EngineConfigError, DEFAULT_CONE_CHUNK};
+use ser_logicsim::engine::{
+    EngineConfig, EngineConfigError, DEFAULT_CONE_CHUNK, DEFAULT_PIJ_TOLERANCE,
+};
 use ser_logicsim::sensitize::{resimulate_rows_cfg, sensitization_probabilities_cfg, PijConfig};
 use ser_netlist::generate;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-const VARS: [&str; 4] = [
-    "SER_SIM_THREADS",
-    "SER_CONE_CHUNK",
-    "SER_MEM_SOFT_LIMIT",
-    "SER_PIJ_TOL",
-];
+const VARS: [&str; 3] = ["SER_SIM_THREADS", "SER_CONE_CHUNK", "SER_PIJ_TOL"];
 
 /// Runs `f` with exactly `set` in the engine environment, restoring the
 /// previous state afterwards.
@@ -46,16 +43,11 @@ fn with_env<R>(set: &[(&str, &str)], f: impl FnOnce() -> R) -> R {
 #[test]
 fn strict_overlay_reads_well_formed_values() {
     let cfg = with_env(
-        &[
-            ("SER_SIM_THREADS", "3"),
-            ("SER_CONE_CHUNK", "64"),
-            ("SER_MEM_SOFT_LIMIT", "8M"),
-        ],
+        &[("SER_SIM_THREADS", "3"), ("SER_CONE_CHUNK", "64")],
         || EngineConfig::from_env().unwrap(),
     );
     assert_eq!(cfg.sim_threads, Some(3));
     assert_eq!(cfg.cone_chunk, Some(64));
-    assert_eq!(cfg.mem_soft_limit, Some(8 << 20));
 }
 
 #[test]
@@ -65,29 +57,20 @@ fn strict_overlay_leaves_unset_vars_unset() {
 }
 
 #[test]
-fn strict_overlay_rejects_malformed_mem_limit() {
-    let err = with_env(&[("SER_MEM_SOFT_LIMIT", "lots")], || {
+fn strict_overlay_rejects_malformed_chunk_and_threads() {
+    let err = with_env(&[("SER_CONE_CHUNK", "0")], || {
         EngineConfig::from_env().unwrap_err()
     });
     assert_eq!(
         err,
         EngineConfigError {
-            var: "SER_MEM_SOFT_LIMIT",
-            value: "lots".to_string(),
-            expected: "a positive byte count with optional K/M/G suffix",
+            var: "SER_CONE_CHUNK",
+            value: "0".to_string(),
+            expected: "a positive integer",
         }
     );
     // The error formats with enough context to act on.
-    assert!(err.to_string().contains("SER_MEM_SOFT_LIMIT"));
-    assert!(err.to_string().contains("lots"));
-}
-
-#[test]
-fn strict_overlay_rejects_malformed_chunk_and_threads() {
-    let err = with_env(&[("SER_CONE_CHUNK", "0")], || {
-        EngineConfig::from_env().unwrap_err()
-    });
-    assert_eq!(err.var, "SER_CONE_CHUNK");
+    assert!(err.to_string().contains("SER_CONE_CHUNK=`0`"));
 
     let err = with_env(&[("SER_SIM_THREADS", "-2")], || {
         EngineConfig::from_env().unwrap_err()
@@ -128,7 +111,7 @@ fn explicit_beats_env_beats_default() {
     );
     assert_eq!(resolved.threads(), 2); // explicit wins
     assert_eq!(resolved.cone_chunk(), 512); // env fills the gap
-    assert_eq!(resolved.mem_soft_limit(), None); // default
+    assert_eq!(resolved.pij_tolerance(), DEFAULT_PIJ_TOLERANCE); // default
 }
 
 #[test]

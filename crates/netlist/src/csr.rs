@@ -477,10 +477,8 @@ const NO_CHUNK: u32 = u32::MAX;
 /// is the retained footprint of all built chunks,
 /// [`peak_bytes`](ChunkedConeArena::peak_bytes) the high-water mark
 /// (including the builder's transient assembly buffer, which is
-/// proportional to the chunk being built). An optional
-/// [`budget`](ChunkedConeArena::with_budget) evicts the oldest resident
-/// chunks (never the one just built) when the retained footprint
-/// exceeds it.
+/// proportional to the chunk being built). A built chunk stays resident
+/// until [`release`](ChunkedConeArena::release)d.
 ///
 /// # Example
 ///
@@ -507,12 +505,8 @@ pub struct ChunkedConeArena {
     /// Node -> slot within its owning chunk's arena.
     slot_of_node: Vec<u32>,
     built: Vec<Option<ConeArena>>,
-    /// Build order of the currently resident chunks (eviction FIFO).
-    resident: Vec<usize>,
     resident_bytes: usize,
     peak_bytes: usize,
-    budget: Option<usize>,
-    evictions: usize,
 }
 
 impl ChunkedConeArena {
@@ -566,20 +560,9 @@ impl ChunkedConeArena {
             chunk_of_node,
             slot_of_node,
             built: vec![None; n_chunks],
-            resident: Vec::new(),
             resident_bytes: 0,
             peak_bytes: 0,
-            budget: None,
-            evictions: 0,
         }
-    }
-
-    /// Sets a retained-bytes budget: after each build, the oldest
-    /// resident chunks (never the one just built) are evicted until the
-    /// retained footprint fits.
-    pub fn with_budget(mut self, bytes: usize) -> Self {
-        self.budget = Some(bytes);
-        self
     }
 
     /// Number of planned chunks.
@@ -639,47 +622,15 @@ impl ChunkedConeArena {
             // extra copy of the chunk being built.
             self.peak_bytes = self.peak_bytes.max(self.resident_bytes + bytes);
             self.built[k] = Some(arena);
-            self.resident.push(k);
-            if let Some(budget) = self.budget {
-                while self.resident_bytes > budget && self.resident.len() > 1 {
-                    let victim = if self.resident[0] == k {
-                        self.resident.remove(1)
-                    } else {
-                        self.resident.remove(0)
-                    };
-                    self.drop_chunk(victim);
-                    self.evictions += 1;
-                }
-            }
         }
         self.built[k].as_ref().expect("chunk built above")
     }
 
-    /// Builds every chunk and keeps all of them resident — the small-
-    /// circuit path where the whole closure fits comfortably. The byte
-    /// budget is ignored.
-    pub fn build_all(&mut self, csr: &CsrView) {
-        let budget = self.budget.take();
-        for k in 0..self.chunk_count() {
-            self.ensure(csr, k);
-        }
-        self.budget = budget;
-    }
-
     /// Releases chunk `k`'s arena (a later touch rebuilds it).
     pub fn release(&mut self, k: usize) {
-        if self.built[k].is_some() {
-            if let Some(pos) = self.resident.iter().position(|&c| c == k) {
-                self.resident.remove(pos);
-            }
-            self.drop_chunk(k);
+        if let Some(arena) = self.built[k].take() {
+            self.resident_bytes -= arena.bytes();
         }
-    }
-
-    fn drop_chunk(&mut self, k: usize) {
-        let bytes = self.built[k].as_ref().map_or(0, ConeArena::bytes);
-        self.resident_bytes -= bytes;
-        self.built[k] = None;
     }
 
     /// The cone of `node`, lazily building its chunk on first touch.
@@ -713,15 +664,6 @@ impl ChunkedConeArena {
     #[inline]
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
-    }
-
-    /// Number of budget-driven LRU evictions since planning (explicit
-    /// [`release`](Self::release) calls are not counted) — the signal a
-    /// memory governor surfaces as a
-    /// [`DegradationEvent::ConesShed`](crate::govern::DegradationEvent).
-    #[inline]
-    pub fn evictions(&self) -> usize {
-        self.evictions
     }
 }
 
@@ -977,37 +919,13 @@ mod tests {
     }
 
     #[test]
-    fn chunked_budget_evicts_oldest_chunks() {
-        let c = generate::sec32("t");
-        let csr = CsrView::build(&c);
-        let mut chunked = ChunkedConeArena::plan(&csr, 16).with_budget(1);
-        for k in 0..chunked.chunk_count() {
-            chunked.ensure(&csr, k);
-            // The chunk just built always stays resident.
-            assert!(chunked.is_resident(k));
-            assert_eq!(chunked.resident.len(), 1, "budget keeps one chunk");
-        }
-        assert!(chunked.peak_bytes() > 0);
-        // Every build after the first evicted its predecessor.
-        assert_eq!(chunked.evictions(), chunked.chunk_count() - 1);
-    }
-
-    #[test]
-    fn explicit_release_is_not_an_eviction() {
+    fn chunked_ensure_keeps_every_chunk_resident() {
         let c = generate::c17();
         let csr = CsrView::build(&c);
         let mut chunked = ChunkedConeArena::plan(&csr, 4);
-        chunked.ensure(&csr, 0);
-        chunked.release(0);
-        assert_eq!(chunked.evictions(), 0);
-    }
-
-    #[test]
-    fn chunked_build_all_keeps_everything_resident() {
-        let c = generate::c17();
-        let csr = CsrView::build(&c);
-        let mut chunked = ChunkedConeArena::plan(&csr, 4).with_budget(1);
-        chunked.build_all(&csr);
+        for k in 0..chunked.chunk_count() {
+            chunked.ensure(&csr, k);
+        }
         for k in 0..chunked.chunk_count() {
             assert!(chunked.is_resident(k), "chunk {k}");
         }

@@ -1,19 +1,14 @@
-//! Cooperative execution governance: wall-clock deadlines, cancellation
-//! tokens and degradation events.
+//! Cooperative execution governance: wall-clock deadlines and
+//! cancellation tokens.
 //!
-//! Long-running kernels (the Monte-Carlo P_ij estimator, the incremental
-//! session recompute, the SERTOPT optimizer loops) periodically call
+//! Long-running kernels (the incremental session recompute, the SERTOPT
+//! optimizer loops) periodically call
 //! [`Deadline::check`] at points where their state is consistent. When
 //! the budget is exhausted — the wall clock passed the deadline, or a
 //! [`CancelToken`] shared with another thread was cancelled — the check
 //! returns a typed [`Interrupted`] carrying the checkpoint's stage name,
 //! and the caller unwinds with its last consistent partial result
 //! instead of being killed mid-mutation.
-//!
-//! [`DegradationEvent`] is the companion channel for *memory* pressure:
-//! instead of aborting, a kernel under a soft byte budget shrinks its
-//! working set and records what it gave up, so the report can surface
-//! the degradation to the operator.
 //!
 //! # Example
 //!
@@ -165,8 +160,8 @@ pub enum InterruptReason {
 ///
 /// Carriers of this error guarantee the partial state they return
 /// alongside (or retain) is consistent — optimizers report their
-/// best-so-far assignment, the estimator reports the samples it
-/// completed.
+/// best-so-far assignment, sessions reject the mutation untouched or
+/// poison themselves until recovered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interrupted {
     /// The checkpoint that observed the exhausted budget.
@@ -187,66 +182,6 @@ impl fmt::Display for Interrupted {
 }
 
 impl std::error::Error for Interrupted {}
-
-/// A graceful-degradation event recorded by a kernel running under a
-/// soft memory budget: the run completed, but with a reduced working
-/// set. Surfaced on analysis reports so shrunken accuracy/performance
-/// envelopes are visible, never silent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum DegradationEvent {
-    /// The cone-arena chunk size was shrunk to fit the soft budget.
-    ChunkShrunk {
-        /// Planned chunk size before shrinking (roots per chunk).
-        from: usize,
-        /// Chunk size actually used.
-        to: usize,
-        /// The soft budget that forced the shrink, in bytes.
-        limit_bytes: usize,
-    },
-    /// Resident cone chunks were evicted (LRU) to respect the budget.
-    ConesShed {
-        /// Number of chunk evictions over the run.
-        evictions: usize,
-    },
-    /// A Monte-Carlo estimate stopped early at a consistent block
-    /// boundary because the execution budget ran out; the result is
-    /// valid but averages fewer samples than requested.
-    EstimateTruncated {
-        /// Random vectors actually folded into the estimate.
-        completed: usize,
-        /// Random vectors the caller asked for.
-        requested: usize,
-    },
-}
-
-impl fmt::Display for DegradationEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DegradationEvent::ChunkShrunk {
-                from,
-                to,
-                limit_bytes,
-            } => write!(
-                f,
-                "cone chunk size shrunk {from} -> {to} to fit soft memory budget of {limit_bytes} B"
-            ),
-            DegradationEvent::ConesShed { evictions } => {
-                write!(
-                    f,
-                    "{evictions} resident cone chunk(s) evicted under memory budget"
-                )
-            }
-            DegradationEvent::EstimateTruncated {
-                completed,
-                requested,
-            } => write!(
-                f,
-                "estimate truncated at {completed}/{requested} vectors by the execution budget"
-            ),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -294,21 +229,12 @@ mod tests {
     #[test]
     fn display_is_informative() {
         let e = Interrupted {
-            stage: "sensitize::block",
+            stage: "sqp::iteration",
             reason: InterruptReason::DeadlineExpired,
         };
         let msg = e.to_string();
-        assert!(msg.contains("sensitize::block"), "{msg}");
+        assert!(msg.contains("sqp::iteration"), "{msg}");
         assert!(msg.contains("deadline"), "{msg}");
-
-        let shrunk = DegradationEvent::ChunkShrunk {
-            from: 128,
-            to: 32,
-            limit_bytes: 1 << 20,
-        };
-        assert!(shrunk.to_string().contains("128 -> 32"));
-        let shed = DegradationEvent::ConesShed { evictions: 4 };
-        assert!(shed.to_string().contains("4"));
     }
 
     #[test]

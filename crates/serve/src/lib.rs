@@ -28,10 +28,10 @@
 //!   bitwise-identically.
 //!
 //! Per-request execution budgets reuse the library's cooperative
-//! [`Deadline`] machinery and apply **only to warm delta work** — a
-//! governed cold build could truncate the `P_ij` estimate and poison
-//! the pool with a non-canonical session, so cold builds always run to
-//! completion.
+//! [`Deadline`] machinery and apply **only to warm delta work**. Cold
+//! builds take no deadline, because the session builder has none: the
+//! `P_ij` estimate always runs to completion, so every pooled session
+//! is canonical.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]

@@ -413,10 +413,10 @@ impl SessionPool {
         grids: GridKind,
     ) -> Result<AnalysisSession<'static>, ApiError> {
         let library = Library::new(Technology::ptm70(), grids.grids());
-        // Never governed: a deadline-truncated Monte-Carlo estimate
-        // would make this session's answers non-canonical and poison
-        // every later warm response. Cold builds run to completion; the
-        // per-request deadline only binds the warm delta work.
+        // No deadline: the builder takes none, so the Monte-Carlo
+        // estimate runs to completion and the pooled session is
+        // canonical. The per-request deadline only binds the warm delta
+        // work.
         AnalysisSession::builder(
             circuit,
             CircuitCells::nominal(circuit),

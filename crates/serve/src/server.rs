@@ -430,8 +430,8 @@ fn analyze(
     let circuit = intern_circuit(source.instantiate()?);
     pool.with_session(circuit, cfg, grids, |session| {
         // Warm path: reach the request's state by deltas. The deadline
-        // binds only this delta work — a cold build above ran ungoverned
-        // so its Monte-Carlo estimate is canonical.
+        // binds only this delta work — a cold build above took no
+        // deadline, so its Monte-Carlo estimate is canonical.
         session.set_deadline(request_deadline(deadline_ms));
         let target = CircuitCells::nominal(circuit);
         session

@@ -25,8 +25,8 @@
 
 use ser_bench::corners::{try_sweep_session, CornerGrid, SweepError};
 use soft_error::aserta::{
-    AnalysisError, AnalysisSession, AsertaConfig, CircuitCells, Deadline, DegradationEvent,
-    PoisonReason, SessionSnapshot, SessionSnapshotError,
+    AnalysisError, AnalysisSession, AsertaConfig, CircuitCells, PoisonReason, SessionSnapshot,
+    SessionSnapshotError,
 };
 use soft_error::cells::{CharGrids, Library};
 use soft_error::netlist::failpoint::{self, FailAction};
@@ -595,64 +595,6 @@ fn deadline_at_every_checkpoint_is_typed_and_recoverable() {
             "checkpoint {k}: session must land bitwise on the twin"
         );
         k += 1;
-    }
-}
-
-/// `govern::deadline` during governed construction — interrupting before
-/// any Monte-Carlo block is a typed construction failure; interrupting
-/// after the first block yields a *usable* session whose truncated
-/// estimate is surfaced as a degradation event.
-#[test]
-fn deadline_mid_estimate_truncates_or_rejects_construction() {
-    let circuit = generate::sec32("c499");
-    let lib = Library::new(Technology::ptm70(), CharGrids::coarse());
-    let mut cfg = fast_cfg();
-    // Two 4096-vector estimation blocks, so there is a consistent
-    // boundary to interrupt at.
-    cfg.sensitization_vectors = 8192;
-    let cells = CircuitCells::nominal(&circuit);
-
-    {
-        let _guard = failpoint::scenario();
-        failpoint::set_times("govern::deadline", FailAction::Error, 1);
-        let err = AnalysisSession::builder(&circuit, cells.clone(), lib.clone(), cfg.clone())
-            .deadline(Deadline::none())
-            .build()
-            .map(|_| ())
-            .unwrap_err();
-        assert!(
-            matches!(err, AnalysisError::Interrupted(_)),
-            "zero completed blocks must reject construction, got {err}"
-        );
-    }
-
-    {
-        let _guard = failpoint::scenario();
-        failpoint::set_after("govern::deadline", FailAction::Error, 1, 1);
-        let session = AnalysisSession::builder(&circuit, cells, lib, cfg.clone())
-            .deadline(Deadline::none())
-            .build()
-            .expect("a partial estimate is still usable");
-        assert_eq!(failpoint::hits("govern::deadline"), 1);
-        let truncated = session.degradations().iter().find_map(|e| match e {
-            DegradationEvent::EstimateTruncated {
-                completed,
-                requested,
-            } => Some((*completed, *requested)),
-            _ => None,
-        });
-        let (completed, requested) =
-            truncated.expect("truncation must surface as a degradation event");
-        assert_eq!(requested, cfg.sensitization_vectors);
-        assert!(
-            completed > 0 && completed < requested,
-            "a consistent partial estimate: {completed}/{requested}"
-        );
-        assert!(session.unreliability().is_finite());
-        assert!(
-            !session.report().degradations.is_empty(),
-            "the report must carry the degradation"
-        );
     }
 }
 
