@@ -277,24 +277,6 @@ impl Lut2 {
         self.values[i0 * self.axis1.len() + i1]
     }
 
-    /// Nearest-grid-point lookup — the ablation alternative quantifying
-    /// what the paper's linear interpolation buys over snapping.
-    pub fn eval_nearest(&self, x0: f64, x1: f64) -> f64 {
-        let (i, fi) = self.axis0.locate(x0);
-        let (j, fj) = self.axis1.locate(x1);
-        let i = if fi > 0.5 {
-            (i + 1).min(self.axis0.len() - 1)
-        } else {
-            i
-        };
-        let j = if fj > 0.5 {
-            (j + 1).min(self.axis1.len() - 1)
-        } else {
-            j
-        };
-        self.at(i, j)
-    }
-
     /// Bilinear lookup (clamped outside both axes).
     pub fn eval(&self, x0: f64, x1: f64) -> f64 {
         let (i, fi) = self.axis0.locate(x0);
@@ -405,17 +387,5 @@ mod tests {
     #[test]
     fn errors_display() {
         assert!(LutError::EmptyAxis.to_string().contains("at least one"));
-    }
-
-    #[test]
-    fn nearest_snaps_to_grid() {
-        let ax = Axis::new(vec![0.0, 1.0]).unwrap();
-        let ay = Axis::new(vec![0.0, 1.0]).unwrap();
-        let lut = Lut2::new(ax, ay, vec![0.0, 1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(lut.eval_nearest(0.1, 0.1), 0.0);
-        assert_eq!(lut.eval_nearest(0.9, 0.9), 3.0);
-        assert_eq!(lut.eval_nearest(0.1, 0.9), 1.0);
-        // Interpolation differs in the interior.
-        assert_ne!(lut.eval(0.4, 0.4), lut.eval_nearest(0.4, 0.4));
     }
 }

@@ -27,7 +27,7 @@
 use ser_logicsim::SensitizationMatrix;
 use ser_netlist::{Circuit, NodeId};
 
-use crate::glitch::AttenuationModel;
+use crate::glitch::attenuate;
 use crate::logical::{pi_weights_into, successor_sensitizations_into};
 
 /// The computed expected-width tables.
@@ -86,31 +86,7 @@ impl ExpectedWidths {
         delays: &[f64],
         grid: Vec<f64>,
     ) -> Self {
-        Self::compute_with_model(
-            circuit,
-            probs,
-            pij,
-            delays,
-            grid,
-            AttenuationModel::PaperEq1,
-        )
-    }
-
-    /// [`ExpectedWidths::compute`] with an explicit attenuation law — the
-    /// ablation hook comparing Eq. 1 against the smooth variant.
-    ///
-    /// # Panics
-    ///
-    /// As for [`ExpectedWidths::compute`].
-    pub fn compute_with_model(
-        circuit: &Circuit,
-        probs: &[f64],
-        pij: &SensitizationMatrix,
-        delays: &[f64],
-        grid: Vec<f64>,
-        model: AttenuationModel,
-    ) -> Self {
-        full_width_state(circuit, probs, pij, delays, grid, model).0
+        full_width_state(circuit, probs, pij, delays, grid).0
     }
 
     /// All-zero tables over the sensitization matrix's structural
@@ -277,27 +253,21 @@ impl InterpBrackets {
         self.k_n = 0;
     }
 
-    pub(crate) fn new(grid: &[f64], delays: &[f64], model: AttenuationModel) -> Self {
+    pub(crate) fn new(grid: &[f64], delays: &[f64]) -> Self {
         let k_n = grid.len();
         let mut per_node = Vec::with_capacity(delays.len() * k_n);
         for &delay in delays {
             for &g in grid {
-                per_node.push(bracket_for(grid, model.apply(g, delay)));
+                per_node.push(bracket_for(grid, attenuate(g, delay)));
             }
         }
         InterpBrackets { per_node, k_n }
     }
 
     /// Recomputes the brackets of one node after its delay changed.
-    pub(crate) fn refresh_node(
-        &mut self,
-        node: usize,
-        grid: &[f64],
-        delay: f64,
-        model: AttenuationModel,
-    ) {
+    pub(crate) fn refresh_node(&mut self, node: usize, grid: &[f64], delay: f64) {
         for (k, &g) in grid.iter().enumerate() {
-            self.per_node[node * self.k_n + k] = bracket_for(grid, model.apply(g, delay));
+            self.per_node[node * self.k_n + k] = bracket_for(grid, attenuate(g, delay));
         }
     }
 
@@ -539,11 +509,10 @@ pub(crate) fn full_width_state(
     pij: &SensitizationMatrix,
     delays: &[f64],
     grid: Vec<f64>,
-    model: AttenuationModel,
 ) -> (ExpectedWidths, WeightCache, InterpBrackets) {
     let mut out = ExpectedWidths::zeroed(pij, grid, circuit.node_count());
     let weights = WeightCache::build(circuit, probs, pij);
-    let brackets = InterpBrackets::new(&out.grid, delays, model);
+    let brackets = InterpBrackets::new(&out.grid, delays);
     let mut row_buf: Vec<f64> = Vec::new();
     {
         // The kernel borrows the grid by value-clone: `fill_row` needs

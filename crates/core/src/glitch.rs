@@ -44,48 +44,6 @@ pub fn attenuate_chain(w_in: f64, delays: &[f64]) -> f64 {
     delays.iter().fold(w_in, |w, &d| attenuate(w, d))
 }
 
-/// A smooth (C¹) alternative to Eq. 1 in the spirit of the paper's ref.
-/// \[6\] (Omana et al.'s transient-propagation model): the same three
-/// regimes — kill below the delay, partial transmission, transparency
-/// beyond twice the delay — blended by a logistic instead of piecewise
-/// lines. Used by the ablation bench to quantify how much the analysis
-/// depends on Eq. 1's exact shape.
-///
-/// Matches [`attenuate`] asymptotically: 0 for `w ≪ d`, `w` for
-/// `w ≫ 2d`.
-#[inline]
-pub fn attenuate_smooth(w_in: f64, delay: f64) -> f64 {
-    debug_assert!(w_in >= 0.0 && delay >= 0.0);
-    if delay <= 0.0 {
-        return w_in;
-    }
-    // Logistic gate centred at w = 1.5·d with slope matched to Eq. 1's
-    // middle segment.
-    let x = (w_in - 1.5 * delay) / (0.35 * delay);
-    w_in / (1.0 + (-x).exp())
-}
-
-/// Which electrical-attenuation law the expected-width pass applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AttenuationModel {
-    /// The paper's piecewise-linear Eq. 1.
-    #[default]
-    PaperEq1,
-    /// The smooth logistic variant ([`attenuate_smooth`]).
-    SmoothLogistic,
-}
-
-impl AttenuationModel {
-    /// Applies the selected law.
-    #[inline]
-    pub fn apply(self, w_in: f64, delay: f64) -> f64 {
-        match self {
-            AttenuationModel::PaperEq1 => attenuate(w_in, delay),
-            AttenuationModel::SmoothLogistic => attenuate_smooth(w_in, delay),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,29 +96,6 @@ mod tests {
         for w in [0.0, 5.0, 100.0] {
             assert_eq!(attenuate(w, 0.0), w);
         }
-    }
-
-    #[test]
-    fn smooth_model_matches_eq1_asymptotically() {
-        let d = 10.0;
-        assert!(attenuate_smooth(1.0, d) < 0.05, "deep-kill regime");
-        let wide = attenuate_smooth(100.0, d);
-        assert!((wide - 100.0).abs() < 0.1, "transparent regime: {wide}");
-        // Monotone in input width.
-        let mut last = 0.0;
-        for i in 0..500 {
-            let w = i as f64 * 0.2;
-            let out = attenuate_smooth(w, d);
-            assert!(out + 1e-9 >= last, "nonmonotone at {w}");
-            last = out;
-        }
-    }
-
-    #[test]
-    fn model_enum_dispatches() {
-        assert_eq!(AttenuationModel::PaperEq1.apply(30.0, 10.0), 30.0);
-        assert!(AttenuationModel::SmoothLogistic.apply(30.0, 10.0) < 30.0);
-        assert_eq!(AttenuationModel::default(), AttenuationModel::PaperEq1);
     }
 
     #[test]

@@ -90,7 +90,6 @@ use crate::binding::{timing_view, CircuitCells, LoadModel, TimingView};
 use crate::config::AsertaConfig;
 use crate::electrical::{ExpectedWidths, InterpBrackets, RowKernel, WeightCache};
 use crate::error::{AnalysisError, PoisonReason};
-use crate::glitch::AttenuationModel;
 use crate::snapshot::{SessionSnapshot, SessionSnapshotError};
 
 /// What one [`AnalysisSession::set_cells`] /
@@ -368,7 +367,6 @@ impl<'c> AnalysisSession<'c> {
             &pij,
             &timing.delays,
             grid.clone(),
-            AttenuationModel::PaperEq1,
         );
 
         let mut per_gate_u = vec![0.0f64; n];
@@ -1109,12 +1107,8 @@ impl<'c> AnalysisSession<'c> {
         self.budget_checkpoint("session::widths")?;
         let scratch = &mut self.scratch;
         for &i in scratch.delay_changed.members() {
-            self.brackets.refresh_node(
-                i as usize,
-                &self.grid,
-                self.timing.delays[i as usize],
-                AttenuationModel::PaperEq1,
-            );
+            self.brackets
+                .refresh_node(i as usize, &self.grid, self.timing.delays[i as usize]);
         }
         strict_ancestors(
             &self.csr,

@@ -2,15 +2,35 @@
 //! gate-evaluation implementation in the workspace.
 //!
 //! Everything that evaluates logic runs through these kernels: the
-//! `P_ij` estimator's compiled cone programs ([`crate::sensitize`]),
-//! sampled signal probabilities ([`crate::probability`]), and the
-//! pointer-`Circuit` convenience wrappers in [`crate::sim`], which are
-//! thin shims that build a [`CsrView`] and forward here. Gate kinds and
-//! adjacency live in flat `u32` arrays, and the overwhelmingly common 1-
-//! and 2-input gates are evaluated by specialized match arms with no
+//! `P_ij` estimator's base evaluation and cone replay
+//! ([`crate::sensitize`], on the row primitives below), sampled signal
+//! probabilities ([`crate::probability`]) and the multi-upset studies
+//! ([`eval_word_with_flips`]). Callers flatten a pointer `Circuit` into
+//! a [`CsrView`] once and evaluate over it. Gate kinds and adjacency
+//! live in flat `u32` arrays, and the overwhelmingly common 1- and
+//! 2-input gates are evaluated by specialized match arms with no
 //! per-gate heap traffic. The workspace property suite
 //! (`tests/csr_hot_path_equiv.rs`) pins the kernels bit-for-bit against
 //! independent in-test scalar references.
+//!
+//! Flatten once, outside the loop, and reuse the view and output buffer
+//! for every word:
+//!
+//! ```
+//! use ser_logicsim::kernel;
+//! use ser_netlist::csr::CsrView;
+//! use ser_netlist::generate;
+//!
+//! let c17 = generate::c17();
+//! let csr = CsrView::build(&c17); // O(V + E), once
+//! let mut out = vec![0u64; c17.node_count()];
+//! for pattern in [0u64, !0] {
+//!     let words = vec![pattern; c17.primary_inputs().len()];
+//!     kernel::eval_word(&csr, &words, &mut out);
+//!     let g10 = c17.find("10").unwrap(); // 10 = NAND(1, 3)
+//!     assert_eq!(out[g10.index()], !pattern);
+//! }
+//! ```
 
 use ser_netlist::csr::CsrView;
 use ser_netlist::GateKind;
@@ -67,10 +87,25 @@ pub(crate) fn eval_gate(kind: GateKind, fanin: &[u32], words: &[u64]) -> u64 {
 /// Evaluates the whole circuit for one word of 64 input vectors, writing
 /// one word per node into `words`.
 ///
-/// This is the canonical full-circuit evaluation;
-/// [`crate::sim::eval_word`] is a convenience shim over it, and the
-/// workspace property suite pins it against an independent scalar
-/// reference.
+/// This is the canonical full-circuit evaluation; the workspace property
+/// suite pins it against an independent scalar reference.
+///
+/// # Example
+///
+/// ```
+/// use ser_logicsim::kernel;
+/// use ser_netlist::csr::CsrView;
+/// use ser_netlist::generate;
+///
+/// let c17 = generate::c17();
+/// let csr = CsrView::build(&c17); // once, outside any loop
+/// // Two vectors in one word: all-zeros (bit 0) and all-ones (bit 1).
+/// let words: Vec<u64> = vec![0b10; 5];
+/// let mut out = vec![0u64; c17.node_count()];
+/// kernel::eval_word(&csr, &words, &mut out);
+/// let g10 = c17.find("10").unwrap(); // 10 = NAND(1, 3)
+/// assert_eq!(out[g10.index()] & 0b11, 0b01); // NAND(0,0)=1, NAND(1,1)=0
+/// ```
 ///
 /// # Panics
 ///
@@ -93,23 +128,6 @@ pub fn eval_word(csr: &CsrView, pi_words: &[u64], words: &mut [u64]) {
             continue;
         }
         words[i] = eval_gate(kind, csr.fanin_of(i), words);
-    }
-}
-
-/// Re-evaluates only the fan-out cone of `cone[0]` after forcing its word
-/// to `forced`. `cone` must be an inclusive, topologically sorted fan-out
-/// cone (as produced by [`ser_netlist::csr::ConeArena::cone`]) and
-/// `scratch` must start as a copy of the base evaluation.
-///
-/// # Panics
-///
-/// Panics if `cone` is empty.
-pub fn eval_cone_forced(csr: &CsrView, cone: &[u32], forced: u64, scratch: &mut [u64]) {
-    let (&root, tail) = cone.split_first().expect("cones are inclusive");
-    scratch[root as usize] = forced;
-    for &id in tail {
-        let i = id as usize;
-        scratch[i] = eval_gate(csr.kind(i), csr.fanin_of(i), scratch);
     }
 }
 
@@ -370,13 +388,12 @@ impl AlignedWords {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ser_netlist::csr::ConeArena;
     use ser_netlist::generate::{self, LayeredSpec};
-    use ser_netlist::{Circuit, NodeId};
+    use ser_netlist::{Circuit, CircuitBuilder, NodeId};
 
     /// Independent scalar reference over the pointer circuit —
-    /// deliberately *not* the production kernels (which `crate::sim` now
-    /// forwards to), so these tests stay a real oracle.
+    /// deliberately *not* the production kernels, so these tests stay a
+    /// real oracle.
     fn ref_gate(kind: GateKind, pins: &[u64]) -> u64 {
         let mut it = pins.iter().copied();
         let first = it.next().expect("gates have at least one fan-in");
@@ -424,6 +441,25 @@ mod tests {
     }
 
     #[test]
+    fn eval_vector_on_buffer_chain() {
+        // c17 has no unary gates; a BUF→NOT chain covers both unary arms.
+        let mut b = CircuitBuilder::new("chain");
+        let a = b.input("a");
+        let g = b.gate(GateKind::Buf, "g", &[a]).unwrap();
+        let h = b.gate(GateKind::Not, "h", &[g]).unwrap();
+        b.mark_output(h);
+        let c = b.finish().unwrap();
+        let csr = CsrView::build(&c);
+        // Lane 0 drives `a` high, lane 1 low.
+        let mut got = vec![0u64; c.node_count()];
+        eval_word(&csr, &[0b01], &mut got);
+        assert_eq!(got[a.index()] & 0b11, 0b01);
+        assert_eq!(got[g.index()] & 0b11, 0b01);
+        assert_eq!(got[h.index()] & 0b11, 0b10);
+        assert_eq!(got, ref_eval_word(&c, &[0b01]));
+    }
+
+    #[test]
     fn csr_eval_matches_reference_on_layered() {
         // Exercises the 3+-input fold path and every gate kind.
         let c = generate::layered(&LayeredSpec::new("k", 9, 4, 70));
@@ -436,50 +472,6 @@ mod tests {
         let mut got = vec![0u64; c.node_count()];
         eval_word(&csr, &pi_words, &mut got);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn csr_cone_forcing_matches_reference() {
-        let c = generate::layered(&LayeredSpec::new("k", 8, 3, 50));
-        let csr = CsrView::build(&c);
-        let arena = ConeArena::build(&csr);
-        let n = c.primary_inputs().len();
-        let pi_words: Vec<u64> = (0..n as u64).map(|k| 0xCAFEF00D ^ (k * 97)).collect();
-        let base = ref_eval_word(&c, &pi_words);
-        for root in c.node_ids() {
-            // Reference: full re-evaluation with the root forced at its
-            // topological step.
-            let mut want = vec![0u64; c.node_count()];
-            for (k, &pi) in c.primary_inputs().iter().enumerate() {
-                want[pi.index()] = pi_words[k];
-            }
-            for &id in c.topological_order() {
-                let node = c.node(id);
-                if !node.is_input() {
-                    let pins: Vec<u64> = node.fanin.iter().map(|f| want[f.index()]).collect();
-                    want[id.index()] = ref_gate(node.kind, &pins);
-                }
-                if id == root {
-                    want[id.index()] = !base[root.index()];
-                }
-            }
-            let mut got = base.clone();
-            eval_cone_forced(
-                &csr,
-                arena.cone(root.index()),
-                !base[root.index()],
-                &mut got,
-            );
-            // Outside the cone `got` keeps base values; inside it must
-            // match the forced re-evaluation.
-            for id in c.node_ids() {
-                if arena.cone(root.index()).contains(&(id.index() as u32)) {
-                    assert_eq!(got[id.index()], want[id.index()], "root {root} node {id}");
-                } else {
-                    assert_eq!(got[id.index()], base[id.index()], "root {root} node {id}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -513,6 +505,41 @@ mod tests {
             eval_word_with_flips(&csr, &pi_words, &golden, &flip, &mut got);
             assert_eq!(got, want, "flips {pair:?}");
         }
+    }
+
+    #[test]
+    fn ecc_corrects_single_but_not_all_double_flips() {
+        // The paper's c499 story at the logic level: single data upsets
+        // are corrected, simultaneous double upsets are not always.
+        let ecc = generate::sec32("c499");
+        let csr = CsrView::build(&ecc);
+        let pi_words = vec![0u64; ecc.primary_inputs().len()];
+        let mut golden = vec![0u64; ecc.node_count()];
+        eval_word(&csr, &pi_words, &mut golden);
+        // Number of primary outputs whose vector-0 bit the upset set
+        // `nodes` corrupts.
+        let corrupted = |nodes: &[NodeId]| -> usize {
+            let mut flip = vec![false; ecc.node_count()];
+            for id in nodes {
+                flip[id.index()] = true;
+            }
+            let mut faulty = vec![0u64; ecc.node_count()];
+            eval_word_with_flips(&csr, &pi_words, &golden, &flip, &mut faulty);
+            ecc.primary_outputs()
+                .iter()
+                .filter(|po| (faulty[po.index()] ^ golden[po.index()]) & 1 == 1)
+                .count()
+        };
+        // Strike syndrome-tree gates: single flips may corrupt (they sit
+        // behind the corrector); pairs of adjacent gates must witness at
+        // least as much corruption.
+        let gates: Vec<NodeId> = ecc.gates().collect();
+        let single: usize = gates.iter().take(64).map(|&g| corrupted(&[g])).sum();
+        let double: usize = gates.windows(2).take(64).map(corrupted).sum();
+        assert!(
+            double >= single,
+            "double upsets must corrupt at least as much: {double} vs {single}"
+        );
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //!   [`sensitize`] implements exactly that, 64 vectors at a time, flipping
 //!   each node and resimulating only its fan-out cone.
 //!
+//! The estimator and the sampled probabilities run on [`kernel`], the
+//! one packed gate evaluator: flatten a circuit into a
+//! [`CsrView`](ser_netlist::csr::CsrView) once and evaluate 64 vectors
+//! per word over it.
+//!
 //! # Example
 //!
 //! ```
@@ -46,7 +51,6 @@ pub mod kernel;
 pub mod probability;
 pub mod random;
 pub mod sensitize;
-pub mod sim;
 
 pub use engine::{EngineConfig, EngineConfigError};
 pub use sensitize::SensitizationMatrix;

@@ -159,7 +159,8 @@ mod tests {
                 }
             }
         }
-        let packed = crate::sim::eval_word(&c, &words);
+        let mut packed = vec![0u64; c.node_count()];
+        kernel::eval_word(&CsrView::build(&c), &words, &mut packed);
         let exact: Vec<f64> = packed
             .iter()
             .map(|w| (w & 0xFFFF_FFFF).count_ones() as f64 / 32.0)

@@ -704,7 +704,8 @@ fn wilson_half_width(hits: u64, n: u64) -> f64 {
 /// directly into node-major rows (`base[node * wc + lane]`) shared
 /// read-only by every worker replaying the block. Stimulus words are
 /// scattered into the PI rows first, then one topological pass
-/// evaluates each gate over its whole `wc`-lane row — contiguous runs
+/// evaluates each gate over its whole `wc`-lane row with the kernel's
+/// row primitives (the ones [`replay_roots`] runs) — contiguous runs
 /// the compiler vectorizes, with no transpose step.
 fn eval_base_block(csr: &CsrView, seed: u64, w0: usize, wc: usize, base: &mut AlignedWords) {
     let n_pi = csr.inputs().len();
@@ -716,75 +717,32 @@ fn eval_base_block(csr: &CsrView, seed: u64, w0: usize, wc: usize, base: &mut Al
             words[pi as usize * wc + wl] = pi_words[k];
         }
     }
+    // Fan-in rows alias `words`, so each gate is evaluated into a stack
+    // row and copied into place.
+    let mut out = [0u64; BLOCK];
     for &id in csr.topo() {
         let i = id as usize;
         let kind = csr.kind(i);
         if kind.is_input() {
             continue;
         }
-        let fanin = csr.fanin_of(i);
-        let d0 = i * wc;
-        match *fanin {
-            [a] => {
-                let s0 = a as usize * wc;
-                if kind.is_inverting() {
-                    for l in 0..wc {
-                        words[d0 + l] = !words[s0 + l];
-                    }
-                } else {
-                    for l in 0..wc {
-                        words[d0 + l] = words[s0 + l];
-                    }
-                }
-            }
-            [a, b] => {
-                let s0 = a as usize * wc;
-                let s1 = b as usize * wc;
-                macro_rules! lanes {
-                    ($f:expr) => {
-                        for l in 0..wc {
-                            words[d0 + l] = $f(words[s0 + l], words[s1 + l]);
-                        }
-                    };
-                }
-                match kind {
-                    GateKind::And => lanes!(|x, y| x & y),
-                    GateKind::Nand => lanes!(|x: u64, y: u64| !(x & y)),
-                    GateKind::Or => lanes!(|x, y| x | y),
-                    GateKind::Nor => lanes!(|x: u64, y: u64| !(x | y)),
-                    GateKind::Xor => lanes!(|x, y| x ^ y),
-                    GateKind::Xnor => lanes!(|x: u64, y: u64| !(x ^ y)),
-                    GateKind::Not | GateKind::Buf | GateKind::Input => unreachable!(),
-                }
-            }
-            _ => {
-                let s0 = fanin[0] as usize * wc;
-                for l in 0..wc {
-                    words[d0 + l] = words[s0 + l];
-                }
-                for &f in &fanin[1..] {
-                    let sf = f as usize * wc;
-                    macro_rules! lanes {
-                        ($f:expr) => {
-                            for l in 0..wc {
-                                words[d0 + l] = $f(words[d0 + l], words[sf + l]);
-                            }
-                        };
-                    }
-                    match kind {
-                        GateKind::And | GateKind::Nand => lanes!(|x, y| x & y),
-                        GateKind::Or | GateKind::Nor => lanes!(|x, y| x | y),
-                        GateKind::Xor | GateKind::Xnor => lanes!(|x, y| x ^ y),
-                        GateKind::Not | GateKind::Buf | GateKind::Input => unreachable!(),
-                    }
+        let dst = &mut out[..wc];
+        let row = |f: u32| -> &[u64] { &words[f as usize * wc..][..wc] };
+        match *csr.fanin_of(i) {
+            [a] => kernel::unary_row::<LANES>(dst, row(a), kind.is_inverting()),
+            [a, b] => kernel::binary_row::<LANES>(kind, dst, row(a), row(b)),
+            [a, ref more @ ..] => {
+                dst.copy_from_slice(row(a));
+                for &m in more {
+                    kernel::accumulate_row::<LANES>(kind, dst, row(m));
                 }
                 if kind.is_inverting() {
-                    for l in 0..wc {
-                        words[d0 + l] = !words[d0 + l];
-                    }
+                    kernel::invert_row::<LANES>(dst);
                 }
             }
+            [] => unreachable!("gates have at least one fan-in"),
         }
+        words[i * wc..][..wc].copy_from_slice(dst);
     }
 }
 

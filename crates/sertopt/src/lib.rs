@@ -11,11 +11,12 @@
 //! ```
 //!
 //! Delay moves live in the nullspace of the path-topology matrix `T`
-//! ([`topology`]); because enumerating paths is exponential, the scalable
-//! parameterization is the *tension space* ([`nullspace::TensionSpace`]):
-//! potentials on merged fan-in net classes whose differences provably
-//! change no path delay (verified against the exact nullspace on small
-//! circuits). Delay targets are realized by reverse-topological library
+//! (one row per PI→PO path). Enumerating paths is exponential, so `T` is
+//! never built: the moves are parameterized by the *tension space*
+//! ([`nullspace::TensionSpace`]), potentials on merged fan-in net classes
+//! whose differences provably change no path delay. On the small circuits
+//! where `T` was enumerated, its dimension equals the exact nullity.
+//! Delay targets are realized by reverse-topological library
 //! matching under the paper's VDD monotonicity constraint
 //! ([`matching`]), and the cost is minimized by an SQP-flavoured
 //! projected-gradient search ([`optimize::sqp`]) or the paper-blessed
@@ -65,7 +66,6 @@ pub mod optimize;
 mod problem;
 mod result;
 pub mod sta;
-pub mod topology;
 
 pub use allowed::AllowedParams;
 pub use baseline::size_for_speed;

@@ -1,84 +1,18 @@
 //! The nullspace of the topology matrix: delay moves that change no
 //! PI→PO path delay.
 //!
-//! Two constructions:
-//!
-//! * [`exact_nullspace`] — Gaussian elimination over the explicit matrix
-//!   (exponential paths: small circuits and validation only);
-//! * [`TensionSpace`] — the scalable `O(V+E)` parameterization used for
-//!   optimization: a potential `φ` on merged fan-in net classes (all
-//!   fan-ins of one gate share a class; classes touching a PI or PO are
-//!   pinned to 0) induces `Δd_gate = φ(out) − φ(in)`, which telescopes to
-//!   zero along every PI→PO path. On small circuits the tension space is
-//!   observed to span the exact nullspace (see the cross-validation
-//!   tests); on large ones it is a sound (conservative) subspace.
+//! The path-topology matrix `T` of the paper's §4 has one row per PI→PO
+//! path and one column per gate, so SERTOPT's moves must satisfy
+//! `T·Δ = 0`. Paths are exponential in number, so `T` is never built.
+//! [`TensionSpace`] is the scalable `O(V+E)` parameterization used for
+//! optimization instead: a potential `φ` on merged fan-in net classes
+//! (all fan-ins of one gate share a class; classes touching a PI or PO
+//! are pinned to 0) induces `Δd_gate = φ(out) − φ(in)`, which telescopes
+//! to zero along every PI→PO path. It is a sound (conservative) subspace
+//! of the nullspace; on the small circuits where `T` was enumerated its
+//! dimension equals the exact nullity (README, "Answered ablations").
 
-use ser_netlist::{Circuit, NodeId};
-
-use crate::topology::TopologyMatrix;
-
-/// Basis of `{x : T·x = 0}` in gate-column coordinates, by row reduction.
-///
-/// Columns follow [`TopologyMatrix::gates`]. Empty result means the
-/// matrix has full column rank (no zero-overhead freedom at all).
-pub fn exact_nullspace(t: &TopologyMatrix) -> Vec<Vec<f64>> {
-    let n_cols = t.gates.len();
-    let mut rows: Vec<Vec<f64>> = t.rows().to_vec();
-    let n_rows = rows.len();
-    const EPS: f64 = 1e-9;
-
-    let mut pivot_col_of_row: Vec<usize> = Vec::new();
-    let mut pivot_cols: Vec<usize> = Vec::new();
-    let mut r = 0usize;
-    for c in 0..n_cols {
-        // Find pivot.
-        let mut best = r;
-        let mut best_abs = 0.0;
-        for (rr, row) in rows.iter().enumerate().take(n_rows).skip(r) {
-            let a = row[c].abs();
-            if a > best_abs {
-                best_abs = a;
-                best = rr;
-            }
-        }
-        if best_abs < EPS {
-            continue;
-        }
-        rows.swap(r, best);
-        let piv = rows[r][c];
-        for x in rows[r].iter_mut() {
-            *x /= piv;
-        }
-        let pivot_row = rows[r].clone();
-        for (rr, row) in rows.iter_mut().enumerate() {
-            if rr != r && row[c].abs() > EPS {
-                let f = row[c];
-                for (x, &p) in row.iter_mut().zip(&pivot_row) {
-                    *x -= f * p;
-                }
-            }
-        }
-        pivot_col_of_row.push(c);
-        pivot_cols.push(c);
-        r += 1;
-        if r == n_rows {
-            break;
-        }
-    }
-
-    let free_cols: Vec<usize> = (0..n_cols).filter(|c| !pivot_cols.contains(c)).collect();
-    free_cols
-        .iter()
-        .map(|&fc| {
-            let mut v = vec![0.0; n_cols];
-            v[fc] = 1.0;
-            for (row_idx, &pc) in pivot_col_of_row.iter().enumerate() {
-                v[pc] = -rows[row_idx][fc];
-            }
-            v
-        })
-        .collect()
-}
+use ser_netlist::Circuit;
 
 /// The scalable nullspace parameterization (see module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -179,11 +113,6 @@ impl TensionSpace {
         }
         delta
     }
-
-    /// The class id of a node (mainly for diagnostics).
-    pub fn class_of(&self, id: NodeId) -> usize {
-        self.class_of_node[id.index()]
-    }
 }
 
 /// Checks that `delta` changes no path delay by sampling `n_samples`
@@ -232,32 +161,11 @@ mod tests {
     use ser_netlist::generate;
 
     #[test]
-    fn c17_exact_nullity_is_one() {
-        let c = generate::c17();
-        let t = TopologyMatrix::build(&c, 100).unwrap();
-        let basis = exact_nullspace(&t);
-        assert_eq!(basis.len(), 1);
-        // T·v = 0 for the basis vector.
-        let pd = t.path_delays(&basis[0]);
-        assert!(pd.iter().all(|&x| x.abs() < 1e-9), "{pd:?}");
-    }
-
-    #[test]
     fn c17_tension_dim_matches_exact() {
+        // c17's exact nullity (Gaussian elimination over its 11 paths) is 1.
         let c = generate::c17();
         let ts = TensionSpace::build(&c);
         assert_eq!(ts.dim(), 1);
-    }
-
-    #[test]
-    fn tension_deltas_are_in_exact_nullspace() {
-        let c = generate::c17();
-        let t = TopologyMatrix::build(&c, 100).unwrap();
-        let ts = TensionSpace::build(&c);
-        let phi = vec![3.5];
-        let delta = ts.delta(&c, &phi);
-        let pd = t.path_delays_from_nodes(&delta);
-        assert!(pd.iter().all(|&x| x.abs() < 1e-9), "{pd:?}");
     }
 
     #[test]
@@ -273,22 +181,6 @@ mod tests {
             let delta = ts.delta(&c, &phi);
             let worst = max_path_delay_change(&c, &delta, 2000, 7);
             assert!(worst < 1e-9, "{name}: worst change {worst}");
-        }
-    }
-
-    #[test]
-    fn exact_matches_topology_on_random_small_circuit() {
-        let spec = ser_netlist::generate::LayeredSpec::new("small", 4, 2, 12);
-        let c = ser_netlist::generate::layered(&spec);
-        if let Some(t) = TopologyMatrix::build(&c, 10_000) {
-            let basis = exact_nullspace(&t);
-            for v in &basis {
-                let pd = t.path_delays(v);
-                assert!(pd.iter().all(|&x| x.abs() < 1e-7));
-            }
-            // The tension space embeds into the exact nullspace.
-            let ts = TensionSpace::build(&c);
-            assert!(ts.dim() <= basis.len() + 1, "tension dim sanity");
         }
     }
 

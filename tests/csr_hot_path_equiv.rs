@@ -1,8 +1,7 @@
 //! Property-based equivalence of the CSR/parallel hot-path kernels
 //! against **independent in-test scalar references** (the seed
-//! implementations, captured here verbatim — `ser_logicsim::sim` is a
-//! shim over the CSR kernels since the single-engine consolidation, so
-//! it can no longer serve as an oracle), on random layered circuits:
+//! implementations, captured here verbatim, so the production kernels
+//! are never their own oracle), on random layered circuits:
 //!
 //! * `kernel::eval_word` (CSR) must match the scalar reference bit for
 //!   bit;
@@ -13,7 +12,7 @@
 
 use proptest::prelude::*;
 use soft_error::aserta::electrical::ExpectedWidths;
-use soft_error::aserta::glitch::AttenuationModel;
+use soft_error::aserta::glitch::attenuate;
 use soft_error::aserta::logical::{pi_weights, successor_sensitizations};
 use soft_error::logicsim::engine::DEFAULT_CONE_CHUNK;
 use soft_error::logicsim::random::random_word;
@@ -67,8 +66,8 @@ fn ref_eval_word(circuit: &Circuit, pi_words: &[u64]) -> Vec<u64> {
     words
 }
 
-/// The seed scalar `eval_cone_forced`.
-fn ref_eval_cone_forced(
+/// The seed scalar forced-cone re-evaluation.
+fn ref_replay_forced_cone(
     circuit: &Circuit,
     cone: &[NodeId],
     root: NodeId,
@@ -108,7 +107,7 @@ fn reference_pij(circuit: &Circuit, n_vectors: usize, seed: u64) -> Vec<f64> {
         scratch.copy_from_slice(&base);
         for id in circuit.node_ids() {
             let cone = &cones[id.index()];
-            ref_eval_cone_forced(circuit, cone, id, !base[id.index()], &mut scratch);
+            ref_replay_forced_cone(circuit, cone, id, !base[id.index()], &mut scratch);
             let row = &mut counts[id.index() * n_pos..(id.index() + 1) * n_pos];
             for (j, &po) in outputs.iter().enumerate() {
                 let diff = scratch[po.index()] ^ base[po.index()];
@@ -131,7 +130,6 @@ fn reference_expected_widths(
     pij: &SensitizationMatrix,
     delays: &[f64],
     grid: &[f64],
-    model: AttenuationModel,
 ) -> Vec<f64> {
     fn interp_width(
         ws: &[f64],
@@ -200,7 +198,7 @@ fn reference_expected_widths(
                     if pi_w == 0.0 {
                         continue;
                     }
-                    let wos = model.apply(grid[k], delays[s.index()]);
+                    let wos = attenuate(grid[k], delays[s.index()]);
                     let we = interp_width(&ws, s.index() * k_n * n_pos, n_pos, j, grid, wos);
                     sum += pi_w * we;
                 }
@@ -214,8 +212,7 @@ fn reference_expected_widths(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// CSR word evaluation agrees bit for bit with the scalar reference
-    /// (and the `sim` shim forwards to the kernel faithfully).
+    /// CSR word evaluation agrees bit for bit with the scalar reference.
     #[test]
     fn csr_eval_word_matches_scalar(circuit in arbitrary_circuit(), seed in 0u64..1 << 40) {
         let csr = CsrView::build(&circuit);
@@ -224,7 +221,6 @@ proptest! {
         let mut got = vec![0u64; circuit.node_count()];
         kernel::eval_word(&csr, &pi_words, &mut got);
         prop_assert_eq!(&got, &want);
-        prop_assert_eq!(soft_error::logicsim::sim::eval_word(&circuit, &pi_words), want);
     }
 
     /// The blocked/parallel estimator in fixed-budget mode
@@ -268,16 +264,8 @@ proptest! {
             .map(|i| (5 + (i * 7) % 20) as f64 * 1e-12)
             .collect();
         let grid = vec![0.0, 10e-12, 20e-12, 40e-12, 80e-12, 320e-12, 1280e-12, 2560e-12];
-        let model = AttenuationModel::PaperEq1;
-        let want = reference_expected_widths(&circuit, &probs, &pij, &delays, &grid, model);
-        let got = ExpectedWidths::compute_with_model(
-            &circuit,
-            &probs,
-            &pij,
-            &delays,
-            grid.clone(),
-            model,
-        );
+        let want = reference_expected_widths(&circuit, &probs, &pij, &delays, &grid);
+        let got = ExpectedWidths::compute(&circuit, &probs, &pij, &delays, grid.clone());
         let n_pos = circuit.primary_outputs().len();
         let k_n = grid.len();
         for id in circuit.node_ids() {

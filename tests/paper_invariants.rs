@@ -7,7 +7,7 @@ use soft_error::aserta::glitch::attenuate;
 use soft_error::logicsim::sensitize::sensitization_probabilities_cfg;
 use soft_error::logicsim::{EngineConfig, SensitizationMatrix};
 use soft_error::netlist::generate::{layered, LayeredSpec};
-use soft_error::netlist::Circuit;
+use soft_error::netlist::{paths, Circuit};
 use soft_error::sertopt::nullspace::{max_path_delay_change, TensionSpace};
 
 /// `P_ij` on the default engine settings.
@@ -94,7 +94,8 @@ proptest! {
     }
 
     /// Tension-space moves change no PI→PO path delay (the T·Δ = 0
-    /// guarantee behind SERTOPT's zero delay overhead).
+    /// guarantee behind SERTOPT's zero delay overhead): on sampled paths,
+    /// and on every path of a circuit with at most 5,000 of them.
     #[test]
     fn tension_moves_preserve_path_delays(
         circuit in arbitrary_circuit(),
@@ -108,6 +109,13 @@ proptest! {
         let delta = ts.delta(&circuit, &phi);
         let worst = max_path_delay_change(&circuit, &delta, 500, seed ^ 0xF00);
         prop_assert!(worst < 1e-12 * 1e-3, "worst path change {worst:e}");
+        // Exact oracle for T·Δ = 0 wherever every path can be listed.
+        if let Some(all) = paths::enumerate(&circuit, 5_000) {
+            for path in &all {
+                let sum: f64 = path.iter().map(|id| delta[id.index()]).sum();
+                prop_assert!(sum.abs() < 1e-12 * 1e-3, "path {path:?} changes by {sum:e}");
+            }
+        }
     }
 
     /// Eq. 1 never widens a glitch beyond its input width and never
