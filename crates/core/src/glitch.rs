@@ -38,12 +38,6 @@ pub fn attenuate(w_in: f64, delay: f64) -> f64 {
     }
 }
 
-/// Applies [`attenuate`] along a chain of gate delays — the width that
-/// survives a whole path.
-pub fn attenuate_chain(w_in: f64, delays: &[f64]) -> f64 {
-    delays.iter().fold(w_in, |w, &d| attenuate(w, d))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,9 +94,10 @@ mod tests {
 
     #[test]
     fn chain_kills_or_passes() {
+        let chain = |w: f64| [10.0; 3].iter().fold(w, |w, &d| attenuate(w, d));
         // Three 10-unit gates: a 50-wide glitch passes unattenuated.
-        assert_eq!(attenuate_chain(50.0, &[10.0, 10.0, 10.0]), 50.0);
+        assert_eq!(chain(50.0), 50.0);
         // A 12-wide glitch dies at the second gate: 12→4→0.
-        assert_eq!(attenuate_chain(12.0, &[10.0, 10.0, 10.0]), 0.0);
+        assert_eq!(chain(12.0), 0.0);
     }
 }

@@ -48,12 +48,16 @@
 //!
 //! Cones are **streamed in chunks** rather than held all at once: a
 //! [`ChunkedConeArena`] plans a PO-region partition of the roots
-//! (`chunk_size` roots per chunk), and the estimator builds each
-//! chunk's arena on first touch, compiles and replays its cone
-//! programs, accumulates the per-root hit counters, and releases the
-//! chunk before touching the next. Peak arena memory is therefore
-//! bounded by one chunk — not the whole-circuit cone closure, which on
-//! 100k-gate circuits runs to gigabytes. Per-thread simulation buffers and the
+//! (`chunk_size` roots per chunk). For each 64-word block the estimator
+//! builds a [`ConeArena`] over each chunk's *live* roots — those still
+//! sampling — compiles and replays their cone programs, adds the hits to
+//! the per-root counters, and drops the arena before touching the next
+//! chunk. Every root is live in block 0, so block 0 builds each chunk
+//! whole; later blocks rebuild only the cones of the roots the adaptive
+//! stop rule has not finished (and of none that reaches no PO), and skip
+//! a chunk with no such root. Peak arena memory is therefore bounded by
+//! one chunk — not the whole-circuit cone closure, which on 100k-gate
+//! circuits runs to gigabytes. Per-thread simulation buffers and the
 //! program-compile scratch live in a pool that is reused across chunks,
 //! so the inner loop performs no per-node allocation.
 //!
@@ -296,7 +300,10 @@ pub struct EstimateStats {
     /// High-water mark of arena plus compiled-program bytes across the
     /// run (including the arena builder's transient assembly buffer).
     pub peak_bytes: usize,
-    /// Total cone entries replayed (the Σ|cone| work term).
+    /// Σ|cone| over the planned roots: each root's cone counted once,
+    /// as block 0 builds it. Later blocks' rebuilds of still-sampling
+    /// roots are not counted, so this is the size of the cone work, not
+    /// the entries replayed.
     pub cone_entries: usize,
     /// Always 0. The exact small-cone enumerator that filled it is
     /// gone; the field stays because the benchmark reports it as its
@@ -502,47 +509,49 @@ fn estimate(
     // them at a time), so the setup cost is one O(V+E) flattening pass
     // plus work proportional to the planned cones.
     let csr = CsrView::build(circuit);
-    let mut plan = match roots {
+    let plan = match roots {
         None => ChunkedConeArena::plan(&csr, chunk_size),
         Some(roots) => ChunkedConeArena::plan_for(&csr, roots, chunk_size),
     };
-    estimate_chunks(&csr, &mut plan, seed, threads, n_vectors.div_ceil(64), pij)
+    estimate_chunks(&csr, &plan, seed, threads, n_vectors.div_ceil(64), pij)
 }
 
 /// The streamed estimation driver: for each [`BLOCK`]-word block, the
-/// fault-free circuit is evaluated **once** and transposed to node-major
-/// rows; every planned chunk then streams through — arena built on first
-/// touch, cone programs recompiled into the pooled buffers, strikes
-/// replayed with the chunk's roots split across the worker pool — and is
-/// released before the next chunk is touched.
+/// fault-free circuit is evaluated **once** into node-major rows; then
+/// each chunk with a *live* root — one still sampling — builds an arena
+/// over its live roots only, recompiles their cone programs into the
+/// pooled buffers, replays their strikes across the worker pool, and
+/// drops the arena before the next chunk is touched.
 ///
 /// Hoisting the base evaluation out of the chunk loop is what makes
 /// small chunks affordable: the full-circuit work is `O(V)` per word
 /// regardless of the chunk count, so the chunk size trades only peak
 /// arena memory against per-block recompilation, not simulation time.
 ///
-/// The returned [`Run`] holds every planned root's final counters.
-/// Peak tracked memory is one chunk's arena plus programs, because each
-/// chunk is released as soon as its block slice is replayed; on top of
-/// that live the block's base rows (`node_count × block` words), one set
-/// of integer hit counters per planned root, and a copy of each root's
-/// reachable-column list (captured on the first block so the counters
-/// can be finalized even after the chunk arenas are gone).
+/// Every root is live in block 0; after it, a root leaves the live set
+/// for good once it reaches no PO or the adaptive stop rule (a positive
+/// `pij` tolerance, checked at block boundaries) finishes it. A live
+/// subset's arena and programs are never larger than its whole chunk's,
+/// so block 0 sets the peak. Each replay counts into a buffer aligned
+/// with the programs, added to the roots' totals by integer summation,
+/// so no total depends on which roots shared a build.
 ///
-/// Estimator mode (`pij`): a positive tolerance arms the per-root
-/// Wilson convergence check at block boundaries. Roots that are done
-/// (converged, or with no reachable PO) are skipped by the replay
-/// workers, and chunks whose roots are all done are skipped entirely —
-/// including their arena rebuild.
+/// The returned [`Run`] holds every planned root's final counters.
+/// Beyond the tracked arena (plus the builder's transient assembly copy)
+/// and programs, the run holds the block's base rows (`node_count ×
+/// block` words), the per-root counters, and each root's reachable
+/// columns (captured on block 0, so the counters can be finalized after
+/// the arenas are gone).
 fn estimate_chunks(
     csr: &CsrView,
-    plan: &mut ChunkedConeArena,
+    plan: &ChunkedConeArena,
     seed: u64,
     threads: usize,
     n_words: usize,
     pij: &PijConfig,
 ) -> Run {
     let n_chunks = plan.chunk_count();
+    let n_roots = plan.planned_roots().len();
     // Per-worker cone-local value rows of the replay (cache-line aligned
     // for the wide kernels), grow-only and reused across chunks and
     // blocks, so a multi-chunk run performs no per-chunk reallocation
@@ -553,21 +562,26 @@ fn estimate_chunks(
     let mut compile_scratch = CompileScratch::default();
     let mut progs = ConePrograms::default();
     let mut base = AlignedWords::default();
-    // Hit counters for every planned root, chunk-major in plan order;
-    // they persist across blocks (the arena chunks need not).
-    let mut counts: Vec<u64> = Vec::new();
-    let mut obs_counts: Vec<u64> = Vec::new();
-    let mut count_off: Vec<usize> = vec![0];
-    let mut root_off: Vec<usize> = vec![0];
-    // Per-root reachable columns, flat in the same chunk-major order as
-    // `counts`; captured once on block 0.
+    // Per-root state, indexed by position in the plan (chunk-major).
+    // Each root's reachable columns are captured on block 0, and its
+    // hit counters are aligned with them.
     let mut cols_flat: Vec<u32> = Vec::new();
-    let mut root_po_off: Vec<usize> = vec![0];
-    // Per-root completion state: a done root's counters are final and
-    // its sample count fixed (0 = still sampling, finalized at the end).
-    let mut done: Vec<bool> = Vec::new();
-    let mut samples: Vec<u64> = Vec::new();
-    let mut active: Vec<usize> = Vec::with_capacity(n_chunks);
+    let mut col_off: Vec<usize> = Vec::with_capacity(n_roots + 1);
+    col_off.push(0);
+    let mut counts: Vec<u64> = Vec::new();
+    let mut obs_counts: Vec<u64> = vec![0; n_roots];
+    // A done root's counters are final and its sample count fixed (0 =
+    // still sampling, finalized at the end).
+    let mut done: Vec<bool> = vec![false; n_roots];
+    let mut samples: Vec<u64> = vec![0; n_roots];
+    // The live roots of the chunk being visited: node ids (the arena's
+    // slot order) and plan positions.
+    let mut live: Vec<u32> = Vec::new();
+    let mut live_at: Vec<usize> = Vec::new();
+    // One replay's counters, aligned with the compiled programs.
+    let mut hits: Vec<u64> = Vec::new();
+    let mut union_hits: Vec<u64> = Vec::new();
+    let mut arena_peak = 0usize;
     let mut stats = EstimateStats {
         chunks: n_chunks,
         ..EstimateStats::default()
@@ -581,7 +595,7 @@ fn estimate_chunks(
     let n_blocks = n_words.div_ceil(BLOCK);
     let mut words_done = 0usize;
     for b in 0..n_blocks {
-        if b > 0 && active.iter().all(|&a| a == 0) {
+        if b > 0 && done.iter().all(|&d| d) {
             // Every root is converged or reaches no PO: the remaining
             // budget cannot change any counter.
             break;
@@ -590,51 +604,62 @@ fn estimate_chunks(
         let wc = BLOCK.min(n_words - w0);
         eval_base_block(csr, seed, w0, wc, &mut base);
 
+        let mut chunk_start = 0usize;
         for k in 0..n_chunks {
-            if b > 0 && active[k] == 0 {
+            let chunk_roots = plan.chunk_roots(k);
+            live.clear();
+            live_at.clear();
+            for (g, &root) in (chunk_start..).zip(chunk_roots) {
+                if !done[g] {
+                    live.push(root);
+                    live_at.push(g);
+                }
+            }
+            chunk_start += chunk_roots.len();
+            if live.is_empty() {
                 continue;
             }
-            plan.ensure(csr, k);
-            let arena = plan.chunk_arena(k).expect("chunk built above");
-            let chunk_roots = plan.chunk_roots(k);
-            progs.recompile(csr, arena, chunk_roots, &mut compile_scratch);
+            let arena = ConeArena::build_for(csr, &live);
+            // The builder's processing-order buffer coexists with the
+            // assembled arena: one extra copy at the high-water mark.
+            arena_peak = arena_peak.max(2 * arena.bytes());
+            progs.recompile(csr, &arena, &live, &mut compile_scratch);
             if b == 0 {
                 stats.cone_entries += arena.total_cone_len();
-                count_off.push(count_off[k] + progs.total_reachable());
-                root_off.push(root_off[k] + progs.root_count());
-                counts.resize(count_off[k + 1], 0);
-                obs_counts.resize(root_off[k + 1], 0);
-                done.resize(root_off[k + 1], false);
-                samples.resize(root_off[k + 1], 0);
-                for slot in 0..chunk_roots.len() {
-                    cols_flat.extend_from_slice(arena.reachable_cols(slot));
-                    root_po_off.push(cols_flat.len());
+                for (slot, &g) in live_at.iter().enumerate() {
+                    let cols = arena.reachable_cols(slot);
+                    cols_flat.extend_from_slice(cols);
+                    col_off.push(cols_flat.len());
                     // No reachable PO: every counter is structurally
-                    // zero, nothing to replay.
-                    if arena.reachable_cols(slot).is_empty() {
-                        done[root_off[k] + slot] = true;
-                    }
+                    // zero, nothing to replay after this block.
+                    done[g] = cols.is_empty();
                 }
-                active.push(
-                    done[root_off[k]..root_off[k + 1]]
-                        .iter()
-                        .filter(|&&d| !d)
-                        .count(),
-                );
+                counts.resize(cols_flat.len(), 0);
             }
-            stats.peak_bytes = stats.peak_bytes.max(plan.peak_bytes() + progs.bytes());
+            drop(arena);
+            stats.peak_bytes = stats.peak_bytes.max(arena_peak + progs.bytes());
 
+            hits.clear();
+            hits.resize(progs.total_reachable(), 0);
+            union_hits.clear();
+            union_hits.resize(live.len(), 0);
             replay_block(
                 &progs,
                 base.words(),
                 wc,
-                &done[root_off[k]..root_off[k + 1]],
                 &mut pool,
-                &mut counts[count_off[k]..count_off[k + 1]],
-                &mut obs_counts[root_off[k]..root_off[k + 1]],
+                &mut hits,
+                &mut union_hits,
             );
-
-            plan.release(k);
+            for (li, &g) in live_at.iter().enumerate() {
+                let root_hits = &hits[progs.po_off[li]..progs.po_off[li + 1]];
+                let totals = &mut counts[col_off[g]..col_off[g + 1]];
+                debug_assert_eq!(root_hits.len(), totals.len(), "support is fixed");
+                for (total, &h) in totals.iter_mut().zip(root_hits) {
+                    *total += h;
+                }
+                obs_counts[g] += union_hits[li];
+            }
         }
         words_done += wc;
 
@@ -645,22 +670,16 @@ fn estimate_chunks(
         // reproduces full-run rows bitwise).
         if adaptive && words_done < n_words {
             let n_samp = (words_done * 64) as u64;
-            for k in 0..n_chunks {
-                if active[k] == 0 {
+            for g in 0..n_roots {
+                if done[g] {
                     continue;
                 }
-                for g in root_off[k]..root_off[k + 1] {
-                    if done[g] {
-                        continue;
-                    }
-                    let p_hat = obs_counts[g] as f64 / n_samp as f64;
-                    let hw = wilson_half_width(obs_counts[g], n_samp);
-                    if hw <= (pij.tolerance * p_hat).max(floor) {
-                        done[g] = true;
-                        samples[g] = n_samp;
-                        active[k] -= 1;
-                        stats.adaptive_stops += 1;
-                    }
+                let p_hat = obs_counts[g] as f64 / n_samp as f64;
+                let hw = wilson_half_width(obs_counts[g], n_samp);
+                if hw <= (pij.tolerance * p_hat).max(floor) {
+                    done[g] = true;
+                    samples[g] = n_samp;
+                    stats.adaptive_stops += 1;
                 }
             }
         }
@@ -676,7 +695,7 @@ fn estimate_chunks(
         stats,
         words_done,
         roots: plan.planned_roots().to_vec(),
-        col_off: root_po_off,
+        col_off,
         cols: cols_flat,
         counts,
         obs: obs_counts,
@@ -746,23 +765,22 @@ fn eval_base_block(csr: &CsrView, seed: u64, w0: usize, wc: usize, base: &mut Al
     }
 }
 
-/// Replays one block's strikes for every root of the compiled chunk,
-/// splitting the roots into contiguous spans balanced by program size,
-/// one worker per span. Each `(root, word)` hit increments exactly one
-/// integer counter owned by exactly one worker, so the totals are
-/// bitwise identical for every thread count. Done roots weigh (almost)
-/// nothing in the balance and are skipped by the workers.
+/// Replays one block's strikes for every compiled root, splitting the
+/// roots into contiguous spans balanced by program size, one worker per
+/// span. Each `(root, word)` hit increments exactly one integer counter
+/// owned by exactly one worker, so the totals are bitwise identical for
+/// every thread count. `counts` is aligned with the programs' PO slots
+/// and `obs_counts` with their roots.
 fn replay_block(
     progs: &ConePrograms,
     base: &[u64],
     wc: usize,
-    done: &[bool],
     pool: &mut [AlignedWords],
     counts: &mut [u64],
     obs_counts: &mut [u64],
 ) {
     let n_roots = progs.root_count();
-    if n_roots == 0 || done.iter().all(|&d| d) {
+    if n_roots == 0 {
         return;
     }
     let vals_len = progs.max_cone.max(1) * wc;
@@ -774,7 +792,6 @@ fn replay_block(
             base,
             wc,
             0..n_roots,
-            done,
             pool[0].words_mut(),
             counts,
             obs_counts,
@@ -782,28 +799,15 @@ fn replay_block(
         return;
     }
 
-    // Greedy spans weighted by op count (+1 per root so trivial cones
-    // still advance; done roots weigh 1); the target guarantees at most
-    // `workers` spans.
-    let total_w: usize = (0..n_roots)
-        .map(|ri| {
-            if done[ri] {
-                1
-            } else {
-                progs.op_off[ri + 1] - progs.op_off[ri] + 1
-            }
-        })
-        .sum();
+    // Greedy spans weighted by replay cost; the target guarantees at
+    // most `workers` spans.
+    let total_w: usize = (0..n_roots).map(|ri| progs.replay_weight(ri)).sum();
     let target = total_w / workers + 1;
     let mut spans: Vec<std::ops::Range<usize>> = Vec::with_capacity(workers);
     let mut start = 0usize;
     let mut acc = 0usize;
-    for (ri, &root_done) in done.iter().enumerate().take(n_roots) {
-        acc += if root_done {
-            1
-        } else {
-            progs.op_off[ri + 1] - progs.op_off[ri] + 1
-        };
+    for ri in 0..n_roots {
+        acc += progs.replay_weight(ri);
         if acc >= target {
             spans.push(start..ri + 1);
             start = ri + 1;
@@ -831,7 +835,7 @@ fn replay_block(
             obs_rest = o_rest;
             let vals = scratch.words_mut();
             let progs = &*progs;
-            scope.spawn(move || replay_roots(progs, base, wc, span, done, vals, c_span, o_span));
+            scope.spawn(move || replay_roots(progs, base, wc, span, vals, c_span, o_span));
         }
     });
 }
@@ -870,9 +874,9 @@ struct PoSlot {
 }
 
 /// The fan-out cones of a set of *root* nodes compiled into flat
-/// strike-resimulation programs over cone-local value rows. The full
-/// estimator compiles every node; selective re-simulation compiles only
-/// the requested subset.
+/// strike-resimulation programs over cone-local value rows. The
+/// estimator compiles one chunk's live roots at a time: every planned
+/// root in block 0, then only those still sampling.
 ///
 /// Side inputs (fan-ins outside the cone) are untagged global node
 /// indices resolved against the base evaluation, so no scratch state
@@ -883,8 +887,8 @@ struct PoSlot {
 /// in the root list*, not by node index.
 ///
 /// The struct is a reusable buffer: the streamed estimator keeps one
-/// instance and [`recompile`](ConePrograms::recompile)s it per chunk, so
-/// no program storage is reallocated between chunks.
+/// instance and [`recompile`](ConePrograms::recompile)s it per chunk
+/// visit, so no program storage is reallocated between chunks.
 #[derive(Default)]
 struct ConePrograms {
     roots: Vec<u32>,
@@ -1018,6 +1022,18 @@ impl ConePrograms {
     fn po_slots_of(&self, ri: usize) -> &[PoSlot] {
         &self.po_slots[self.po_off[ri]..self.po_off[ri + 1]]
     }
+
+    /// Work-balance weight of root `ri`'s replay: its op count plus one,
+    /// so trivial cones still advance a span, or one alone when it
+    /// reaches no PO (such a root is skipped).
+    #[inline]
+    fn replay_weight(&self, ri: usize) -> usize {
+        if self.po_off[ri] == self.po_off[ri + 1] {
+            1
+        } else {
+            self.op_off[ri + 1] - self.op_off[ri] + 1
+        }
+    }
 }
 
 /// Replays the strike of every root in `roots` against one block's base
@@ -1025,15 +1041,13 @@ impl ConePrograms {
 /// reachable-PO hit counts and per-root any-PO union counts, [`LANES`]
 /// words per interpreter step. The `counts`/`obs_counts` slices cover exactly
 /// this span's po-slots and roots (offset by the span start), so
-/// concurrent spans never share a counter; `done` is chunk-relative and
-/// read-only (done roots are skipped).
-#[allow(clippy::too_many_arguments)]
+/// concurrent spans never share a counter. A root that reaches no PO is
+/// skipped: it has nothing to count.
 fn replay_roots(
     progs: &ConePrograms,
     base: &[u64],
     wc: usize,
     roots: std::ops::Range<usize>,
-    done: &[bool],
     vals: &mut [u64],
     counts: &mut [u64],
     obs_counts: &mut [u64],
@@ -1043,7 +1057,8 @@ fn replay_roots(
     let mut union_buf = [0u64; BLOCK];
 
     for ri in roots {
-        if done[ri] {
+        let slots = progs.po_slots_of(ri);
+        if slots.is_empty() {
             continue;
         }
         let i = progs.roots[ri] as usize;
@@ -1076,10 +1091,6 @@ fn replay_roots(
             }
         }
 
-        let slots = progs.po_slots_of(ri);
-        if slots.is_empty() {
-            continue;
-        }
         union_buf[..wc].fill(0);
         let start = progs.po_off[ri] - count_base;
         for (t, slot) in slots.iter().enumerate() {

@@ -77,20 +77,25 @@ proptest! {
         circuit in arbitrary_circuit(),
         seed in 0u64..1 << 40,
     ) {
-        let n_vectors = 192; // 3 words: exercises uneven word blocks
-        for pij in [PijConfig::fixed(), PijConfig::default()] {
-            let monolithic = sensitization_probabilities_cfg(
-                &circuit, n_vectors, seed, 1, circuit.node_count(), &pij,
-            );
-            for threads in [1usize, 2, 7] {
-                for chunk_size in [1usize, 3, 16, 64] {
-                    let m = sensitization_probabilities_cfg(
-                        &circuit, n_vectors, seed, threads, chunk_size, &pij,
-                    );
-                    prop_assert_eq!(
-                        &m, &monolithic,
-                        "threads {} chunk {} tol {}", threads, chunk_size, pij.tolerance
-                    );
+        // 3 words: one partial 64-word block. 131 words: two full blocks
+        // and a partial one, so the adaptive leg stops roots at block
+        // boundaries and rebuilds only the still-sampling cones.
+        for n_vectors in [192, 64 * (2 * 64 + 3)] {
+            for pij in [PijConfig::fixed(), PijConfig::default()] {
+                let monolithic = sensitization_probabilities_cfg(
+                    &circuit, n_vectors, seed, 1, circuit.node_count(), &pij,
+                );
+                for threads in [1usize, 2, 7] {
+                    for chunk_size in [1usize, 3, 16, 64] {
+                        let m = sensitization_probabilities_cfg(
+                            &circuit, n_vectors, seed, threads, chunk_size, &pij,
+                        );
+                        prop_assert_eq!(
+                            &m, &monolithic,
+                            "vectors {} threads {} chunk {} tol {}",
+                            n_vectors, threads, chunk_size, pij.tolerance
+                        );
+                    }
                 }
             }
         }
@@ -104,11 +109,7 @@ proptest! {
         seed in 0u64..1 << 40,
         stride in 2usize..5,
     ) {
-        let n_vectors = 192;
         let pij = PijConfig::default();
-        let full = sensitization_probabilities_cfg(
-            &circuit, n_vectors, seed, 1, circuit.node_count(), &pij,
-        );
         let subset: Vec<NodeId> = circuit
             .node_ids()
             .filter(|id| id.index() % stride == 1)
@@ -120,26 +121,34 @@ proptest! {
             &circuit, 64, seed ^ 1, 1, circuit.node_count(), &pij,
         );
         let n_pos = circuit.primary_outputs().len();
-        for threads in [1usize, 3] {
-            for chunk_size in [1usize, 4, 64] {
-                let mut up = base.clone();
-                resimulate_rows_cfg(
-                    &circuit, &subset, n_vectors, seed, threads, chunk_size, &pij, &mut up,
-                );
-                for &id in &subset {
-                    prop_assert_eq!(
-                        up.reachable_columns(id),
-                        full.reachable_columns(id),
-                        "support {} threads {} chunk {}", id, threads, chunk_size
+        // One partial block, then two full blocks and a partial one.
+        for n_vectors in [192, 64 * (2 * 64 + 3)] {
+            let full = sensitization_probabilities_cfg(
+                &circuit, n_vectors, seed, 1, circuit.node_count(), &pij,
+            );
+            for threads in [1usize, 3] {
+                for chunk_size in [1usize, 4, 64] {
+                    let mut up = base.clone();
+                    resimulate_rows_cfg(
+                        &circuit, &subset, n_vectors, seed, threads, chunk_size, &pij, &mut up,
                     );
-                    prop_assert_eq!(
-                        up.row(id),
-                        full.row(id),
-                        "row {} threads {} chunk {}", id, threads, chunk_size
-                    );
-                    prop_assert_eq!(up.observability(id), full.observability(id));
-                    for j in 0..n_pos {
-                        prop_assert_eq!(up.p(id, j), full.p(id, j));
+                    for &id in &subset {
+                        prop_assert_eq!(
+                            up.reachable_columns(id),
+                            full.reachable_columns(id),
+                            "support {} vectors {} threads {} chunk {}",
+                            id, n_vectors, threads, chunk_size
+                        );
+                        prop_assert_eq!(
+                            up.row(id),
+                            full.row(id),
+                            "row {} vectors {} threads {} chunk {}",
+                            id, n_vectors, threads, chunk_size
+                        );
+                        prop_assert_eq!(up.observability(id), full.observability(id));
+                        for j in 0..n_pos {
+                            prop_assert_eq!(up.p(id, j), full.p(id, j));
+                        }
                     }
                 }
             }

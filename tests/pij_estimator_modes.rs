@@ -10,11 +10,14 @@
 //!   to the fixed run, rows that stopped early stay within the
 //!   convergence half-width they stopped at;
 //! * on c17, adaptive sampling stops early under an oversized budget
-//!   and still lands within tolerance of the truth.
+//!   and still lands within tolerance of the truth;
+//! * every row of a default (adaptive) estimate is, bit for bit, the
+//!   fixed-budget row at the block boundary where it stopped.
 
 use proptest::prelude::*;
 use soft_error::logicsim::sensitize::{
     sensitization_probabilities_cfg, sensitization_probabilities_with_stats_cfg, PijConfig,
+    SensitizationMatrix,
 };
 use soft_error::netlist::generate::{self, layered, LayeredSpec};
 use soft_error::netlist::{Circuit, GateKind};
@@ -217,4 +220,59 @@ fn adaptive_sampling_stops_early_within_tolerance() {
             );
         }
     }
+}
+
+#[test]
+fn adaptive_rows_are_fixed_rows_at_a_block_boundary() {
+    // The word stream depends only on the word index, so a root the
+    // stop rule finished after `k` blocks holds exactly the counters a
+    // fixed-budget run of `4096·k` vectors gives it, and a root that
+    // never stopped holds the full budget's. The fixed-budget runs
+    // rebuild every chunk whole on every block, so they check the
+    // adaptive run's live-root rebuilds from outside.
+    let blocks = 3;
+    let budget = 64 * (blocks * 64 + 3);
+    let block_budgets: Vec<usize> = (1..=blocks).map(|k| 64 * 64 * k).collect();
+    let mut circuits = vec![generate::c17(), generate::sec32("sec32")];
+    for seed in 1..=4 {
+        let mut spec = LayeredSpec::new("oracle", 8, 4, 60);
+        spec.seed = seed;
+        circuits.push(layered(&spec));
+    }
+    let seed = 11;
+    let mut stopped_after_block_0 = 0usize;
+    for c in &circuits {
+        let adaptive =
+            sensitization_probabilities_cfg(c, budget, seed, 2, 16, &PijConfig::default());
+        let fixed: Vec<_> = block_budgets
+            .iter()
+            .chain([&budget])
+            .map(|&n| sensitization_probabilities_cfg(c, n, seed, 2, 16, &PijConfig::fixed()))
+            .collect();
+        for id in c.node_ids() {
+            let bits = |m: &SensitizationMatrix| {
+                let row: Vec<u64> = m.row(id).iter().map(|p| p.to_bits()).collect();
+                (
+                    m.reachable_columns(id).to_vec(),
+                    row,
+                    m.observability(id).to_bits(),
+                )
+            };
+            let same = |m: &SensitizationMatrix| bits(m) == bits(&adaptive);
+            assert!(
+                fixed.iter().any(same),
+                "{} node {id}: adaptive row {:?} (obs {}) is no fixed-budget row",
+                c.name(),
+                adaptive.row(id),
+                adaptive.observability(id)
+            );
+            if same(&fixed[0]) && !same(&fixed[blocks]) {
+                stopped_after_block_0 += 1;
+            }
+        }
+    }
+    assert!(
+        stopped_after_block_0 > 0,
+        "no row stopped after block 0, so the later blocks' live-root rebuilds went unchecked"
+    );
 }
