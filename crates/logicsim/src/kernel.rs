@@ -302,6 +302,36 @@ pub(crate) fn invert_row<const L: usize>(dst: &mut [u64]) {
     }
 }
 
+/// Evaluates one gate over whole rows: `dst = kind(row(args[0]), …)`.
+/// `row` resolves an operand to its value row. The 1- and 2-input gates
+/// take the specialized arms; wider gates fold with [`accumulate_row`]
+/// and invert once at the end.
+///
+/// Callers guarantee `args` is non-empty and `kind` is not
+/// [`GateKind::Input`].
+#[inline]
+pub(crate) fn gate_row<'a, const L: usize>(
+    kind: GateKind,
+    dst: &mut [u64],
+    args: &[u32],
+    row: impl Fn(u32) -> &'a [u64],
+) {
+    match *args {
+        [a] => unary_row::<L>(dst, row(a), kind.is_inverting()),
+        [a, b] => binary_row::<L>(kind, dst, row(a), row(b)),
+        [a, ref more @ ..] => {
+            dst.copy_from_slice(row(a));
+            for &m in more {
+                accumulate_row::<L>(kind, dst, row(m));
+            }
+            if kind.is_inverting() {
+                invert_row::<L>(dst);
+            }
+        }
+        [] => unreachable!("gates have at least one fan-in"),
+    }
+}
+
 /// Diff-and-count row: XORs the faulty row `v` against the fault-free
 /// row `p`, ORs the difference into `union_buf` and returns the total
 /// popcount — the per-output hit counting step of the replay loop.

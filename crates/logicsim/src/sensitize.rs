@@ -46,20 +46,21 @@
 //! program size, and the cone-replay interpreter processes four packed
 //! words per step through the row primitives in [`crate::kernel`].
 //!
-//! Cones are **streamed in chunks** rather than held all at once: a
-//! [`ChunkedConeArena`] plans a PO-region partition of the roots
-//! (`chunk_size` roots per chunk). For each 64-word block the estimator
-//! builds a [`ConeArena`] over each chunk's *live* roots — those still
-//! sampling — compiles and replays their cone programs, adds the hits to
-//! the per-root counters, and drops the arena before touching the next
-//! chunk. Every root is live in block 0, so block 0 builds each chunk
-//! whole; later blocks rebuild only the cones of the roots the adaptive
-//! stop rule has not finished (and of none that reaches no PO), and skip
-//! a chunk with no such root. Peak arena memory is therefore bounded by
-//! one chunk — not the whole-circuit cone closure, which on 100k-gate
-//! circuits runs to gigabytes. Per-thread simulation buffers and the
-//! program-compile scratch live in a pool that is reused across chunks,
-//! so the inner loop performs no per-node allocation.
+//! Cones are **streamed in chunks** rather than held all at once: the
+//! roots are sorted by PO region ([`po_region_order`]) and the order is
+//! cut into chunks of `chunk_size` roots. For each 64-word block the
+//! estimator builds a [`ConeArena`] over each chunk's *live* roots —
+//! those still sampling — compiles and replays their cone programs,
+//! adds the hits to the per-root counters, and drops the arena before
+//! touching the next chunk. Every root is live in block 0, so block 0
+//! builds each chunk whole; later blocks rebuild only the cones of the
+//! roots the adaptive stop rule has not finished (and of none that
+//! reaches no PO), and skip a chunk with no such root. Peak arena
+//! memory is therefore bounded by one chunk — not the whole-circuit
+//! cone closure, which on 100k-gate circuits runs to gigabytes.
+//! Per-thread simulation buffers and the program-compile scratch live
+//! in a pool that is reused across chunks, so the inner loop performs
+//! no per-node allocation.
 //!
 //! **Determinism contract:** results are bitwise identical for every
 //! thread count and chunk size. Word `w` always draws its stimulus from
@@ -90,7 +91,7 @@
 //! [`SensitizationMatrix::vectors_used`] and the serve-pool session
 //! keys.
 
-use ser_netlist::csr::{ChunkedConeArena, ConeArena, CsrView};
+use ser_netlist::csr::{po_region_order, ConeArena, CsrView};
 use ser_netlist::{Circuit, GateKind, NodeId};
 
 pub use crate::engine::PijConfig;
@@ -300,7 +301,7 @@ pub struct EstimateStats {
     /// High-water mark of arena plus compiled-program bytes across the
     /// run (including the arena builder's transient assembly buffer).
     pub peak_bytes: usize,
-    /// Σ|cone| over the planned roots: each root's cone counted once,
+    /// Σ|cone| over the estimated roots: each root's cone counted once,
     /// as block 0 builds it. Later blocks' rebuilds of still-sampling
     /// roots are not counted, so this is the size of the cone work, not
     /// the entries replayed.
@@ -350,7 +351,8 @@ pub fn sensitization_probabilities_with_stats_cfg(
     chunk_size: usize,
     pij: &PijConfig,
 ) -> (SensitizationMatrix, EstimateStats) {
-    let run = estimate(circuit, None, n_vectors, seed, threads, chunk_size, pij);
+    let all: Vec<u32> = (0..circuit.node_count() as u32).collect();
+    let run = estimate(circuit, &all, n_vectors, seed, threads, chunk_size, pij);
     // Every node's row, appended to the reachability CSR in ascending
     // node order.
     let n_nodes = circuit.node_count();
@@ -417,15 +419,7 @@ pub fn resimulate_rows_cfg(
         "refill target must be a matrix of this circuit"
     );
     let roots: Vec<u32> = nodes.iter().map(|id| id.index() as u32).collect();
-    let run = estimate(
-        circuit,
-        Some(&roots),
-        n_vectors,
-        seed,
-        threads,
-        chunk_size,
-        pij,
-    );
+    let run = estimate(circuit, &roots, n_vectors, seed, threads, chunk_size, pij);
     // Every support is checked before any row is written, so a refusal
     // leaves the matrix as it was.
     run.for_each_row(|root, cols, _, _, _| {
@@ -446,7 +440,7 @@ pub fn resimulate_rows_cfg(
 }
 
 /// Outcome of one estimation run: its profile and the final hit
-/// counters, one entry per planned root in plan order. The counters
+/// counters, one entry per root in PO-region order. The counters
 /// outlive the chunk arenas, cone programs and base rows, so the rows
 /// are assembled after those are freed.
 struct Run {
@@ -470,7 +464,7 @@ struct Run {
 
 impl Run {
     /// Calls `f(root, reachable_cols, counts_per_col, union_count,
-    /// samples)` once per planned root, in ascending node order.
+    /// samples)` once per estimated root, in ascending node order.
     fn for_each_row(&self, mut f: impl FnMut(u32, &[u32], &[u64], u64, u64)) {
         let mut order: Vec<usize> = (0..self.roots.len()).collect();
         order.sort_unstable_by_key(|&g| self.roots[g]);
@@ -488,14 +482,14 @@ impl Run {
 }
 
 /// The one estimation driver behind every public entry point: builds
-/// the CSR view and the chunk plan and streams the word blocks through
-/// [`estimate_chunks`].
+/// the CSR view, sorts the roots by PO region and streams the word
+/// blocks through [`estimate_chunks`].
 ///
-/// `roots` selects the cones: `None` estimates every node; `Some(list)`
-/// re-simulates only the listed ones (duplicates once).
+/// `roots` selects the cones (duplicates once): every node for a full
+/// estimate, the listed ones for a refill.
 fn estimate(
     circuit: &Circuit,
-    roots: Option<&[u32]>,
+    roots: &[u32],
     n_vectors: usize,
     seed: u64,
     threads: usize,
@@ -504,24 +498,31 @@ fn estimate(
 ) -> Run {
     assert!(n_vectors > 0, "need at least one vector");
     assert!(threads > 0, "need at least one worker thread");
+    assert!(chunk_size > 0, "chunk size must be positive");
 
-    // Only the planned cones are materialized (and only one chunk of
+    // Only the requested cones are materialized (and only one chunk of
     // them at a time), so the setup cost is one O(V+E) flattening pass
-    // plus work proportional to the planned cones.
+    // plus work proportional to the requested cones.
     let csr = CsrView::build(circuit);
-    let plan = match roots {
-        None => ChunkedConeArena::plan(&csr, chunk_size),
-        Some(roots) => ChunkedConeArena::plan_for(&csr, roots, chunk_size),
-    };
-    estimate_chunks(&csr, &plan, seed, threads, n_vectors.div_ceil(64), pij)
+    let order = po_region_order(&csr, roots);
+    estimate_chunks(
+        &csr,
+        order,
+        chunk_size,
+        seed,
+        threads,
+        n_vectors.div_ceil(64),
+        pij,
+    )
 }
 
 /// The streamed estimation driver: for each [`BLOCK`]-word block, the
 /// fault-free circuit is evaluated **once** into node-major rows; then
-/// each chunk with a *live* root — one still sampling — builds an arena
-/// over its live roots only, recompiles their cone programs into the
-/// pooled buffers, replays their strikes across the worker pool, and
-/// drops the arena before the next chunk is touched.
+/// each `chunk_size`-root chunk of `order` with a *live* root — one
+/// still sampling — builds an arena over its live roots only,
+/// recompiles their cone programs into the pooled buffers, replays
+/// their strikes across the worker pool, and drops the arena before the
+/// next chunk is touched.
 ///
 /// Hoisting the base evaluation out of the chunk loop is what makes
 /// small chunks affordable: the full-circuit work is `O(V)` per word
@@ -536,7 +537,7 @@ fn estimate(
 /// with the programs, added to the roots' totals by integer summation,
 /// so no total depends on which roots shared a build.
 ///
-/// The returned [`Run`] holds every planned root's final counters.
+/// The returned [`Run`] holds every root's final counters, in `order`.
 /// Beyond the tracked arena (plus the builder's transient assembly copy)
 /// and programs, the run holds the block's base rows (`node_count ×
 /// block` words), the per-root counters, and each root's reachable
@@ -544,14 +545,14 @@ fn estimate(
 /// the arenas are gone).
 fn estimate_chunks(
     csr: &CsrView,
-    plan: &ChunkedConeArena,
+    order: Vec<u32>,
+    chunk_size: usize,
     seed: u64,
     threads: usize,
     n_words: usize,
     pij: &PijConfig,
 ) -> Run {
-    let n_chunks = plan.chunk_count();
-    let n_roots = plan.planned_roots().len();
+    let n_roots = order.len();
     // Per-worker cone-local value rows of the replay (cache-line aligned
     // for the wide kernels), grow-only and reused across chunks and
     // blocks, so a multi-chunk run performs no per-chunk reallocation
@@ -562,7 +563,7 @@ fn estimate_chunks(
     let mut compile_scratch = CompileScratch::default();
     let mut progs = ConePrograms::default();
     let mut base = AlignedWords::default();
-    // Per-root state, indexed by position in the plan (chunk-major).
+    // Per-root state, indexed by position in `order`.
     // Each root's reachable columns are captured on block 0, and its
     // hit counters are aligned with them.
     let mut cols_flat: Vec<u32> = Vec::new();
@@ -575,7 +576,7 @@ fn estimate_chunks(
     let mut done: Vec<bool> = vec![false; n_roots];
     let mut samples: Vec<u64> = vec![0; n_roots];
     // The live roots of the chunk being visited: node ids (the arena's
-    // slot order) and plan positions.
+    // slot order) and positions in `order`.
     let mut live: Vec<u32> = Vec::new();
     let mut live_at: Vec<usize> = Vec::new();
     // One replay's counters, aligned with the compiled programs.
@@ -583,7 +584,7 @@ fn estimate_chunks(
     let mut union_hits: Vec<u64> = Vec::new();
     let mut arena_peak = 0usize;
     let mut stats = EstimateStats {
-        chunks: n_chunks,
+        chunks: n_roots.div_ceil(chunk_size),
         ..EstimateStats::default()
     };
 
@@ -604,18 +605,15 @@ fn estimate_chunks(
         let wc = BLOCK.min(n_words - w0);
         eval_base_block(csr, seed, w0, wc, &mut base);
 
-        let mut chunk_start = 0usize;
-        for k in 0..n_chunks {
-            let chunk_roots = plan.chunk_roots(k);
+        for (k, chunk_roots) in order.chunks(chunk_size).enumerate() {
             live.clear();
             live_at.clear();
-            for (g, &root) in (chunk_start..).zip(chunk_roots) {
+            for (g, &root) in (k * chunk_size..).zip(chunk_roots) {
                 if !done[g] {
                     live.push(root);
                     live_at.push(g);
                 }
             }
-            chunk_start += chunk_roots.len();
             if live.is_empty() {
                 continue;
             }
@@ -694,7 +692,7 @@ fn estimate_chunks(
     Run {
         stats,
         words_done,
-        roots: plan.planned_roots().to_vec(),
+        roots: order,
         col_off,
         cols: cols_flat,
         counts,
@@ -747,20 +745,7 @@ fn eval_base_block(csr: &CsrView, seed: u64, w0: usize, wc: usize, base: &mut Al
         }
         let dst = &mut out[..wc];
         let row = |f: u32| -> &[u64] { &words[f as usize * wc..][..wc] };
-        match *csr.fanin_of(i) {
-            [a] => kernel::unary_row::<LANES>(dst, row(a), kind.is_inverting()),
-            [a, b] => kernel::binary_row::<LANES>(kind, dst, row(a), row(b)),
-            [a, ref more @ ..] => {
-                dst.copy_from_slice(row(a));
-                for &m in more {
-                    kernel::accumulate_row::<LANES>(kind, dst, row(m));
-                }
-                if kind.is_inverting() {
-                    kernel::invert_row::<LANES>(dst);
-                }
-            }
-            [] => unreachable!("gates have at least one fan-in"),
-        }
+        kernel::gate_row::<LANES>(kind, dst, csr.fanin_of(i), row);
         words[i * wc..][..wc].copy_from_slice(dst);
     }
 }
@@ -875,7 +860,7 @@ struct PoSlot {
 
 /// The fan-out cones of a set of *root* nodes compiled into flat
 /// strike-resimulation programs over cone-local value rows. The
-/// estimator compiles one chunk's live roots at a time: every planned
+/// estimator compiles one chunk's live roots at a time: every
 /// root in block 0, then only those still sampling.
 ///
 /// Side inputs (fan-ins outside the cone) are untagged global node
@@ -1075,20 +1060,7 @@ fn replay_roots(
                 }
             };
             let args = &progs.operands[op.off as usize..(op.off + op.n_in) as usize];
-            match *args {
-                [a] => kernel::unary_row::<LANES>(dst, row(a), op.kind.is_inverting()),
-                [a, b] => kernel::binary_row::<LANES>(op.kind, dst, row(a), row(b)),
-                [a, ref more @ ..] => {
-                    dst.copy_from_slice(row(a));
-                    for &m in more {
-                        kernel::accumulate_row::<LANES>(op.kind, dst, row(m));
-                    }
-                    if op.kind.is_inverting() {
-                        kernel::invert_row::<LANES>(dst);
-                    }
-                }
-                [] => unreachable!("gates have at least one fan-in"),
-            }
+            kernel::gate_row::<LANES>(op.kind, dst, args, row);
         }
 
         union_buf[..wc].fill(0);
@@ -1413,6 +1385,22 @@ mod tests {
         let c = generate::c17();
         let base = default_estimate(&c, 128, 1);
         assert_eq!(default_resim(&c, &base, &[], 512, 9), base);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk size must be positive")]
+    fn zero_chunk_size_panics() {
+        let c = generate::c17();
+        sensitization_probabilities_cfg(&c, 64, 1, 1, 0, &PijConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk size must be positive")]
+    fn zero_chunk_size_refill_panics() {
+        let c = generate::c17();
+        let mut m = default_estimate(&c, 64, 1);
+        let nodes: Vec<NodeId> = c.gates().collect();
+        resimulate_rows_cfg(&c, &nodes, 64, 1, 1, 0, &PijConfig::default(), &mut m);
     }
 
     #[test]

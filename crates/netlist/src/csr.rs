@@ -11,9 +11,10 @@
 //! fan-out cones (plus their reachable-primary-output column lists) into
 //! one shared arena so per-strike resimulation touches exactly the nodes
 //! that can change. For circuits too large to hold the whole cone
-//! closure, [`ChunkedConeArena`] plans a PO-region partition of the
-//! roots and builds each chunk's arena lazily on first touch, bounding
-//! peak memory to the active chunk plus an `O(nodes)` index.
+//! closure, [`po_region_order`] sorts the roots by PO region so a
+//! caller can cut the order into chunks and build one [`ConeArena`] per
+//! chunk with [`ConeArena::build_for`], bounding peak memory to the
+//! chunk being built.
 //!
 //! # Example
 //!
@@ -379,7 +380,7 @@ impl ConeArena {
     }
 
     /// Logical heap footprint of the arena's backing arrays, in bytes —
-    /// the quantity the chunked arena's budget accounting tracks.
+    /// what the `P_ij` estimator's `peak_bytes` accounting adds up.
     #[inline]
     pub fn bytes(&self) -> usize {
         self.cones.len() * 4
@@ -401,39 +402,10 @@ impl ConeArena {
         &self.po_cols[self.po_off[i]..self.po_off[i + 1]]
     }
 
-    /// Flat offset of node `i`'s first reachable-PO slot — the key for
-    /// accumulator arrays laid out over [`ConeArena::total_reachable`].
-    #[inline]
-    pub fn reachable_start(&self, i: usize) -> usize {
-        self.po_off[i]
-    }
-
-    /// Total reachable-PO slots across all nodes (the length of a flat
-    /// per-(node, reachable-PO) accumulator).
-    #[inline]
-    pub fn total_reachable(&self) -> usize {
-        self.po_cols.len()
-    }
-
     /// Total cone entries across all nodes.
     #[inline]
     pub fn total_cone_len(&self) -> usize {
         self.cones.len()
-    }
-
-    /// The per-node reachable-PO offsets (`node_count + 1` entries) —
-    /// exposed so downstream consumers can clone the reachability CSR
-    /// without rebuilding it.
-    #[inline]
-    pub fn reachable_offsets(&self) -> &[usize] {
-        &self.po_off
-    }
-
-    /// The concatenated reachable-PO column lists behind
-    /// [`ConeArena::reachable_cols`].
-    #[inline]
-    pub fn reachable_cols_flat(&self) -> &[u32] {
-        &self.po_cols
     }
 }
 
@@ -455,216 +427,51 @@ pub struct ConeBuildStats {
     pub spliced_entries: usize,
 }
 
-/// Sentinel marking "node is not a planned root" in
-/// [`ChunkedConeArena`]'s node-to-chunk maps.
-const NO_CHUNK: u32 = u32::MAX;
-
-/// A chunked, lazily-built cone arena: the scalable replacement for
-/// materializing every node's cone at once.
+/// `roots` deduplicated and sorted by PO region: by the smallest
+/// primary-output column each root reaches (roots that reach none
+/// last), then by topological rank.
 ///
-/// [`ConeArena::build`] holds the whole-circuit cone closure — `O(nodes
-/// × cone-size)` memory that explodes quadratically on deep circuits.
-/// `ChunkedConeArena` instead *plans* a partition of the requested roots
-/// into chunks of `chunk_size`, grouped by PO region (roots are ordered
-/// by the minimum primary-output column they reach, then by topological
-/// rank, so roots sharing fan-out land in the same chunk and the
-/// deduplicating builder collapses their shared sub-cones). Each chunk's
-/// [`ConeArena`] is built on first touch and can be released once
-/// consumed, so peak memory scales with the *active working set* — one
-/// chunk plus the plan's `O(nodes)` index — not the closure.
-///
-/// Byte accounting: [`resident_bytes`](ChunkedConeArena::resident_bytes)
-/// is the retained footprint of all built chunks,
-/// [`peak_bytes`](ChunkedConeArena::peak_bytes) the high-water mark
-/// (including the builder's transient assembly buffer, which is
-/// proportional to the chunk being built). A built chunk stays resident
-/// until [`release`](ChunkedConeArena::release)d.
+/// Cutting this order into consecutive chunks keeps roots that share
+/// fan-out in the same chunk, so [`ConeArena::build_for`] over one
+/// chunk collapses their shared sub-cones. Each chunk's arena holds
+/// only its own cones: peak memory scales with the chunk, not with the
+/// whole-circuit closure that [`ConeArena::build`] materializes.
 ///
 /// # Example
 ///
 /// ```
-/// use ser_netlist::csr::{ChunkedConeArena, ConeArena, CsrView};
+/// use ser_netlist::csr::{po_region_order, ConeArena, CsrView};
 /// use ser_netlist::generate;
 ///
 /// let c = generate::sec32("t");
 /// let csr = CsrView::build(&c);
 /// let full = ConeArena::build(&csr);
-/// let mut chunked = ChunkedConeArena::plan(&csr, 64);
-/// for id in c.node_ids() {
-///     // Lazily built, bitwise identical to the monolithic arena.
-///     assert_eq!(chunked.cone_of(&csr, id.index()), full.cone(id.index()));
+/// let all: Vec<u32> = (0..csr.node_count() as u32).collect();
+/// for chunk in po_region_order(&csr, &all).chunks(64) {
+///     let arena = ConeArena::build_for(&csr, chunk);
+///     for (slot, &root) in chunk.iter().enumerate() {
+///         assert_eq!(arena.cone(slot), full.cone(root as usize));
+///     }
 /// }
-/// assert!(chunked.peak_bytes() > 0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct ChunkedConeArena {
-    chunk_off: Vec<usize>,
-    roots: Vec<u32>,
-    /// Node -> owning chunk (NO_CHUNK when the node is not a root).
-    chunk_of_node: Vec<u32>,
-    /// Node -> slot within its owning chunk's arena.
-    slot_of_node: Vec<u32>,
-    built: Vec<Option<ConeArena>>,
-    resident_bytes: usize,
-    peak_bytes: usize,
-}
-
-impl ChunkedConeArena {
-    /// Plans chunks covering **every** node of `csr`.
-    pub fn plan(csr: &CsrView, chunk_size: usize) -> Self {
-        let all: Vec<u32> = (0..csr.node_count() as u32).collect();
-        Self::plan_for(csr, &all, chunk_size)
-    }
-
-    /// Plans chunks covering `roots` only (duplicates are ignored).
-    /// Nothing is built until a chunk is first touched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero.
-    pub fn plan_for(csr: &CsrView, roots: &[u32], chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        let n = csr.node_count();
-
-        // PO-region key: the smallest output column a node reaches
-        // (NO_PO for dead nodes), by one reverse-topological pass.
-        let mut region = vec![NO_PO; n];
-        for &i in csr.topo().iter().rev() {
-            let mut key = csr.po_col_of(i as usize);
-            for &s in csr.fanout_of(i as usize) {
-                key = key.min(region[s as usize]);
-            }
-            region[i as usize] = key;
+pub fn po_region_order(csr: &CsrView, roots: &[u32]) -> Vec<u32> {
+    // PO-region key: the smallest output column a node reaches (NO_PO
+    // for dead nodes), by one reverse-topological pass.
+    let mut region = vec![NO_PO; csr.node_count()];
+    for &i in csr.topo().iter().rev() {
+        let mut key = csr.po_col_of(i as usize);
+        for &s in csr.fanout_of(i as usize) {
+            key = key.min(region[s as usize]);
         }
-
-        let mut ordered = roots.to_vec();
-        ordered.sort_unstable_by_key(|&r| (region[r as usize], csr.rank_of(r as usize)));
-        ordered.dedup();
-
-        let mut chunk_off: Vec<usize> = (0..ordered.len()).step_by(chunk_size).collect();
-        chunk_off.push(ordered.len());
-        let n_chunks = chunk_off.len() - 1;
-
-        let mut chunk_of_node = vec![NO_CHUNK; n];
-        let mut slot_of_node = vec![NO_CHUNK; n];
-        for k in 0..n_chunks {
-            for (slot, &r) in ordered[chunk_off[k]..chunk_off[k + 1]].iter().enumerate() {
-                chunk_of_node[r as usize] = k as u32;
-                slot_of_node[r as usize] = slot as u32;
-            }
-        }
-
-        ChunkedConeArena {
-            chunk_off,
-            roots: ordered,
-            chunk_of_node,
-            slot_of_node,
-            built: vec![None; n_chunks],
-            resident_bytes: 0,
-            peak_bytes: 0,
-        }
+        region[i as usize] = key;
     }
 
-    /// Number of planned chunks.
-    #[inline]
-    pub fn chunk_count(&self) -> usize {
-        self.chunk_off.len() - 1
-    }
-
-    /// The roots assigned to chunk `k`, in slot order.
-    #[inline]
-    pub fn chunk_roots(&self, k: usize) -> &[u32] {
-        &self.roots[self.chunk_off[k]..self.chunk_off[k + 1]]
-    }
-
-    /// All planned roots, chunk-grouped (deduplicated PO-region order).
-    #[inline]
-    pub fn planned_roots(&self) -> &[u32] {
-        &self.roots
-    }
-
-    /// Whether chunk `k` is currently built and resident.
-    #[inline]
-    pub fn is_resident(&self, k: usize) -> bool {
-        self.built[k].is_some()
-    }
-
-    /// The resident arena of chunk `k`, or `None` when not built — the
-    /// borrow-friendly companion of [`ensure`](Self::ensure) (build
-    /// first, then read through a shared borrow).
-    #[inline]
-    pub fn chunk_arena(&self, k: usize) -> Option<&ConeArena> {
-        self.built[k].as_ref()
-    }
-
-    /// The chunk and slot owning `node`'s cone, or `None` if `node` was
-    /// not in the planned roots.
-    #[inline]
-    pub fn slot_of(&self, node: usize) -> Option<(usize, usize)> {
-        if self.chunk_of_node[node] == NO_CHUNK {
-            None
-        } else {
-            Some((
-                self.chunk_of_node[node] as usize,
-                self.slot_of_node[node] as usize,
-            ))
-        }
-    }
-
-    /// The arena of chunk `k`, building it on first touch.
-    pub fn ensure(&mut self, csr: &CsrView, k: usize) -> &ConeArena {
-        if self.built[k].is_none() {
-            let arena = ConeArena::build_for(csr, self.chunk_roots(k));
-            let bytes = arena.bytes();
-            self.resident_bytes += bytes;
-            // The builder's processing-order buffer coexists with the
-            // assembled arena, so the true high-water mark includes one
-            // extra copy of the chunk being built.
-            self.peak_bytes = self.peak_bytes.max(self.resident_bytes + bytes);
-            self.built[k] = Some(arena);
-        }
-        self.built[k].as_ref().expect("chunk built above")
-    }
-
-    /// Releases chunk `k`'s arena (a later touch rebuilds it).
-    pub fn release(&mut self, k: usize) {
-        if let Some(arena) = self.built[k].take() {
-            self.resident_bytes -= arena.bytes();
-        }
-    }
-
-    /// The cone of `node`, lazily building its chunk on first touch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` was not in the planned roots.
-    pub fn cone_of(&mut self, csr: &CsrView, node: usize) -> &[u32] {
-        let (k, slot) = self.slot_of(node).expect("node must be a planned root");
-        self.ensure(csr, k).cone(slot)
-    }
-
-    /// The reachable-PO columns of `node`, lazily building its chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` was not in the planned roots.
-    pub fn reachable_cols_of(&mut self, csr: &CsrView, node: usize) -> &[u32] {
-        let (k, slot) = self.slot_of(node).expect("node must be a planned root");
-        self.ensure(csr, k).reachable_cols(slot)
-    }
-
-    /// Retained bytes across all currently resident chunk arenas.
-    #[inline]
-    pub fn resident_bytes(&self) -> usize {
-        self.resident_bytes
-    }
-
-    /// High-water mark of [`resident_bytes`](Self::resident_bytes) plus
-    /// the builder's transient assembly buffer.
-    #[inline]
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes
-    }
+    // Ranks are a permutation, so equal keys mean the same node and the
+    // sort leaves duplicates adjacent.
+    let mut ordered = roots.to_vec();
+    ordered.sort_unstable_by_key(|&r| (region[r as usize], csr.rank_of(r as usize)));
+    ordered.dedup();
+    ordered
 }
 
 #[cfg(test)]
@@ -882,56 +689,24 @@ mod tests {
         let c = generate::sec32("t");
         let csr = CsrView::build(&c);
         let full = ConeArena::build(&csr);
+        let all: Vec<u32> = (0..c.node_count() as u32).collect();
+        let order = po_region_order(&csr, &all);
         for chunk_size in [1, 7, 64, 1 << 20] {
-            let mut chunked = ChunkedConeArena::plan(&csr, chunk_size);
-            for id in c.node_ids() {
-                let i = id.index();
-                assert_eq!(chunked.cone_of(&csr, i), full.cone(i), "cone of {i}");
-                assert_eq!(
-                    chunked.reachable_cols_of(&csr, i),
-                    full.reachable_cols(i),
-                    "cols of {i}"
-                );
+            let mut seen = 0;
+            for chunk in order.chunks(chunk_size) {
+                let arena = ConeArena::build_for(&csr, chunk);
+                for (slot, &root) in chunk.iter().enumerate() {
+                    let i = root as usize;
+                    assert_eq!(arena.cone(slot), full.cone(i), "cone of {i}");
+                    assert_eq!(
+                        arena.reachable_cols(slot),
+                        full.reachable_cols(i),
+                        "cols of {i}"
+                    );
+                }
+                seen += chunk.len();
             }
-        }
-    }
-
-    #[test]
-    fn chunked_arena_is_lazy_and_releasable() {
-        let c = generate::sec32("t");
-        let csr = CsrView::build(&c);
-        let mut chunked = ChunkedConeArena::plan(&csr, 32);
-        assert!(chunked.chunk_count() > 2);
-        assert_eq!(chunked.resident_bytes(), 0, "nothing built at plan time");
-        let node = chunked.chunk_roots(0)[0] as usize;
-        chunked.cone_of(&csr, node);
-        assert!(chunked.is_resident(0));
-        assert!(!chunked.is_resident(1), "untouched chunks stay unbuilt");
-        let resident = chunked.resident_bytes();
-        assert!(resident > 0);
-        assert!(chunked.peak_bytes() >= resident);
-        chunked.release(0);
-        assert_eq!(chunked.resident_bytes(), 0);
-        assert!(!chunked.is_resident(0));
-        // A later touch rebuilds the same cone.
-        let full = ConeArena::build(&csr);
-        assert_eq!(chunked.cone_of(&csr, node), full.cone(node));
-    }
-
-    #[test]
-    fn chunked_ensure_keeps_every_chunk_resident() {
-        let c = generate::c17();
-        let csr = CsrView::build(&c);
-        let mut chunked = ChunkedConeArena::plan(&csr, 4);
-        for k in 0..chunked.chunk_count() {
-            chunked.ensure(&csr, k);
-        }
-        for k in 0..chunked.chunk_count() {
-            assert!(chunked.is_resident(k), "chunk {k}");
-        }
-        let full = ConeArena::build(&csr);
-        for id in c.node_ids() {
-            assert_eq!(chunked.cone_of(&csr, id.index()), full.cone(id.index()));
+            assert_eq!(seen, c.node_count(), "chunks cover every node once");
         }
     }
 
@@ -941,15 +716,46 @@ mod tests {
         let csr = CsrView::build(&c);
         let roots: Vec<u32> = (0..c.node_count() as u32).filter(|r| r % 3 == 0).collect();
         let reference = ConeArena::build_for(&csr, &roots);
-        let mut chunked = ChunkedConeArena::plan_for(&csr, &roots, 11);
-        for (slot, &r) in roots.iter().enumerate() {
-            assert_eq!(chunked.cone_of(&csr, r as usize), reference.cone(slot));
-            assert_eq!(
-                chunked.reachable_cols_of(&csr, r as usize),
-                reference.reachable_cols(slot)
-            );
+        let slot_of = |r: u32| roots.iter().position(|&x| x == r).expect("requested root");
+        for chunk in po_region_order(&csr, &roots).chunks(11) {
+            let arena = ConeArena::build_for(&csr, chunk);
+            for (slot, &r) in chunk.iter().enumerate() {
+                assert_eq!(arena.cone(slot), reference.cone(slot_of(r)));
+                assert_eq!(
+                    arena.reachable_cols(slot),
+                    reference.reachable_cols(slot_of(r))
+                );
+            }
         }
-        assert_eq!(chunked.slot_of(1), None, "non-roots carry no slot");
+    }
+
+    #[test]
+    fn po_region_order_is_a_deduplicated_permutation() {
+        let c = generate::sec32("t");
+        let csr = CsrView::build(&c);
+        let roots: Vec<u32> = (0..c.node_count() as u32)
+            .filter(|r| r % 4 == 1)
+            .chain([5, 5, 9, 1])
+            .rev()
+            .collect();
+        let order = po_region_order(&csr, &roots);
+        let mut want = roots.clone();
+        want.sort_unstable();
+        want.dedup();
+        let mut got = order.clone();
+        got.sort_unstable();
+        assert_eq!(got, want, "each requested root exactly once");
+        // Sorted by (smallest reachable PO column, topological rank).
+        let full = ConeArena::build(&csr);
+        let key = |r: u32| {
+            let region = full
+                .reachable_cols(r as usize)
+                .first()
+                .copied()
+                .unwrap_or(NO_PO);
+            (region, csr.rank_of(r as usize))
+        };
+        assert!(order.windows(2).all(|w| key(w[0]) < key(w[1])));
     }
 
     #[test]
@@ -959,12 +765,5 @@ mod tests {
         let arena = ConeArena::build(&csr);
         let sum: usize = c.node_ids().map(|id| arena.cone(id.index()).len()).sum();
         assert_eq!(arena.total_cone_len(), sum);
-        let rsum: usize = c
-            .node_ids()
-            .map(|id| arena.reachable_cols(id.index()).len())
-            .sum();
-        assert_eq!(arena.total_reachable(), rsum);
-        assert_eq!(arena.reachable_offsets().len(), c.node_count() + 1);
-        assert_eq!(arena.reachable_cols_flat().len(), rsum);
     }
 }

@@ -70,6 +70,11 @@ pub type Path = Vec<NodeId>;
 /// `limit` paths exist. Paths are produced in DFS order, deterministic for
 /// a given circuit.
 ///
+/// No analysis calls this: it is the every-path reference for small
+/// circuits. The path-count property checks [`total_paths`] against
+/// it, and the tension-space property checks that a timing-preserving
+/// width change leaves every enumerated path's delay unchanged.
+///
 /// # Example
 ///
 /// ```

@@ -1,9 +1,9 @@
-//! Property-based equivalence of the chunked, lazily-built cone arena
-//! against the monolithic whole-circuit closure, on random layered
-//! circuits:
+//! Property-based equivalence of per-chunk cone arenas against the
+//! monolithic whole-circuit closure, on random layered circuits:
 //!
-//! * every chunking of the roots must reproduce the monolithic arena's
-//!   cones and reachable-PO lists exactly;
+//! * every chunking of the PO-region root order, one
+//!   `ConeArena::build_for` per chunk, must reproduce the monolithic
+//!   arena's cones and reachable-PO lists exactly;
 //! * the streamed `P_ij` estimator must return **bitwise identical**
 //!   matrices for every `(threads, chunk_size)` combination, in both
 //!   the fixed-budget and the default estimator mode — the determinism
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use soft_error::logicsim::sensitize::{
     resimulate_rows_cfg, sensitization_probabilities_cfg, PijConfig,
 };
-use soft_error::netlist::csr::{ChunkedConeArena, ConeArena, CsrView};
+use soft_error::netlist::csr::{po_region_order, ConeArena, CsrView};
 use soft_error::netlist::generate::{layered, LayeredSpec};
 use soft_error::netlist::{Circuit, NodeId};
 
@@ -30,8 +30,9 @@ fn arbitrary_circuit() -> impl Strategy<Value = Circuit> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Lazy per-chunk builds reproduce the monolithic closure exactly,
-    /// for every chunk size.
+    /// Per-chunk builds over the PO-region order reproduce the
+    /// monolithic closure exactly, for every chunk size, and the chunks
+    /// cover every node once.
     #[test]
     fn chunked_cones_match_monolithic(
         circuit in arbitrary_circuit(),
@@ -39,39 +40,34 @@ proptest! {
     ) {
         let csr = CsrView::build(&circuit);
         let full = ConeArena::build(&csr);
-        let mut lazy = ChunkedConeArena::plan(&csr, chunk_size);
-        for id in circuit.node_ids() {
-            let i = id.index();
-            prop_assert_eq!(lazy.cone_of(&csr, i), full.cone(i), "cone of {}", i);
-            prop_assert_eq!(
-                lazy.reachable_cols_of(&csr, i),
-                full.reachable_cols(i),
-                "reach of {}",
-                i
-            );
-        }
-
-        // Building chunk by chunk materializes the same chunks the lazy
-        // walk did.
-        let mut eager = ChunkedConeArena::plan(&csr, chunk_size);
-        for k in 0..eager.chunk_count() {
-            eager.ensure(&csr, k);
-        }
-        for k in 0..eager.chunk_count() {
-            prop_assert!(eager.is_resident(k));
-            let arena = eager.chunk_arena(k).expect("built by ensure");
-            for (slot, &root) in eager.chunk_roots(k).iter().enumerate() {
-                prop_assert_eq!(arena.cone(slot), full.cone(root as usize));
+        let all: Vec<u32> = (0..circuit.node_count() as u32).collect();
+        let order = po_region_order(&csr, &all);
+        prop_assert_eq!(order.len(), circuit.node_count());
+        let mut covered = vec![false; circuit.node_count()];
+        for chunk in order.chunks(chunk_size) {
+            let arena = ConeArena::build_for(&csr, chunk);
+            for (slot, &root) in chunk.iter().enumerate() {
+                let i = root as usize;
+                prop_assert!(!covered[i], "root {} in two chunks", i);
+                covered[i] = true;
+                prop_assert_eq!(arena.cone(slot), full.cone(i), "cone of {}", i);
+                prop_assert_eq!(
+                    arena.reachable_cols(slot),
+                    full.reachable_cols(i),
+                    "reach of {}",
+                    i
+                );
             }
         }
+        prop_assert!(covered.iter().all(|&c| c));
     }
 
     /// The streamed estimator is bitwise identical for every worker
     /// count and every chunk size, including the degenerate one-root
     /// chunks and the single-chunk (monolithic) extreme — both in
     /// fixed-budget mode (`PijConfig::fixed`, the CI pin) and under the
-    /// default adaptive + exact configuration, whose convergence and
-    /// qualification decisions are integer-counter driven.
+    /// default adaptive configuration, whose stop decisions are driven
+    /// by integer counters.
     #[test]
     fn pij_bitwise_identical_across_threads_and_chunks(
         circuit in arbitrary_circuit(),
