@@ -2,7 +2,7 @@
 //! fast side of the correlation experiment; the transistor-level
 //! reference side is measured in `runtime_scaling`).
 
-use aserta::{analyze, AsertaConfig, CircuitCells};
+use aserta::{try_analyze, AsertaConfig, CircuitCells};
 use criterion::{criterion_group, criterion_main, Criterion};
 use ser_cells::{CharGrids, Library};
 use ser_logicsim::sensitize::sensitization_probabilities_cfg;
@@ -29,13 +29,13 @@ fn bench_fig3(c: &mut Criterion) {
     };
     let pij = estimate(cfg.sensitization_vectors, cfg.seed);
     // Warm the lazy library so the timer sees pure analysis.
-    let _ = analyze(&circuit, &cells, &mut library, &pij, &cfg);
+    try_analyze(&circuit, &cells, &mut library, &pij, &cfg).expect("c432 analyzes");
 
     let mut group = c.benchmark_group("fig3");
     group.sample_size(20);
     group.bench_function("aserta_analyze_c432", |b| {
         b.iter(|| {
-            black_box(analyze(
+            black_box(try_analyze(
                 black_box(&circuit),
                 &cells,
                 &mut library,

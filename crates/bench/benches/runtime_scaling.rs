@@ -3,7 +3,7 @@
 //! MATLAB; "orders of magnitude less than SPICE"), plus one
 //! transistor-level strike for the SPICE-side scale.
 
-use aserta::{analyze, AsertaConfig, CircuitCells};
+use aserta::{try_analyze, AsertaConfig, CircuitCells};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ser_cells::{CharGrids, Library};
 use ser_logicsim::sensitize::sensitization_probabilities_cfg;
@@ -36,9 +36,9 @@ fn bench_runtime(c: &mut Criterion) {
             e.cone_chunk(),
             &e.pij(),
         );
-        let _ = analyze(&circuit, &cells, &mut library, &pij, &cfg);
+        try_analyze(&circuit, &cells, &mut library, &pij, &cfg).expect("bundled circuit analyzes");
         group.bench_with_input(BenchmarkId::from_parameter(name), name, |b, _| {
-            b.iter(|| black_box(analyze(&circuit, &cells, &mut library, &pij, &cfg)))
+            b.iter(|| black_box(try_analyze(&circuit, &cells, &mut library, &pij, &cfg)))
         });
     }
     group.finish();

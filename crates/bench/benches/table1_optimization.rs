@@ -33,14 +33,15 @@ fn bench_table1(c: &mut Criterion) {
         matching,
         aserta_cfg,
         EnergyModel::default(),
-    );
+    )
+    .expect("c432 problem builds");
     let dim = problem.dim();
     let phi: Vec<f64> = (0..dim).map(|k| 5.0e-12 * ((k % 5) as f64 - 2.0)).collect();
 
     let mut group = c.benchmark_group("table1");
     group.sample_size(20);
     group.bench_function("cost_evaluation_c432", |b| {
-        b.iter(|| black_box(problem.evaluate_phi(black_box(&phi)).cost))
+        b.iter(|| black_box(problem.try_evaluate_phi(black_box(&phi)).map(|c| c.cost)))
     });
     group.finish();
 }

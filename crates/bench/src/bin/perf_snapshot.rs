@@ -94,7 +94,7 @@ use aserta::{
     timing_view, AnalysisSession, AsertaConfig, AsertaReport, CircuitCells, ExpectedWidths,
     LoadModel, SessionSnapshot,
 };
-use ser_bench::corners::{sweep_fresh, sweep_session, CornerGrid};
+use ser_bench::corners::{sweep_fresh, try_sweep_session, CornerGrid};
 use ser_bench::timed;
 use ser_cells::{CharGrids, Library};
 use ser_logicsim::probability::static_probabilities_analytic;
@@ -551,13 +551,19 @@ fn measure_corners(circuit: &Circuit, smoke: bool) -> Value {
     // base-point variants the session boots from — outside the clock,
     // so neither run times first-touch characterization.
     let mut lib_fresh = Library::new(Technology::ptm70(), CharGrids::coarse());
+    let sweep_err = |e: &dyn std::fmt::Display| die(&format!("sweeping {}", circuit.name()), e);
     checked_analyze(circuit, &cells, &mut lib_fresh, &cfg);
-    sweep_fresh(circuit, &cells, &mut lib_fresh, &cfg, &corners);
+    sweep_fresh(circuit, &cells, &mut lib_fresh, &cfg, &corners).unwrap_or_else(|e| sweep_err(&e));
     let lib_session = lib_fresh.clone();
 
     let (fresh, fresh_s) = timed(|| sweep_fresh(circuit, &cells, &mut lib_fresh, &cfg, &corners));
     let (warm, session_s) =
-        timed(|| sweep_session(circuit, &cells, lib_session, &cfg, &corners, 1));
+        timed(|| try_sweep_session(circuit, &cells, lib_session, &cfg, &corners, 1));
+    let fresh = fresh.unwrap_or_else(|e| sweep_err(&e));
+    let warm: Vec<_> = warm
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| sweep_err(&e));
     assert_eq!(fresh, warm, "engines must agree on {}", circuit.name());
 
     Value::Object(vec![

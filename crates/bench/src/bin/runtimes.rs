@@ -7,7 +7,7 @@
 //! cargo run --release -p ser-bench --bin runtimes [--spice-gates N]
 //! ```
 
-use aserta::{analyze, AsertaConfig, CircuitCells};
+use aserta::{try_analyze, AsertaConfig, CircuitCells};
 use ser_cells::{CharGrids, Library};
 use ser_logicsim::sensitize::sensitization_probabilities_cfg;
 use ser_logicsim::EngineConfig;
@@ -51,8 +51,12 @@ fn main() {
         });
         // Warm the library before timing the analysis proper (the paper's
         // lookup tables are also characterized offline).
-        let _ = analyze(&circuit, &cells, &mut lib, &pij, &cfg);
-        let (_, t_aserta) = ser_bench::timed(|| analyze(&circuit, &cells, &mut lib, &pij, &cfg));
+        if let Err(e) = try_analyze(&circuit, &cells, &mut lib, &pij, &cfg) {
+            eprintln!("error: analyzing {name}: {e}");
+            std::process::exit(1);
+        }
+        let (_, t_aserta) =
+            ser_bench::timed(|| try_analyze(&circuit, &cells, &mut lib, &pij, &cfg));
 
         let (t_ref_str, speedup_str) = if circuit.gate_count() <= spice_gate_limit {
             let sim_cfg = CircuitSimConfig::default();

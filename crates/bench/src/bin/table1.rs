@@ -59,7 +59,10 @@ fn main() {
         // One shared library per VDD/Vth family keeps characterization
         // cached across circuits.
         let mut library = Library::new(tech.clone(), CharGrids::standard());
-        let row = run_circuit(spec, &cfg, &mut library);
+        let row = run_circuit(spec, &cfg, &mut library).unwrap_or_else(|e| {
+            eprintln!("error: {}: {e}", spec.name);
+            std::process::exit(1)
+        });
         println!(
             "{}   ({:.0} s, {} evals)",
             row.format(),

@@ -5,7 +5,7 @@
 //! soft-error sign-off sweeps *operating corners* of a whole design. A
 //! corner only moves cell parameters and the injected charge — the
 //! circuit's logic (and therefore `P_ij`, the static probabilities and
-//! the Eq. 2 weight cache) is corner-invariant. [`sweep_session`]
+//! the Eq. 2 weight cache) is corner-invariant. [`try_sweep_session`]
 //! therefore expresses each corner as a batch of per-gate deltas
 //! against one warm [`AnalysisSession`]: the Monte-Carlo estimate, the
 //! CSR/cone artifacts and the characterized-cell cache are paid once
@@ -13,7 +13,7 @@
 //! session replicas exactly like
 //! [`sertopt::DelayProblem::evaluate_batch`] deals candidates.
 //!
-//! [`sweep_fresh`] is the baseline: one full [`analyze_fresh`] — a
+//! [`sweep_fresh`] is the baseline: one full [`try_analyze_fresh`] — a
 //! cold-start session plus a Monte-Carlo `P_ij` re-estimate — per
 //! corner. Both produce **bitwise identical** points for every thread
 //! count (each corner's session state equals a fresh analysis by the
@@ -21,7 +21,7 @@
 //! `perf_snapshot` measures warm-session reuse against the cold-start
 //! path.
 
-use aserta::{analyze_fresh, AnalysisSession, AsertaConfig, CircuitCells};
+use aserta::{try_analyze_fresh, AnalysisError, AnalysisSession, AsertaConfig, CircuitCells};
 use ser_cells::Library;
 use ser_netlist::Circuit;
 
@@ -170,27 +170,31 @@ pub struct CornerPoint {
     pub critical_delay: f64,
 }
 
-/// The fresh baseline: one full [`analyze_fresh`] (including the
+/// The fresh baseline: one full [`try_analyze_fresh`] (including the
 /// Monte-Carlo `P_ij` re-estimate) per corner.
+///
+/// # Errors
+///
+/// The first corner's [`AnalysisError`], if any corner fails.
 pub fn sweep_fresh(
     circuit: &Circuit,
     base: &CircuitCells,
     library: &mut Library,
     cfg: &AsertaConfig,
     corners: &[Corner],
-) -> Vec<CornerPoint> {
+) -> Result<Vec<CornerPoint>, AnalysisError> {
     corners
         .iter()
         .map(|corner| {
             let cells = corner.cells(circuit, base);
             let mut corner_cfg = cfg.clone();
             corner_cfg.charge = corner.charge;
-            let report = analyze_fresh(circuit, &cells, library, &corner_cfg);
-            CornerPoint {
+            let report = try_analyze_fresh(circuit, &cells, library, &corner_cfg)?;
+            Ok(CornerPoint {
                 corner: *corner,
                 unreliability: report.unreliability,
                 critical_delay: report.timing.critical_path_delay(circuit),
-            }
+            })
         })
         .collect()
 }
@@ -198,31 +202,16 @@ pub fn sweep_fresh(
 /// The session engine: one warm [`AnalysisSession`] (cloned into up to
 /// `threads` replicas; 0 = the `SER_SIM_THREADS`/available-parallelism
 /// default), each corner applied as a cell-delta batch plus a charge
-/// move. Results are bitwise identical to [`sweep_fresh`] and to every
-/// other thread count.
-pub fn sweep_session(
-    circuit: &Circuit,
-    base: &CircuitCells,
-    library: Library,
-    cfg: &AsertaConfig,
-    corners: &[Corner],
-    threads: usize,
-) -> Vec<CornerPoint> {
-    try_sweep_session(circuit, base, library, cfg, corners, threads)
-        .into_iter()
-        .map(|p| match p {
-            Ok(p) => p,
-            Err(e) => panic!("sweep_session: {e}"),
-        })
-        .collect()
-}
-
-/// Fallible [`sweep_session`]: one `Result` per corner in grid order. A
-/// corner the session rejects or poisons on (or that a `fail-points`
+/// move, with one `Result` per corner in grid order. Results are bitwise
+/// identical to [`sweep_fresh`] and to every other thread count.
+///
+/// A corner the session rejects or poisons on (or that a `fail-points`
 /// hook fails) surfaces as a typed [`SweepError`]; the replica heals
 /// itself with a full rebuild before its next corner, so one bad corner
 /// never taints the rest of the grid. Panics inside a corner evaluation
-/// are caught per corner at the [`std::thread::scope`] boundary.
+/// are caught per corner at the [`std::thread::scope`] boundary. When
+/// the session cannot be built at all, every corner carries that build
+/// error.
 pub fn try_sweep_session(
     circuit: &Circuit,
     base: &CircuitCells,
@@ -234,7 +223,7 @@ pub fn try_sweep_session(
     let mut session =
         match AnalysisSession::builder(circuit, base.clone(), library, cfg.clone()).build() {
             Ok(s) => s,
-            Err(e) => panic!("sweep_session: {e}"),
+            Err(e) => return corners.iter().map(|_| Err(e.clone().into())).collect(),
         };
     let workers = if threads == 0 {
         session.engine().threads()
@@ -356,6 +345,21 @@ mod tests {
         c
     }
 
+    /// [`try_sweep_session`] with every corner required to succeed.
+    fn sweep_ok(
+        circuit: &Circuit,
+        base: &CircuitCells,
+        library: Library,
+        cfg: &AsertaConfig,
+        corners: &[Corner],
+        threads: usize,
+    ) -> Vec<CornerPoint> {
+        try_sweep_session(circuit, base, library, cfg, corners, threads)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap()
+    }
+
     #[test]
     fn grid_is_cartesian_in_declared_order() {
         let grid = CornerGrid::smoke();
@@ -373,8 +377,8 @@ mod tests {
         let base = CircuitCells::nominal(&c);
         let corners = CornerGrid::smoke().corners();
         let mut fresh_lib = lib();
-        let fresh = sweep_fresh(&c, &base, &mut fresh_lib, &cfg(), &corners);
-        let warm = sweep_session(&c, &base, lib(), &cfg(), &corners, 1);
+        let fresh = sweep_fresh(&c, &base, &mut fresh_lib, &cfg(), &corners).unwrap();
+        let warm = sweep_ok(&c, &base, lib(), &cfg(), &corners, 1);
         assert_eq!(fresh, warm, "fresh and session sweeps must agree bitwise");
         // Corners must actually differ (the sweep is not degenerate).
         assert!(fresh
@@ -387,9 +391,9 @@ mod tests {
         let c = generate::c17();
         let base = CircuitCells::nominal(&c);
         let corners = CornerGrid::table1_style().corners();
-        let one = sweep_session(&c, &base, lib(), &cfg(), &corners, 1);
+        let one = sweep_ok(&c, &base, lib(), &cfg(), &corners, 1);
         for threads in [2usize, 3, 8] {
-            let t = sweep_session(&c, &base, lib(), &cfg(), &corners, threads);
+            let t = sweep_ok(&c, &base, lib(), &cfg(), &corners, threads);
             assert_eq!(one, t, "{threads} threads");
         }
     }
@@ -413,7 +417,7 @@ mod tests {
                 charge: 16.0e-15,
             },
         ];
-        let pts = sweep_session(&c, &base, lib(), &cfg(), &corners, 1);
+        let pts = sweep_ok(&c, &base, lib(), &cfg(), &corners, 1);
         assert!(
             pts[0].unreliability > pts[1].unreliability,
             "{:e} vs {:e}",
@@ -438,7 +442,27 @@ mod tests {
                 charge: 32.0e-15,
             },
         ];
-        let pts = sweep_session(&c, &base, lib(), &cfg(), &corners, 1);
+        let pts = sweep_ok(&c, &base, lib(), &cfg(), &corners, 1);
         assert!(pts[1].unreliability >= pts[0].unreliability);
+    }
+
+    #[test]
+    fn unbuildable_session_fails_every_corner() {
+        let c = generate::c17();
+        let base = CircuitCells::nominal(&c);
+        let corners = CornerGrid::smoke().corners();
+        let mut bad = cfg();
+        bad.sensitization_vectors = 0;
+        let pts = try_sweep_session(&c, &base, lib(), &bad, &corners, 2);
+        assert_eq!(pts.len(), corners.len());
+        for p in pts {
+            assert!(
+                matches!(
+                    p,
+                    Err(SweepError::Analysis(AnalysisError::InvalidConfig { .. }))
+                ),
+                "{p:?}"
+            );
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! unreliability-decrease columns (ASERTA full-statistics, ASERTA with 50
 //! random vectors, transistor-level reference with 50 random vectors).
 
-use aserta::{analyze, AsertaConfig, CircuitCells};
+use aserta::{try_analyze, AnalysisError, AsertaConfig, CircuitCells};
 use ser_cells::Library;
 use ser_logicsim::sensitize::sensitization_probabilities_cfg;
 use ser_logicsim::EngineConfig;
@@ -156,10 +156,23 @@ impl Default for Table1Config {
 }
 
 /// Runs one circuit's row end to end.
-pub fn run_circuit(spec: &CircuitSpec, cfg: &Table1Config, library: &mut Library) -> Table1Row {
+///
+/// # Errors
+///
+/// [`AnalysisError::InvalidConfig`] for unusable ASERTA settings and
+/// [`AnalysisError::Engine`] for a malformed `SER_*` variable, both
+/// checked before the optimizer runs, and any error an ASERTA run of
+/// the 50-vector column reports.
+pub fn run_circuit(
+    spec: &CircuitSpec,
+    cfg: &Table1Config,
+    library: &mut Library,
+) -> Result<Table1Row, AnalysisError> {
     let circuit = crate::bundled_iscas85(spec.name);
     let mut opt_cfg = cfg.optimizer.clone();
     opt_cfg.allowed = spec.allowed.clone();
+    opt_cfg.aserta.validate()?;
+    let engine = EngineConfig::from_env()?;
 
     let (outcome, secs) =
         crate::timed(|| optimize(&circuit, library, &OptimizeRequest::new(opt_cfg.clone())));
@@ -172,8 +185,9 @@ pub fn run_circuit(spec: &CircuitSpec, cfg: &Table1Config, library: &mut Library
             &outcome,
             library,
             &opt_cfg.aserta,
+            &engine,
             cfg.reference_vectors,
-        );
+        )?;
         let s50 = if spec.spice_reference && cfg.run_spice_reference {
             Some(reference_decrease(
                 &circuit,
@@ -190,7 +204,7 @@ pub fn run_circuit(spec: &CircuitSpec, cfg: &Table1Config, library: &mut Library
         (None, None)
     };
 
-    Table1Row {
+    Ok(Table1Row {
         name: spec.name.to_owned(),
         vdds: spec.allowed.vdds.clone(),
         vths: spec.allowed.vths.clone(),
@@ -202,7 +216,7 @@ pub fn run_circuit(spec: &CircuitSpec, cfg: &Table1Config, library: &mut Library
         spice50_decrease: spice50,
         optimize_seconds: secs,
         outcome,
-    }
+    })
 }
 
 /// ASERTA unreliability decrease when `P_ij` is estimated from only the
@@ -213,9 +227,9 @@ fn aserta_decrease_with_vectors(
     outcome: &Outcome,
     library: &mut Library,
     aserta_cfg: &AsertaConfig,
+    engine: &EngineConfig,
     n_vectors: usize,
-) -> f64 {
-    let engine = EngineConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
+) -> Result<f64, AnalysisError> {
     let pij = sensitization_probabilities_cfg(
         circuit,
         n_vectors,
@@ -225,15 +239,11 @@ fn aserta_decrease_with_vectors(
         &engine.pij(),
     );
     let u = |cells: &CircuitCells, library: &mut Library| {
-        analyze(circuit, cells, library, &pij, aserta_cfg).unreliability
+        try_analyze(circuit, cells, library, &pij, aserta_cfg).map(|r| r.unreliability)
     };
-    let u0 = u(&outcome.baseline_cells, library);
-    let u1 = u(&outcome.optimized_cells, library);
-    if u0 > 0.0 {
-        (u0 - u1) / u0
-    } else {
-        0.0
-    }
+    let u0 = u(&outcome.baseline_cells, library)?;
+    let u1 = u(&outcome.optimized_cells, library)?;
+    Ok(if u0 > 0.0 { (u0 - u1) / u0 } else { 0.0 })
 }
 
 /// Transistor-level unreliability decrease on the same vectors (the

@@ -15,12 +15,12 @@
 
 use std::time::Instant;
 
-use aserta::{analyze_fresh, AsertaConfig, CircuitCells, EngineConfig};
+use aserta::{try_analyze_fresh, AnalysisError, AsertaConfig, CircuitCells, EngineConfig};
 use ser_cells::{CharGrids, Library};
 use ser_logicsim::sensitize;
 use ser_spice::Technology;
 
-fn main() {
+fn main() -> Result<(), AnalysisError> {
     let gates: usize = std::env::var("BIG_CIRCUIT_GATES")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -49,7 +49,7 @@ fn main() {
     };
 
     // Probe the streamed estimator's memory profile first: same work as
-    // the P_ij pass inside `analyze_fresh`, but reporting peak bytes.
+    // the P_ij pass inside `try_analyze_fresh`, but reporting peak bytes.
     let engine = EngineConfig::new();
     let threads = engine.threads();
     let chunk = engine.cone_chunk();
@@ -74,9 +74,9 @@ fn main() {
     let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
     let cells = CircuitCells::nominal(&circuit);
     let t2 = Instant::now();
-    let report = analyze_fresh(&circuit, &cells, &mut lib, &cfg);
+    let report = try_analyze_fresh(&circuit, &cells, &mut lib, &cfg)?;
     println!(
-        "analyze_fresh: {:.2}s, circuit unreliability U = {:.3e}",
+        "try_analyze_fresh: {:.2}s, circuit unreliability U = {:.3e}",
         t2.elapsed().as_secs_f64(),
         report.unreliability,
     );
@@ -85,4 +85,5 @@ fn main() {
     for (id, u) in report.soft_spots(&circuit, 5) {
         println!("  {:<12} U_i = {:.3e}", circuit.node(id).name, u);
     }
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! The top-level ASERTA analysis entry points (paper §3 end-to-end).
 //!
 //! Since the single-engine consolidation there is no separate "fresh"
-//! pipeline: [`analyze`] cold-starts an
+//! pipeline: [`try_analyze`] cold-starts an
 //! [`AnalysisSession`](crate::AnalysisSession) (construct → full-dirty
 //! recompute → extract report), so batch and incremental analyses run
 //! the exact same kernels. The workspace `fresh_path_equiv` proptest
@@ -61,30 +61,12 @@ impl AsertaReport {
     }
 }
 
-/// Runs the full analysis with a precomputed sensitization matrix.
+/// Runs the full analysis with a precomputed sensitization matrix,
+/// after validating the configuration and cell assignment.
 ///
 /// `P_ij` depends only on the circuit's logic (not on sizing/VDD/Vth), so
 /// optimizers compute it once and reuse it across every cost evaluation —
 /// this is the entry point they call.
-///
-/// # Panics
-///
-/// Panics on any [`AnalysisError`]; [`try_analyze`] is the fallible form.
-pub fn analyze(
-    circuit: &Circuit,
-    cells: &CircuitCells,
-    library: &mut Library,
-    pij: &SensitizationMatrix,
-    cfg: &AsertaConfig,
-) -> AsertaReport {
-    match try_analyze(circuit, cells, library, pij, cfg) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`analyze`] — validates the configuration and cell assignment
-/// (typed errors instead of panics) before running the full pipeline.
 ///
 /// # Errors
 ///
@@ -118,30 +100,11 @@ pub fn try_analyze(
 }
 
 /// Convenience entry point that also estimates `P_ij` (paper: 10 000
-/// random vectors) before running [`analyze`].
-///
-/// # Panics
-///
-/// Panics on any [`AnalysisError`]; [`try_analyze_fresh`] is the
-/// fallible form.
-pub fn analyze_fresh(
-    circuit: &Circuit,
-    cells: &CircuitCells,
-    library: &mut Library,
-    cfg: &AsertaConfig,
-) -> AsertaReport {
-    match try_analyze_fresh(circuit, cells, library, cfg) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`analyze_fresh`] — validates the configuration *before*
-/// the Monte-Carlo `P_ij` estimate (whose kernels assert on e.g. zero
-/// vectors), estimates `P_ij` with the engine settings of the
-/// environment overlay exactly as
-/// [`SessionBuilder::build`](crate::SessionBuilder::build) does, then
-/// runs [`try_analyze`].
+/// random vectors): validates the configuration *before* the
+/// Monte-Carlo estimate (whose kernels assert on e.g. zero vectors),
+/// estimates `P_ij` with the engine settings of the environment overlay
+/// exactly as [`SessionBuilder::build`](crate::SessionBuilder::build)
+/// does, then runs [`try_analyze`].
 ///
 /// # Errors
 ///
@@ -152,7 +115,7 @@ pub fn try_analyze_fresh(
     library: &mut Library,
     cfg: &AsertaConfig,
 ) -> Result<AsertaReport, AnalysisError> {
-    crate::session::validate_config(cfg)?;
+    cfg.validate()?;
     let pij = crate::session::estimate_pij(circuit, cfg, &EngineConfig::from_env()?);
     try_analyze(circuit, cells, library, &pij, cfg)
 }
@@ -177,8 +140,8 @@ mod tests {
         let c = generate::c17();
         let cells = CircuitCells::nominal(&c);
         let mut l = lib();
-        let r1 = analyze_fresh(&c, &cells, &mut l, &cfg());
-        let r2 = analyze_fresh(&c, &cells, &mut l, &cfg());
+        let r1 = try_analyze_fresh(&c, &cells, &mut l, &cfg()).unwrap();
+        let r2 = try_analyze_fresh(&c, &cells, &mut l, &cfg()).unwrap();
         assert!(r1.unreliability > 0.0);
         assert_eq!(r1.unreliability, r2.unreliability, "deterministic");
         for &pi in c.primary_inputs() {
@@ -208,7 +171,7 @@ mod tests {
         let c = generate::c17();
         let cells = CircuitCells::nominal(&c);
         let mut l = lib();
-        let r = analyze_fresh(&c, &cells, &mut l, &cfg());
+        let r = try_analyze_fresh(&c, &cells, &mut l, &cfg()).unwrap();
         let spots = r.soft_spots(&c, 2);
         let dual_po = [c.find("11").unwrap(), c.find("16").unwrap()];
         assert!(
@@ -227,7 +190,7 @@ mod tests {
         let c = generate::c17();
         let mut cells = CircuitCells::nominal(&c);
         let mut l = lib();
-        let r_before = analyze_fresh(&c, &cells, &mut l, &cfg());
+        let r_before = try_analyze_fresh(&c, &cells, &mut l, &cfg()).unwrap();
         for &po in c.primary_outputs() {
             let node = c.node(po);
             cells.set(
@@ -235,7 +198,7 @@ mod tests {
                 GateParams::new(node.kind, node.fanin.len()).with_size(6.0),
             );
         }
-        let r_after = analyze_fresh(&c, &cells, &mut l, &cfg());
+        let r_after = try_analyze_fresh(&c, &cells, &mut l, &cfg()).unwrap();
         for &po in c.primary_outputs() {
             assert!(
                 r_after.generated_widths[po.index()] < r_before.generated_widths[po.index()],
@@ -249,7 +212,7 @@ mod tests {
         let c = generate::c17();
         let cells = CircuitCells::nominal(&c);
         let mut l = lib();
-        let r = analyze_fresh(&c, &cells, &mut l, &cfg());
+        let r = try_analyze_fresh(&c, &cells, &mut l, &cfg()).unwrap();
         for g in c.gates() {
             let row_sum: f64 = r.po_widths(g).iter().sum();
             let z = cells.get(g).unwrap().size;
@@ -268,7 +231,7 @@ mod tests {
         let mut l = lib();
         let mut fast = cfg();
         fast.sensitization_vectors = 512;
-        let r = analyze_fresh(&ecc, &cells, &mut l, &fast);
+        let r = try_analyze_fresh(&ecc, &cells, &mut l, &fast).unwrap();
         assert!(r.unreliability > 0.0);
     }
 }

@@ -1,6 +1,8 @@
 use ser_spice::units::{FC, NS, PS};
 use serde::{Deserialize, Serialize};
 
+use crate::error::AnalysisError;
+
 /// ASERTA analysis settings, defaulting to the paper's choices.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AsertaConfig {
@@ -71,6 +73,44 @@ impl AsertaConfig {
             sensitization_vectors: 1024,
             ..AsertaConfig::default()
         }
+    }
+
+    /// Rejects configuration scalars the analysis kernels cannot digest.
+    /// Every session build and fresh analysis runs this before any
+    /// Monte-Carlo estimate; callers holding a config from outside the
+    /// program can run it first to report a bad field without building
+    /// anything.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::InvalidConfig`] naming the first unusable field.
+    pub fn validate(&self) -> Result<(), AnalysisError> {
+        let bad = |reason: &'static str| AnalysisError::InvalidConfig { reason };
+        if !(self.charge.is_finite() && self.charge > 0.0) {
+            return Err(bad("charge must be finite and positive"));
+        }
+        if self.sensitization_vectors == 0 {
+            return Err(bad("sensitization_vectors must be at least 1"));
+        }
+        if self.sample_widths < 2 {
+            return Err(bad("sample_widths must be at least 2"));
+        }
+        if !(self.wide_width.is_finite() && self.wide_width > 0.0) {
+            return Err(bad("wide_width must be finite and positive"));
+        }
+        if !(self.pi_probability.is_finite() && (0.0..=1.0).contains(&self.pi_probability)) {
+            return Err(bad("pi_probability must lie in [0, 1]"));
+        }
+        if !(self.pi_ramp.is_finite() && self.pi_ramp > 0.0) {
+            return Err(bad("pi_ramp must be finite and positive"));
+        }
+        if !(self.wire_cap_per_pin.is_finite() && self.wire_cap_per_pin >= 0.0) {
+            return Err(bad("wire_cap_per_pin must be finite and non-negative"));
+        }
+        if !(self.po_load.is_finite() && self.po_load >= 0.0) {
+            return Err(bad("po_load must be finite and non-negative"));
+        }
+        Ok(())
     }
 }
 

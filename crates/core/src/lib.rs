@@ -26,9 +26,10 @@
 //!
 //! # Error handling
 //!
-//! Untrusted-input boundaries are fallible: [`try_analyze`] and the
-//! session's `try_*` entry points return a typed [`AnalysisError`]
-//! instead of panicking, and mid-recompute numerical faults flip the
+//! Every analysis entry point is fallible: [`try_analyze`],
+//! [`try_analyze_fresh`], [`AsertaConfig::validate`] and the session's
+//! `try_*` calls return a typed [`AnalysisError`] instead of panicking,
+//! and mid-recompute numerical faults flip the
 //! session into an explicit *poisoned* state recoverable with
 //! [`AnalysisSession::recover`] — see [`error`] and the
 //! [`session`] module docs. The library code itself is compiled with
@@ -38,7 +39,7 @@
 //! # Example
 //!
 //! ```no_run
-//! use aserta::{analyze_fresh, AsertaConfig, CircuitCells};
+//! use aserta::{try_analyze_fresh, AsertaConfig, CircuitCells};
 //! use ser_cells::{CharGrids, Library};
 //! use ser_netlist::generate;
 //! use ser_spice::Technology;
@@ -46,8 +47,9 @@
 //! let c17 = generate::c17();
 //! let mut lib = Library::new(Technology::ptm70(), CharGrids::standard());
 //! let cells = CircuitCells::nominal(&c17);
-//! let report = analyze_fresh(&c17, &cells, &mut lib, &AsertaConfig::default());
+//! let report = try_analyze_fresh(&c17, &cells, &mut lib, &AsertaConfig::default())?;
 //! println!("unreliability U = {:.3e}", report.unreliability);
+//! # Ok::<(), aserta::AnalysisError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -68,7 +70,7 @@ pub mod session;
 pub mod snapshot;
 pub mod validate;
 
-pub use analysis::{analyze, analyze_fresh, try_analyze, try_analyze_fresh, AsertaReport};
+pub use analysis::{try_analyze, try_analyze_fresh, AsertaReport};
 pub use binding::{gate_input_ramp, node_load, timing_view, CircuitCells, LoadModel, TimingView};
 pub use config::AsertaConfig;
 pub use electrical::ExpectedWidths;

@@ -12,9 +12,10 @@ use ser_logicsim::SensitizationMatrix;
 use ser_netlist::{Circuit, NodeId};
 use serde::{Deserialize, Serialize};
 
-use crate::analysis::analyze;
+use crate::analysis::try_analyze;
 use crate::binding::CircuitCells;
 use crate::config::AsertaConfig;
+use crate::error::AnalysisError;
 
 /// Physical constants for FIT conversion.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,9 +58,10 @@ pub struct SerReport {
 /// Computes the FIT rate by integrating latching probability over the
 /// charge spectrum (one ASERTA electrical pass per charge point).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the charge spectrum is empty.
+/// [`AnalysisError::InvalidConfig`] for an empty charge spectrum, and
+/// any error [`try_analyze`] reports at a charge point.
 pub fn soft_error_rate(
     circuit: &Circuit,
     cells: &CircuitCells,
@@ -67,16 +69,17 @@ pub fn soft_error_rate(
     pij: &SensitizationMatrix,
     cfg: &AsertaConfig,
     model: &SerModel,
-) -> SerReport {
-    assert!(
-        !model.charge_spectrum.is_empty(),
-        "charge spectrum needs at least one point"
-    );
+) -> Result<SerReport, AnalysisError> {
+    if model.charge_spectrum.is_empty() {
+        return Err(AnalysisError::InvalidConfig {
+            reason: "charge spectrum needs at least one point",
+        });
+    }
     let mut per_gate = vec![0.0f64; circuit.node_count()];
     for &(charge, weight) in &model.charge_spectrum {
         let mut cfg_q = cfg.clone();
         cfg_q.charge = charge;
-        let report = analyze(circuit, cells, library, pij, &cfg_q);
+        let report = try_analyze(circuit, cells, library, pij, &cfg_q)?;
         for id in circuit.gates() {
             let w_total = report
                 .expected_widths
@@ -94,10 +97,10 @@ pub fn soft_error_rate(
     for v in per_gate.iter_mut() {
         *v *= FIT_SCALE;
     }
-    SerReport {
+    Ok(SerReport {
         fit: per_gate.iter().sum(),
         per_gate_fit: per_gate,
-    }
+    })
 }
 
 /// Per-gate FIT sorted descending — soft spots in physical units.
@@ -128,8 +131,8 @@ mod tests {
         let m1 = SerModel::default();
         let mut m2 = m1.clone();
         m2.strike_rate_per_area *= 10.0;
-        let r1 = soft_error_rate(&c, &cells, &mut lib, &pij, &cfg, &m1);
-        let r2 = soft_error_rate(&c, &cells, &mut lib, &pij, &cfg, &m2);
+        let r1 = soft_error_rate(&c, &cells, &mut lib, &pij, &cfg, &m1).unwrap();
+        let r2 = soft_error_rate(&c, &cells, &mut lib, &pij, &cfg, &m2).unwrap();
         assert!(r1.fit > 0.0);
         assert!((r2.fit / r1.fit - 10.0).abs() < 1e-6);
     }
@@ -149,8 +152,8 @@ mod tests {
             charge_spectrum: vec![(32.0e-15, 1.0)],
             ..SerModel::default()
         };
-        let r_small = soft_error_rate(&c, &cells, &mut lib, &pij, &cfg, &small);
-        let r_big = soft_error_rate(&c, &cells, &mut lib, &pij, &cfg, &big);
+        let r_small = soft_error_rate(&c, &cells, &mut lib, &pij, &cfg, &small).unwrap();
+        let r_big = soft_error_rate(&c, &cells, &mut lib, &pij, &cfg, &big).unwrap();
         assert!(r_big.fit > r_small.fit, "{} vs {}", r_big.fit, r_small.fit);
     }
 
@@ -161,8 +164,23 @@ mod tests {
         let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
         let cfg = AsertaConfig::fast();
         let pij = test_pij(&c, 512, 1);
-        let r = soft_error_rate(&c, &cells, &mut lib, &pij, &cfg, &SerModel::default());
+        let r = soft_error_rate(&c, &cells, &mut lib, &pij, &cfg, &SerModel::default()).unwrap();
         let ranked = rank_by_fit(&r, &c);
         assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));
+    }
+
+    #[test]
+    fn empty_charge_spectrum_is_a_typed_error() {
+        let c = generate::c17();
+        let cells = CircuitCells::nominal(&c);
+        let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
+        let pij = test_pij(&c, 64, 1);
+        let model = SerModel {
+            charge_spectrum: Vec::new(),
+            ..SerModel::default()
+        };
+        let err =
+            soft_error_rate(&c, &cells, &mut lib, &pij, &AsertaConfig::fast(), &model).unwrap_err();
+        assert!(matches!(err, AnalysisError::InvalidConfig { .. }), "{err}");
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! The SERTOPT inner loop re-evaluates circuit unreliability after every
 //! candidate move, and consecutive candidates differ in a handful of
-//! gates. A fresh [`analyze`](crate::analyze) pays the full
+//! gates. A fresh [`try_analyze`](crate::try_analyze) pays the full
 //! `O((V+E)·K·|PO|)` width pass (plus timing and library work) per move;
 //! the session instead scopes each recomputation with dirty-set closures
 //! over the flat CSR view:
@@ -21,19 +21,19 @@
 //! * the Eq. 2 weights `π_isj` and static probabilities depend only on
 //!   the circuit's logic, so they are computed once and served from a
 //!   per-cone weight cache; `P_ij` likewise persists, with
-//!   [`AnalysisSession::resample_pij_rows`] re-simulating selected cones
-//!   (via [`ser_logicsim::sensitize::resimulate_rows_cfg`]) when the caller
-//!   wants sharper estimates for specific nodes.
+//!   [`AnalysisSession::try_resample_pij_rows`] re-simulating selected
+//!   cones (via [`ser_logicsim::sensitize::resimulate_rows_cfg`]) when
+//!   the caller wants sharper estimates for specific nodes.
 //!
 //! **Fidelity contract:** after any sequence of
-//! [`AnalysisSession::set_cells`] / [`AnalysisSession::apply`] calls, the
-//! session state is *bitwise identical* to a fresh
-//! [`analyze`](crate::analyze) of the mutated assignment — every skipped
-//! recomputation is guarded by a bitwise comparison of its inputs. The
-//! workspace property test `session_equiv` pins this.
+//! [`AnalysisSession::try_set_cells`] / [`AnalysisSession::try_apply`]
+//! calls, the session state is *bitwise identical* to a fresh
+//! [`try_analyze`](crate::try_analyze) of the mutated assignment —
+//! every skipped recomputation is guarded by a bitwise comparison of its
+//! inputs. The workspace property test `session_equiv` pins this.
 //!
-//! **Fault tolerance:** every mutating entry point has a fallible `try_*`
-//! form returning [`AnalysisError`]. Untrusted inputs (configuration
+//! **Fault tolerance:** every mutating entry point is a fallible `try_*`
+//! call returning [`AnalysisError`]. Untrusted inputs (configuration
 //! scalars, cell parameters, charges) are validated *before* any
 //! mutation, so a rejection leaves the session bitwise intact. Numerical
 //! guards in the hot kernels (loads, timing lookups, generated widths,
@@ -43,12 +43,12 @@
 //! ([`AnalysisSession::is_poisoned`]) that refuses further mutations with
 //! [`AnalysisError::Poisoned`] until [`AnalysisSession::recover`] /
 //! [`AnalysisSession::recover_with`] runs a full-dirty rebuild. Read
-//! accessors keep working on a poisoned session. The legacy panicking
-//! API is preserved as thin wrappers over the `try_*` forms.
+//! accessors keep working on a poisoned session.
 //!
 //! # Example
 //!
 //! ```no_run
+//! # fn main() -> Result<(), aserta::AnalysisError> {
 //! use aserta::{AnalysisSession, AsertaConfig, CircuitCells};
 //! use ser_cells::{CharGrids, Library};
 //! use ser_netlist::generate;
@@ -58,17 +58,18 @@
 //! let lib = Library::new(Technology::ptm70(), CharGrids::coarse());
 //! let mut session =
 //!     AnalysisSession::builder(&c17, CircuitCells::nominal(&c17), lib, AsertaConfig::fast())
-//!         .build()
-//!         .unwrap();
+//!         .build()?;
 //! let g = c17.find("10").unwrap();
 //! let mut p = *session.cells().get(g).unwrap();
 //! p.size = 4.0;
-//! let stats = session.apply(&[(g, p)]);
+//! let stats = session.try_apply(&[(g, p)])?;
 //! println!(
 //!     "U = {:.3e} after touching {} rows",
 //!     session.unreliability(),
 //!     stats.rows_recomputed
 //! );
+//! # Ok(())
+//! # }
 //! ```
 
 use std::collections::HashSet;
@@ -92,8 +93,8 @@ use crate::electrical::{ExpectedWidths, InterpBrackets, RowKernel, WeightCache};
 use crate::error::{AnalysisError, PoisonReason};
 use crate::snapshot::{SessionSnapshot, SessionSnapshotError};
 
-/// What one [`AnalysisSession::set_cells`] /
-/// [`AnalysisSession::apply`] call actually recomputed — the observable
+/// What one [`AnalysisSession::try_set_cells`] /
+/// [`AnalysisSession::try_apply`] call actually recomputed — the observable
 /// face of the dirty-set machinery, useful for asserting locality and
 /// for downstream incremental caches (e.g. per-gate energy).
 #[derive(Debug, Clone, Default)]
@@ -245,7 +246,7 @@ impl<'c> SessionBuilder<'c> {
     /// * [`AnalysisError::BadCell`] when a gate's characterized library
     ///   cell fails validation (non-finite lookup tables or scalars).
     pub fn build(self) -> Result<AnalysisSession<'c>, AnalysisError> {
-        validate_config(&self.cfg)?;
+        self.cfg.validate()?;
         let engine = self.engine.overlay(&EngineConfig::from_env()?);
         let pij = match self.pij {
             Some(pij) => pij,
@@ -316,7 +317,7 @@ impl<'c> AnalysisSession<'c> {
         pij: SensitizationMatrix,
         threads: usize,
     ) -> Result<Self, AnalysisError> {
-        validate_config(&cfg)?;
+        cfg.validate()?;
         if pij.outputs() != circuit.primary_outputs() {
             return Err(AnalysisError::InvalidConfig {
                 reason: "sensitization matrix does not cover the circuit's primary outputs",
@@ -552,7 +553,7 @@ impl<'c> AnalysisSession<'c> {
 
     /// Consumes the session, moving its state into a classic
     /// [`AsertaReport`] without cloning the tables — the tail of the
-    /// cold-start [`analyze`](crate::analyze) path.
+    /// cold-start [`try_analyze`](crate::try_analyze) path.
     pub fn into_report(self) -> AsertaReport {
         AsertaReport {
             unreliability: self.unreliability,
@@ -655,22 +656,9 @@ impl<'c> AnalysisSession<'c> {
 
     /// Applies per-gate deltas (`(gate, new cell parameters)` pairs) and
     /// incrementally re-derives the analysis. No-op deltas (parameters
-    /// equal to the current assignment) are skipped outright.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`AnalysisError`] (e.g. a delta targeting a primary
-    /// input); [`AnalysisSession::try_apply`] is the fallible form.
-    pub fn apply(&mut self, deltas: &[(NodeId, GateParams)]) -> ApplyStats {
-        match self.try_apply(deltas) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`AnalysisSession::apply`]. Deltas are validated before
-    /// any mutation, so on every rejection the session is bitwise
-    /// identical to its pre-call state.
+    /// equal to the current assignment) are skipped outright. Deltas are
+    /// validated before any mutation, so on every rejection the session
+    /// is bitwise identical to its pre-call state.
     ///
     /// # Errors
     ///
@@ -703,21 +691,8 @@ impl<'c> AnalysisSession<'c> {
 
     /// Moves the session to a full target assignment, diffing it against
     /// the current one — the natural entry point for optimizer loops
-    /// whose matcher produces whole candidate assignments.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`AnalysisError`];
-    /// [`AnalysisSession::try_set_cells`] is the fallible form.
-    pub fn set_cells(&mut self, target: &CircuitCells) -> ApplyStats {
-        match self.try_set_cells(target) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`AnalysisSession::set_cells`]. The whole target is
-    /// validated before any mutation.
+    /// whose matcher produces whole candidate assignments. The whole
+    /// target is validated before any mutation.
     ///
     /// # Errors
     ///
@@ -761,24 +736,6 @@ impl<'c> AnalysisSession<'c> {
     /// Note the matrix then mixes sample sizes across rows;
     /// [`SensitizationMatrix::vectors_used`] keeps reporting the
     /// session-wide default.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`AnalysisError`];
-    /// [`AnalysisSession::try_resample_pij_rows`] is the fallible form.
-    pub fn resample_pij_rows(
-        &mut self,
-        nodes: &[NodeId],
-        n_vectors: usize,
-        seed: u64,
-    ) -> ApplyStats {
-        match self.try_resample_pij_rows(nodes, n_vectors, seed) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`AnalysisSession::resample_pij_rows`].
     ///
     /// # Errors
     ///
@@ -883,22 +840,9 @@ impl<'c> AnalysisSession<'c> {
     /// current setting.
     ///
     /// The resulting state is bitwise identical to a fresh
-    /// [`analyze`](crate::analyze) at the new charge
+    /// [`try_analyze`](crate::try_analyze) at the new charge
     /// ([`ApplyStats::gates_changed`] counts the gates whose generated
     /// width moved).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`AnalysisError`];
-    /// [`AnalysisSession::try_set_charge`] is the fallible form.
-    pub fn set_charge(&mut self, charge: f64) -> ApplyStats {
-        match self.try_set_charge(charge) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`AnalysisSession::set_charge`].
     ///
     /// # Errors
     ///
@@ -1300,7 +1244,7 @@ impl<'c> AnalysisSession<'c> {
     }
 
     /// Recomputes `U_i` for the gates in `scratch.u_dirty` and resums the
-    /// total in [`analyze`](crate::analyze)'s exact iteration order.
+    /// total in [`try_analyze`](crate::try_analyze)'s exact iteration order.
     fn refresh_unreliability(&mut self) {
         for &i in self.scratch.u_dirty.members() {
             let id = NodeId::new(i as usize);
@@ -1342,36 +1286,6 @@ impl<'c> AnalysisSession<'c> {
         }
         self.critical_delay = worst;
     }
-}
-
-/// Rejects configuration scalars the analysis kernels cannot digest.
-pub(crate) fn validate_config(cfg: &AsertaConfig) -> Result<(), AnalysisError> {
-    let bad = |reason: &'static str| AnalysisError::InvalidConfig { reason };
-    if !(cfg.charge.is_finite() && cfg.charge > 0.0) {
-        return Err(bad("charge must be finite and positive"));
-    }
-    if cfg.sensitization_vectors == 0 {
-        return Err(bad("sensitization_vectors must be at least 1"));
-    }
-    if cfg.sample_widths < 2 {
-        return Err(bad("sample_widths must be at least 2"));
-    }
-    if !(cfg.wide_width.is_finite() && cfg.wide_width > 0.0) {
-        return Err(bad("wide_width must be finite and positive"));
-    }
-    if !(cfg.pi_probability.is_finite() && (0.0..=1.0).contains(&cfg.pi_probability)) {
-        return Err(bad("pi_probability must lie in [0, 1]"));
-    }
-    if !(cfg.pi_ramp.is_finite() && cfg.pi_ramp > 0.0) {
-        return Err(bad("pi_ramp must be finite and positive"));
-    }
-    if !(cfg.wire_cap_per_pin.is_finite() && cfg.wire_cap_per_pin >= 0.0) {
-        return Err(bad("wire_cap_per_pin must be finite and non-negative"));
-    }
-    if !(cfg.po_load.is_finite() && cfg.po_load >= 0.0) {
-        return Err(bad("po_load must be finite and non-negative"));
-    }
-    Ok(())
 }
 
 /// The distinct variants `cells` assigns to `circuit`'s gates that
@@ -1416,7 +1330,7 @@ fn validate_gate_params(node: u32, p: &GateParams) -> Result<(), AnalysisError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze;
+    use crate::analysis::try_analyze;
     use ser_cells::CharGrids;
     use ser_netlist::generate;
     use ser_spice::Technology;
@@ -1431,17 +1345,18 @@ mod tests {
         c
     }
 
-    /// The fresh-path oracle: a full `analyze` of the session's current
+    /// The fresh-path oracle: a full `try_analyze` of the session's current
     /// assignment, compared bitwise.
     fn assert_matches_fresh(session: &AnalysisSession<'_>) {
         let mut l = lib();
-        let fresh = analyze(
+        let fresh = try_analyze(
             session.circuit(),
             session.cells(),
             &mut l,
             session.pij(),
             session.config(),
-        );
+        )
+        .unwrap();
         assert_eq!(session.timing().loads, fresh.timing.loads, "loads");
         assert_eq!(session.timing().in_ramps, fresh.timing.in_ramps, "ramps");
         assert_eq!(session.timing().delays, fresh.timing.delays, "delays");
@@ -1482,7 +1397,7 @@ mod tests {
         let g = c.find("10").unwrap();
         let mut p = *session.cells().get(g).unwrap();
         p.size = 4.0;
-        let stats = session.apply(&[(g, p)]);
+        let stats = session.try_apply(&[(g, p)]).unwrap();
         assert_eq!(stats.gates_changed, 1);
         assert_matches_fresh(&session);
     }
@@ -1499,7 +1414,7 @@ mod tests {
             let mut p = *session.cells().get(g).unwrap();
             p.size = [2.0, 4.0, 1.0][step % 3];
             p.vth = [0.2, 0.3][step % 2];
-            session.apply(&[(g, p)]);
+            session.try_apply(&[(g, p)]).unwrap();
         }
         assert_matches_fresh(&session);
     }
@@ -1512,7 +1427,7 @@ mod tests {
             .unwrap();
         let g = c.find("10").unwrap();
         let p = *session.cells().get(g).unwrap();
-        let stats = session.apply(&[(g, p)]);
+        let stats = session.try_apply(&[(g, p)]).unwrap();
         assert_eq!(stats.gates_changed, 0);
         assert_eq!(stats.rows_recomputed, 0);
         assert!(stats.energy_dirty.is_empty());
@@ -1530,12 +1445,12 @@ mod tests {
             p.size = 6.0;
             target.set(po, p);
         }
-        let stats = session.set_cells(&target);
+        let stats = session.try_set_cells(&target).unwrap();
         assert_eq!(stats.gates_changed, 2);
         assert_matches_fresh(&session);
         // Returning to the original assignment restores the exact state.
         let nominal = CircuitCells::nominal(&c);
-        session.set_cells(&nominal);
+        session.try_set_cells(&nominal).unwrap();
         assert_matches_fresh(&session);
     }
 
@@ -1547,11 +1462,13 @@ mod tests {
             .unwrap();
         let before_u = session.unreliability();
         let before_pij = session.pij().clone();
-        let stats = session.resample_pij_rows(
-            &[c.find("10").unwrap()],
-            cfg().sensitization_vectors,
-            cfg().seed,
-        );
+        let stats = session
+            .try_resample_pij_rows(
+                &[c.find("10").unwrap()],
+                cfg().sensitization_vectors,
+                cfg().seed,
+            )
+            .unwrap();
         assert_eq!(stats.rows_changed, 0, "same vectors+seed must be a no-op");
         assert_eq!(session.unreliability(), before_u);
         // Values, supports and observabilities alike.
@@ -1566,7 +1483,7 @@ mod tests {
             .build()
             .unwrap();
         let targets: Vec<NodeId> = c.gates().take(4).collect();
-        session.resample_pij_rows(&targets, 2048, 99);
+        session.try_resample_pij_rows(&targets, 2048, 99).unwrap();
 
         // Oracle: fresh analysis over the hand-patched matrix.
         let engine = session.engine();
@@ -1582,7 +1499,7 @@ mod tests {
             &mut pij,
         );
         let mut l = lib();
-        let fresh = analyze(&c, session.cells(), &mut l, &pij, session.config());
+        let fresh = try_analyze(&c, session.cells(), &mut l, &pij, session.config()).unwrap();
         assert_eq!(session.pij(), &pij);
         assert_eq!(session.expected_widths().ws(), fresh.expected_widths.ws());
         assert_eq!(session.unreliability(), fresh.unreliability);
@@ -1594,7 +1511,7 @@ mod tests {
         let mut session = AnalysisSession::builder(&c, CircuitCells::nominal(&c), lib(), cfg())
             .build()
             .unwrap();
-        let stats = session.set_charge(32.0e-15);
+        let stats = session.try_set_charge(32.0e-15).unwrap();
         assert!(
             stats.gates_changed > 0,
             "a doubled charge must widen glitches"
@@ -1604,13 +1521,13 @@ mod tests {
         // 32 fC.
         assert_matches_fresh(&session);
         // Same charge again: a strict no-op.
-        let again = session.set_charge(32.0e-15);
+        let again = session.try_set_charge(32.0e-15).unwrap();
         assert_eq!(again.gates_changed, 0);
         // And charge composes with cell deltas.
         let g = c.gates().next().unwrap();
         let mut p = *session.cells().get(g).unwrap();
         p.size = 4.0;
-        session.apply(&[(g, p)]);
+        session.try_apply(&[(g, p)]).unwrap();
         assert_matches_fresh(&session);
     }
 
@@ -1624,7 +1541,7 @@ mod tests {
         let g = c.find("11").unwrap();
         let mut p = *clone.cells().get(g).unwrap();
         p.size = 2.0;
-        clone.apply(&[(g, p)]);
+        clone.try_apply(&[(g, p)]).unwrap();
         assert_ne!(clone.unreliability(), session.unreliability());
         assert_matches_fresh(&clone);
         assert_matches_fresh(&session);
@@ -1693,7 +1610,7 @@ mod tests {
         // And the session still works.
         let mut ok = *session.cells().get(g).unwrap();
         ok.size = 4.0;
-        session.apply(&[(g, ok)]);
+        session.try_apply(&[(g, ok)]).unwrap();
         assert_matches_fresh(&session);
     }
 
@@ -1776,7 +1693,7 @@ mod tests {
         // And the session accepts mutations again.
         let mut ok = *session.cells().get(g).unwrap();
         ok.vth = 0.3;
-        session.apply(&[(g, ok)]);
+        session.try_apply(&[(g, ok)]).unwrap();
         assert_matches_fresh(&session);
     }
 
@@ -1826,7 +1743,7 @@ mod tests {
         let g = c.find("10").unwrap();
         let mut p = *session.cells().get(g).unwrap();
         p.size = 4.0;
-        session.apply(&[(g, p)]);
+        session.try_apply(&[(g, p)]).unwrap();
         assert_matches_fresh(&session);
 
         // Cancelled: every mutating entry point is refused *before* any
@@ -1856,7 +1773,7 @@ mod tests {
 
         // Clearing the budget restores full service.
         session.clear_deadline();
-        session.apply(&[(g, q)]);
+        session.try_apply(&[(g, q)]).unwrap();
         assert_matches_fresh(&session);
     }
 
@@ -1869,7 +1786,7 @@ mod tests {
         let g = c.gates().next().unwrap();
         let mut p = *session.cells().get(g).unwrap();
         p.size = 4.0;
-        session.apply(&[(g, p)]);
+        session.try_apply(&[(g, p)]).unwrap();
         session.recover().unwrap();
 
         let snap = session.snapshot().unwrap();

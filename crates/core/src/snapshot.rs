@@ -478,8 +478,8 @@ mod tests {
         let g = circuit.gates().nth(3).unwrap();
         let mut p = *live.cells().get(g).unwrap();
         p.size = 4.0;
-        live.apply(&[(g, p)]);
-        live.set_charge(32.0e-15);
+        live.try_apply(&[(g, p)]).unwrap();
+        live.try_set_charge(32.0e-15).unwrap();
 
         let bytes = live.snapshot().unwrap().to_bytes().unwrap();
         let snap = SessionSnapshot::from_bytes(&bytes).unwrap();

@@ -1,7 +1,7 @@
 //! The Eq. 5 cost function:
 //! `C = W1·U/U₀ + W2·T/T₀ + W3·E/E₀ + W4·A/A₀`.
 
-use aserta::{analyze, AsertaConfig, CircuitCells};
+use aserta::{try_analyze, AnalysisError, AsertaConfig, CircuitCells};
 use ser_cells::Library;
 use ser_logicsim::SensitizationMatrix;
 use ser_netlist::Circuit;
@@ -69,6 +69,10 @@ pub struct CostBreakdown {
 /// Evaluates the absolute metrics of an assignment (one ASERTA run plus
 /// energy/area accounting); `baseline = None` yields `cost = NaN` until
 /// normalized.
+///
+/// # Errors
+///
+/// Any [`AnalysisError`] the ASERTA run ([`try_analyze`]) reports.
 #[allow(clippy::too_many_arguments)] // mirrors Eq. 5's parameter list
 pub fn evaluate(
     circuit: &Circuit,
@@ -79,8 +83,8 @@ pub fn evaluate(
     energy_model: &EnergyModel,
     weights: &CostWeights,
     baseline: Option<&CostBreakdown>,
-) -> CostBreakdown {
-    let report = analyze(circuit, cells, library, pij, aserta_cfg);
+) -> Result<CostBreakdown, AnalysisError> {
+    let report = try_analyze(circuit, cells, library, pij, aserta_cfg)?;
     let delay = report.timing.critical_path_delay(circuit);
 
     let mut energy = 0.0;
@@ -106,7 +110,7 @@ pub fn evaluate(
     if let Some(base) = baseline {
         breakdown.cost = weights.cost(&breakdown, base);
     }
-    breakdown
+    Ok(breakdown)
 }
 
 impl CostWeights {
@@ -172,8 +176,8 @@ mod tests {
         let cfg = AsertaConfig::fast();
         let w = CostWeights::default();
         let em = EnergyModel::default();
-        let base = evaluate(&c, &cells, &mut lib, &pij, &cfg, &em, &w, None);
-        let again = evaluate(&c, &cells, &mut lib, &pij, &cfg, &em, &w, Some(&base));
+        let base = evaluate(&c, &cells, &mut lib, &pij, &cfg, &em, &w, None).unwrap();
+        let again = evaluate(&c, &cells, &mut lib, &pij, &cfg, &em, &w, Some(&base)).unwrap();
         let expect = w.unreliability + w.delay + w.energy + w.area;
         assert!((again.cost - expect).abs() < 1e-9, "{}", again.cost);
     }
@@ -193,7 +197,8 @@ mod tests {
             &EnergyModel::default(),
             &CostWeights::default(),
             None,
-        );
+        )
+        .unwrap();
         assert!(m.unreliability > 0.0);
         assert!(m.delay > 0.0);
         assert!(m.energy > 0.0);
@@ -214,8 +219,12 @@ mod tests {
             let n = c.node(id);
             ser_spice::GateParams::new(n.kind, n.fanin.len()).with_vth(0.1)
         });
-        let e_nom = evaluate(&c, &nominal, &mut lib, &pij, &cfg, &em, &w, None).energy;
-        let e_leaky = evaluate(&c, &leaky, &mut lib, &pij, &cfg, &em, &w, None).energy;
+        let e_nom = evaluate(&c, &nominal, &mut lib, &pij, &cfg, &em, &w, None)
+            .unwrap()
+            .energy;
+        let e_leaky = evaluate(&c, &leaky, &mut lib, &pij, &cfg, &em, &w, None)
+            .unwrap()
+            .energy;
         assert!(e_leaky > e_nom, "{e_leaky:e} vs {e_nom:e}");
     }
 }

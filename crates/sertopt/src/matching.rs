@@ -52,51 +52,23 @@ impl MatchingConfig {
     }
 }
 
-/// Matches `target_delays` (per node, seconds) to cells.
-///
-/// `reference`, when given, anchors the match: loads and input ramps are
-/// taken from the reference assignment's timing view instead of from the
-/// in-construction successor choices. With the baseline as reference and
-/// targets equal to its own realized delays, matching reproduces the
-/// baseline exactly — the fixed point SERTOPT's zero-move must land on.
-/// Refinement passes then re-anchor on the previous pass's result.
-///
-/// Single-engine note: this is a thin wrapper that compiles a
-/// [`MatchPlan`] and applies it once — there is no separate fresh
-/// matching implementation. Callers matching repeatedly should build the
-/// plan themselves and call [`MatchPlan::realize`] per target vector.
-/// The `matching` test module pins the wrapper bitwise against the
-/// pre-consolidation implementation.
-///
-/// Returns the realized assignment. The caller can obtain the realized
-/// delays via [`aserta::timing_view`]; they differ from the targets by
-/// the library's quantization (the paper: "the timing constraint might
-/// still be exceeded slightly because of the finite size library").
-pub fn match_delays(
-    circuit: &Circuit,
-    target_delays: &[f64],
-    library: &mut Library,
-    cfg: &MatchingConfig,
-    reference: Option<&CircuitCells>,
-) -> CircuitCells {
-    MatchPlan::build(circuit, library, cfg, reference).realize(circuit, target_delays)
-}
-
-/// A precompiled matcher — the **only** matching engine (the fresh
-/// [`match_delays`] wrapper compiles a plan and applies it once): every
-/// allowed candidate's parameters and characterized cell are folded into
-/// flat tables, so realizing a delay assignment never touches the
-/// library — no hashing and no characterization.
+/// A precompiled matcher — the **only** matching engine: every allowed
+/// candidate's parameters and characterized cell are folded into flat
+/// tables, so realizing a delay assignment never touches the library —
+/// no hashing and no characterization. A one-off match builds a plan and
+/// realizes it once.
 ///
 /// With a `reference` anchor the pass-1 loads/ramps come from the
 /// reference assignment's timing view and every candidate's pass-1
 /// delay/tie-break is precomputed; without one, pass 1 matches "from
 /// scratch", deriving each gate's load from the successors already
-/// chosen in the same reverse-topological sweep. Each refinement pass
-/// re-derives the loads/ramps of the previous pass's choices from the
-/// pooled cells (exactly [`aserta::timing_view`]'s arithmetic) and
-/// re-scans with live lookups. Candidates are enumerated in the fixed
-/// grid order, scored with one shared expression and compared with
+/// chosen in the same reverse-topological sweep. With the baseline as
+/// reference and targets equal to its own realized delays, matching
+/// reproduces the baseline exactly — the fixed point SERTOPT's zero-move
+/// must land on. Each refinement pass re-derives the loads/ramps of the
+/// previous pass's choices from the pooled cells (exactly
+/// [`aserta::timing_view`]'s arithmetic) and re-scans with live lookups.
+/// Candidates are enumerated in the fixed grid order, scored with one shared expression and compared with
 /// strict `<`, and the VDD-monotonicity floor is enforced in the same
 /// reverse topological sweep — the `matching` test module pins both
 /// anchor modes bitwise against the pre-consolidation implementation.
@@ -267,29 +239,22 @@ impl MatchPlan {
         }
     }
 
-    /// Realizes `target_delays` against the precompiled tables (see the
-    /// type docs for the equivalence contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any condition [`MatchPlan::try_realize`] reports as an
-    /// error (wrong target count, non-finite targets, unsatisfiable
-    /// grid).
-    pub fn realize(&mut self, circuit: &Circuit, target_delays: &[f64]) -> CircuitCells {
-        match self.try_realize(circuit, target_delays) {
-            Ok(cells) => cells,
-            Err(e) => panic!("realize: {e}"),
-        }
-    }
-
-    /// Fallible [`MatchPlan::realize`]: rejects malformed targets (wrong
-    /// count, non-finite entries) and an unsatisfiable candidate grid
-    /// with a typed [`EvalError`] instead of panicking.
+    /// Realizes `target_delays` (per node, seconds) against the
+    /// precompiled tables (see the type docs for the equivalence
+    /// contract). The realized delays differ from the targets by the
+    /// library's quantization (the paper: "the timing constraint might
+    /// still be exceeded slightly because of the finite size library");
+    /// [`aserta::timing_view`] recovers them.
     ///
     /// The only state a realization changes is the scan memo (see the
     /// type docs), and every entry it records is the exact choice for
     /// its inputs — so a failed realization leaves nothing to corrupt,
     /// and later realizations are bitwise those of a fresh plan.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::Match`] for malformed targets (wrong count,
+    /// non-finite entries) or an unsatisfiable candidate grid.
     pub fn try_realize(
         &mut self,
         circuit: &Circuit,
@@ -446,7 +411,8 @@ impl MatchPlan {
 
     /// The loads and input ramps of the current choices — exactly
     /// [`aserta::timing_view`]'s arithmetic over the pooled cells, which
-    /// is what [`match_delays`] anchors its refinement passes on.
+    /// is what the tests' reference matcher anchors its refinement
+    /// passes on.
     fn anchor_timing(&self, circuit: &Circuit, choice: &[u32]) -> (Vec<f64>, Vec<f64>) {
         let n = circuit.node_count();
         let cell_of = |i: usize| &self.pool[self.cand_cell[choice[i] as usize] as usize];
@@ -475,8 +441,8 @@ impl MatchPlan {
     }
 }
 
-/// The allowed grid of one template, in [`match_delays`]'s exact
-/// enumeration order (sizes, then lengths, then VDDs, then Vths).
+/// The allowed grid of one template, in the tests' reference matcher's
+/// exact enumeration order (sizes, then lengths, then VDDs, then Vths).
 fn grid_points<'a>(
     allowed: &'a AllowedParams,
     kind: GateKind,
@@ -529,6 +495,19 @@ mod tests {
         Library::new(Technology::ptm70(), CharGrids::coarse())
     }
 
+    /// A one-off match: a fresh plan realized once.
+    fn realize_once(
+        circuit: &Circuit,
+        target_delays: &[f64],
+        library: &mut Library,
+        cfg: &MatchingConfig,
+        reference: Option<&CircuitCells>,
+    ) -> CircuitCells {
+        MatchPlan::build(circuit, library, cfg, reference)
+            .try_realize(circuit, target_delays)
+            .unwrap()
+    }
+
     #[test]
     fn matching_tracks_targets() {
         let c = generate::c17();
@@ -536,7 +515,7 @@ mod tests {
         let cfg = MatchingConfig::new(AllowedParams::tiny());
         // Aim everything at a mid-range delay.
         let targets = vec![25.0e-12; c.node_count()];
-        let cells = match_delays(&c, &targets, &mut l, &cfg, None);
+        let cells = realize_once(&c, &targets, &mut l, &cfg, None);
         let tv = timing_view(&c, &cells, &mut l, cfg.load_model, cfg.assumed_ramp);
         for g in c.gates() {
             let realized = tv.delays[g.index()];
@@ -552,8 +531,8 @@ mod tests {
         let c = generate::c17();
         let mut l = lib();
         let cfg = MatchingConfig::new(AllowedParams::tiny());
-        let fast = match_delays(&c, &vec![5.0e-12; c.node_count()], &mut l, &cfg, None);
-        let slow = match_delays(&c, &vec![120.0e-12; c.node_count()], &mut l, &cfg, None);
+        let fast = realize_once(&c, &vec![5.0e-12; c.node_count()], &mut l, &cfg, None);
+        let slow = realize_once(&c, &vec![120.0e-12; c.node_count()], &mut l, &cfg, None);
         let t_fast = timing_view(&c, &fast, &mut l, cfg.load_model, 30e-12).critical_path_delay(&c);
         let t_slow = timing_view(&c, &slow, &mut l, cfg.load_model, 30e-12).critical_path_delay(&c);
         assert!(t_fast < t_slow, "{t_fast:e} vs {t_slow:e}");
@@ -570,7 +549,7 @@ mod tests {
         let targets: Vec<f64> = (0..c.node_count())
             .map(|i| 10.0e-12 + (i % 7) as f64 * 15.0e-12)
             .collect();
-        let cells = match_delays(&c, &targets, &mut l, &cfg, None);
+        let cells = realize_once(&c, &targets, &mut l, &cfg, None);
         assert!(vdd_violations(&c, &cells).is_empty());
     }
 
@@ -733,15 +712,15 @@ mod tests {
                             .collect();
                         let want =
                             reference_match_delays(&circuit, &targets, &mut l, &cfg, reference);
-                        let got = plan.realize(&circuit, &targets);
-                        let wrapped = match_delays(&circuit, &targets, &mut l, &cfg, reference);
+                        let got = plan.try_realize(&circuit, &targets).unwrap();
+                        let wrapped = realize_once(&circuit, &targets, &mut l, &cfg, reference);
                         for g in circuit.gates() {
                             assert_eq!(
                                 got.get(g),
                                 want.get(g),
                                 "gate {g} round {round} refine {refine_passes} ref {with_reference}"
                             );
-                            assert_eq!(wrapped.get(g), want.get(g), "wrapper, gate {g}");
+                            assert_eq!(wrapped.get(g), want.get(g), "fresh plan, gate {g}");
                         }
                     }
                 }
@@ -787,7 +766,7 @@ mod tests {
                         }
                     }
                     let want = reference_match_delays(&circuit, &targets, &mut l, &cfg, reference);
-                    let got = plan.realize(&circuit, &targets);
+                    let got = plan.try_realize(&circuit, &targets).unwrap();
                     for &g in &gates {
                         assert_eq!(
                             got.get(g),
@@ -805,7 +784,7 @@ mod tests {
         let c = generate::c17();
         let mut l = lib();
         let cfg = MatchingConfig::new(AllowedParams::tiny());
-        let cells = match_delays(&c, &vec![20.0e-12; c.node_count()], &mut l, &cfg, None);
+        let cells = realize_once(&c, &vec![20.0e-12; c.node_count()], &mut l, &cfg, None);
         for g in c.gates() {
             assert!(cfg.allowed.contains(cells.get(g).unwrap()));
         }

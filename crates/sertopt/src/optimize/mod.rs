@@ -178,6 +178,13 @@ impl OptimizeRequest {
 /// speed-sizing pass and the initial `P_ij` estimate run before the
 /// first checkpoint, so an already-expired budget still yields a usable
 /// baseline-quality outcome rather than an error.
+///
+/// # Panics
+///
+/// Panics when [`DelayProblem::new`] fails, e.g. on an invalid
+/// `request.config.aserta` (see [`aserta::AsertaConfig::validate`]) or a
+/// malformed `SER_*` variable (see [`aserta::EngineConfig::from_env`]).
+/// Callers holding untrusted input check both first.
 pub fn optimize(circuit: &Circuit, library: &mut Library, request: &OptimizeRequest) -> Outcome {
     let cfg = &request.config;
     let deadline = &request.budget;
@@ -189,7 +196,7 @@ pub fn optimize(circuit: &Circuit, library: &mut Library, request: &OptimizeRequ
         matching.load_model,
         cfg.baseline_effort,
     );
-    let mut problem = DelayProblem::new(
+    let mut problem = match DelayProblem::new(
         circuit,
         library,
         baseline_cells.clone(),
@@ -197,7 +204,10 @@ pub fn optimize(circuit: &Circuit, library: &mut Library, request: &OptimizeRequ
         matching,
         cfg.aserta.clone(),
         cfg.energy,
-    );
+    ) {
+        Ok(problem) => problem,
+        Err(e) => panic!("optimize: {e}"),
+    };
     problem.strategy = cfg.eval;
     problem.threads = cfg.threads;
     let (best_phi, history, interrupted) = match cfg.algorithm {

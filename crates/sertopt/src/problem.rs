@@ -29,16 +29,16 @@
 //! * [`EvalStrategy::FreshPerMove`] — one full
 //!   [`cost::evaluate`](crate::cost::evaluate) per move. Since the
 //!   single-engine consolidation this is a *cold-start session* per move
-//!   ([`aserta::analyze`] constructs a session and extracts its report),
-//!   kept as the equivalence oracle and the perf baseline the warm
-//!   session is measured against.
+//!   ([`aserta::try_analyze`] constructs a session and extracts its
+//!   report), kept as the equivalence oracle and the perf baseline the
+//!   warm session is measured against.
 //!
 //! Both strategies produce **bitwise identical** candidates: the session
 //! guarantees exact fidelity to the fresh analysis, and the per-gate
 //! energy cache mirrors [`gate_energy`](crate::cost::gate_energy)'s
 //! arithmetic term for term. The `determinism` test suite pins this.
 
-use aserta::{timing_view, AnalysisSession, AsertaConfig, CircuitCells};
+use aserta::{timing_view, AnalysisError, AnalysisSession, AsertaConfig, CircuitCells};
 use ser_cells::Library;
 use ser_logicsim::sensitize::sensitization_probabilities_cfg;
 use ser_logicsim::{EngineConfig, SensitizationMatrix};
@@ -230,6 +230,16 @@ impl<'a> DelayProblem<'a> {
     /// `library` is used (and warmed) during construction only; the
     /// problem owns private copies afterwards, so evaluations never
     /// contend on the caller's library.
+    ///
+    /// # Errors
+    ///
+    /// * [`AnalysisError::InvalidConfig`] for unusable `aserta_cfg`
+    ///   scalars, checked before any Monte-Carlo work;
+    /// * [`AnalysisError::Engine`] for a malformed `SER_*` variable;
+    /// * [`AnalysisError::MissingCellParams`] when `baseline_cells`
+    ///   misses a gate;
+    /// * any error the baseline analysis or the first session build
+    ///   reports.
     pub fn new(
         circuit: &'a Circuit,
         library: &mut Library,
@@ -238,22 +248,25 @@ impl<'a> DelayProblem<'a> {
         matching: MatchingConfig,
         aserta_cfg: AsertaConfig,
         energy: EnergyModel,
-    ) -> Self {
+    ) -> Result<Self, AnalysisError> {
+        aserta_cfg.validate()?;
         // Warm every variant evaluations can touch: the allowed grid
         // (bulk, parallel) plus the baseline's own (possibly off-grid)
         // cells.
         let spec = matching.allowed.library_spec(circuit);
         library.characterize_spec(&spec, 0);
         for id in circuit.gates() {
-            let Some(p) = baseline_cells.get(id) else {
-                panic!("invariant: baseline assignment covers every gate")
-            };
+            let p = baseline_cells
+                .get(id)
+                .ok_or(AnalysisError::MissingCellParams {
+                    node: id.index() as u32,
+                })?;
             library.get_or_characterize(p);
         }
 
         // Estimated once, on the engine settings a session build would
         // resolve (machine parallelism unless SER_* says otherwise).
-        let engine = EngineConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
+        let engine = EngineConfig::from_env()?;
         let pij = sensitization_probabilities_cfg(
             circuit,
             aserta_cfg.sensitization_vectors,
@@ -278,7 +291,7 @@ impl<'a> DelayProblem<'a> {
             &energy,
             &weights,
             None,
-        );
+        )?;
         baseline.cost = weights.unreliability + weights.delay + weights.energy + weights.area;
         let plan = MatchPlan::build(circuit, library, &matching, Some(&baseline_cells));
         let tension = TensionSpace::build(circuit);
@@ -291,21 +304,17 @@ impl<'a> DelayProblem<'a> {
             .map(|&s| if s.is_finite() { s.max(0.0) } else { 0.0 })
             .collect();
 
-        let session = match AnalysisSession::builder(
+        let session = AnalysisSession::builder(
             circuit,
             baseline_cells.clone(),
             library.clone(),
             aserta_cfg.clone(),
         )
         .pij(pij)
-        .build()
-        {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        };
+        .build()?;
         let replicas = vec![Replica::new(session, &energy)];
 
-        DelayProblem {
+        Ok(DelayProblem {
             circuit,
             tension,
             levels,
@@ -324,7 +333,7 @@ impl<'a> DelayProblem<'a> {
             plan,
             replicas,
             fresh_lib: library.clone(),
-        }
+        })
     }
 
     /// The shared sensitization matrix behind every evaluation.
@@ -368,21 +377,12 @@ impl<'a> DelayProblem<'a> {
     /// slowdowns → clamped delay targets → matched cells → Eq. 5 cost
     /// against the baseline.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on any condition [`DelayProblem::try_evaluate_phi`]
-    /// reports as an error.
-    pub fn evaluate_phi(&mut self, phi: &[f64]) -> Candidate {
-        match self.try_evaluate_phi(phi) {
-            Ok(c) => c,
-            Err(e) => panic!("evaluate_phi: {e}"),
-        }
-    }
-
-    /// Fallible [`DelayProblem::evaluate_phi`]: matching and measurement
-    /// failures (including injected faults) surface as a typed
-    /// [`EvalError`]. A failure never corrupts later evaluations — the
-    /// replica heals itself with a full rebuild on its next call.
+    /// Matching and measurement failures (including injected faults)
+    /// surface as a typed [`EvalError`]. A failure never corrupts later
+    /// evaluations — the replica heals itself with a full rebuild on its
+    /// next call.
     pub fn try_evaluate_phi(&mut self, phi: &[f64]) -> Result<Candidate, EvalError> {
         self.evaluations += 1;
         let targets = self.targets_for(phi);
@@ -391,7 +391,7 @@ impl<'a> DelayProblem<'a> {
             EvalStrategy::Incremental => {
                 self.replicas[0].evaluate(cells, &self.energy, &self.weights, &self.baseline)
             }
-            EvalStrategy::FreshPerMove => Ok(self.evaluate_fresh(cells)),
+            EvalStrategy::FreshPerMove => self.evaluate_fresh(cells),
         }
     }
 
@@ -511,7 +511,7 @@ impl<'a> DelayProblem<'a> {
     /// The fresh measurement: one cold-start analysis session over the
     /// private library and the replicas' shared `P_ij` per move — kept
     /// as the oracle and perf baseline.
-    fn evaluate_fresh(&mut self, cells: CircuitCells) -> Candidate {
+    fn evaluate_fresh(&mut self, cells: CircuitCells) -> Result<Candidate, EvalError> {
         let breakdown = evaluate(
             self.circuit,
             &cells,
@@ -521,12 +521,12 @@ impl<'a> DelayProblem<'a> {
             &self.energy,
             &self.weights,
             Some(&self.baseline),
-        );
-        Candidate {
+        )?;
+        Ok(Candidate {
             cost: breakdown.cost,
             breakdown,
             cells,
-        }
+        })
     }
 }
 
@@ -553,13 +553,14 @@ mod tests {
             cfg,
             EnergyModel::default(),
         )
+        .unwrap()
     }
 
     #[test]
     fn zero_phi_costs_near_baseline() {
         let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
         let mut p = problem_for_c17(&mut lib);
-        let c = p.evaluate_phi(&vec![0.0; p.dim()]);
+        let c = p.try_evaluate_phi(&vec![0.0; p.dim()]).unwrap();
         // Matching at the baseline's own delays lands near the baseline
         // cost (the quantized library may differ slightly).
         let expect = p.baseline.cost;
@@ -591,7 +592,7 @@ mod tests {
         for slack in phi.iter_mut().skip(p.tension.dim()) {
             *slack = 10.0e-12; // κ = 1
         }
-        let c = p.evaluate_phi(&phi);
+        let c = p.try_evaluate_phi(&phi).unwrap();
         assert!(c.cost.is_finite());
         assert!(c.breakdown.delay > 0.0);
     }
@@ -607,8 +608,8 @@ mod tests {
             let phi: Vec<f64> = (0..dim)
                 .map(|k| 8.0e-12 * (((k + step) % 3) as f64 - 1.0))
                 .collect();
-            let a = inc.evaluate_phi(&phi);
-            let b = fresh.evaluate_phi(&phi);
+            let a = inc.try_evaluate_phi(&phi).unwrap();
+            let b = fresh.try_evaluate_phi(&phi).unwrap();
             assert_eq!(a.cost, b.cost, "step {step}");
             assert_eq!(a.breakdown.unreliability, b.breakdown.unreliability);
             assert_eq!(a.breakdown.delay, b.breakdown.delay);
@@ -630,7 +631,10 @@ mod tests {
                     .collect()
             })
             .collect();
-        let sequential: Vec<f64> = phis.iter().map(|phi| p.evaluate_phi(phi).cost).collect();
+        let sequential: Vec<f64> = phis
+            .iter()
+            .map(|phi| p.try_evaluate_phi(phi).unwrap().cost)
+            .collect();
         for threads in [1usize, 2, 5] {
             p.threads = threads;
             let batch = p.evaluate_batch(&phis);
@@ -653,5 +657,27 @@ mod tests {
             .try_realize(p.circuit, &vec![f64::NAN; p.circuit.node_count()])
             .unwrap_err();
         assert!(matches!(err, crate::error::EvalError::Match { .. }));
+    }
+
+    #[test]
+    fn invalid_config_is_rejected_before_the_pij_estimate() {
+        // Zero vectors would trip the estimator's assert; `new` must
+        // report the config instead.
+        let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
+        let circuit = generate::c17();
+        let mut cfg = AsertaConfig::fast();
+        cfg.sensitization_vectors = 0;
+        let err = DelayProblem::new(
+            &circuit,
+            &mut lib,
+            CircuitCells::nominal(&circuit),
+            CostWeights::default(),
+            MatchingConfig::new(AllowedParams::tiny()),
+            cfg,
+            EnergyModel::default(),
+        )
+        .err()
+        .unwrap();
+        assert!(matches!(err, AnalysisError::InvalidConfig { .. }), "{err}");
     }
 }

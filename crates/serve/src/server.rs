@@ -601,6 +601,9 @@ fn optimize(
 ) -> Result<OptimizeResult, ApiError> {
     let circuit = source.instantiate()?;
     let cfg = spec.to_config()?;
+    // `sertopt::optimize` panics on a config its problem build rejects;
+    // checking here turns a bad request into an error reply.
+    cfg.aserta.validate().map_err(|e| api_err(&e))?;
     // The optimizer builds its own incremental sessions internally; the
     // pool holds nominal-assignment analysis sessions, which an
     // optimization run would only churn. Same library construction as

@@ -6,7 +6,8 @@
 //!   numbers;
 //! * malformed frames and oversized payloads come back as typed
 //!   [`ApiError`]s (and a malformed frame does not kill the
-//!   connection);
+//!   connection), and so does an `optimize` request whose analysis
+//!   config fails validation (the worker survives it);
 //! * a daemon `kill -9`'d mid-trace and restarted on the same pool
 //!   directory restores its sessions from the eager `.sersnap` images
 //!   and keeps answering bitwise-identically;
@@ -20,7 +21,9 @@ use std::time::{Duration, Instant};
 use aserta::{AnalysisSession, AsertaConfig, CircuitCells};
 use ser_cells::{CharGrids, Library};
 use ser_netlist::generate;
-use ser_serve::api::{AnalyzeResult, ApiError, CircuitSource, GridKind, Request, Response};
+use ser_serve::api::{
+    AnalyzeResult, ApiError, CircuitSource, GridKind, OptimizeSpec, Request, Response,
+};
 use ser_serve::pool::PoolConfig;
 use ser_serve::server::{serve, Listen, ServerConfig};
 use ser_serve::{Client, EngineConfig};
@@ -282,6 +285,58 @@ fn malformed_and_oversized_frames_get_typed_rejections() {
     assert!(rest.is_empty(), "server closes after an oversized frame");
 
     let mut client = Client::connect(&handle.endpoint()).expect("connect");
+    assert_eq!(
+        client.request(&Request::Shutdown).expect("shutdown"),
+        Response::ShuttingDown
+    );
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An `optimize` request with zero Monte-Carlo vectors gets a typed
+/// error, and the only worker keeps serving: a ping on a new connection
+/// is answered.
+#[test]
+fn invalid_optimize_config_is_an_error_reply_not_a_dead_worker() {
+    let dir = temp_dir("optimize-config");
+    let handle = serve(ServerConfig {
+        listen: Listen::Unix(dir.join("daemon.sock")),
+        workers: 1,
+        max_frame: ser_serve::DEFAULT_MAX_FRAME,
+        pool: PoolConfig {
+            dir: None,
+            ..PoolConfig::default()
+        },
+    })
+    .expect("daemon boots");
+
+    let mut client = Client::connect(&handle.endpoint()).expect("connect");
+    let request = Request::Optimize {
+        circuit: CircuitSource::Named("c17".to_owned()),
+        spec: OptimizeSpec {
+            profile: "tiny".to_owned(),
+            iterations: 1,
+            vectors: Some(0),
+            ..OptimizeSpec::default()
+        },
+        budget_ms: None,
+    };
+    match client
+        .request(&request)
+        .expect("an error reply, not a hang-up")
+    {
+        Response::Error(ApiError::Analysis { detail }) => {
+            assert!(detail.contains("sensitization_vectors"), "{detail}");
+        }
+        other => panic!("expected an Analysis error, got {other:?}"),
+    }
+    drop(client);
+
+    let mut client = Client::connect(&handle.endpoint()).expect("reconnect");
+    assert!(matches!(
+        client.request(&Request::Ping).expect("ping"),
+        Response::Pong { .. }
+    ));
     assert_eq!(
         client.request(&Request::Shutdown).expect("shutdown"),
         Response::ShuttingDown

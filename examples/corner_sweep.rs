@@ -2,7 +2,7 @@
 //! engine.
 //!
 //! Sweeps a VDD × Vth × strike-charge grid over the 32-bit SEC circuit
-//! twice — once fresh (a full `analyze_fresh`, including the Monte-Carlo
+//! twice — once fresh (a full `try_analyze_fresh`, including the Monte-Carlo
 //! `P_ij` re-estimate, per corner) and once through a shared
 //! `AnalysisSession` that applies each corner as a batch of per-gate
 //! deltas — then prints the identical corner table and the wall-time
@@ -12,14 +12,14 @@
 //! cargo run --release --example corner_sweep
 //! ```
 
-use ser_bench::corners::{sweep_fresh, sweep_session, CornerGrid};
+use ser_bench::corners::{sweep_fresh, try_sweep_session, CornerGrid};
 use ser_bench::timed;
 use soft_error::aserta::{AsertaConfig, CircuitCells};
 use soft_error::cells::{CharGrids, Library};
 use soft_error::netlist::generate;
 use soft_error::spice::Technology;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = generate::sec32("sec32");
     let base = CircuitCells::nominal(&circuit);
     let mut cfg = AsertaConfig::fast();
@@ -40,19 +40,18 @@ fn main() {
     // session boots from) so neither engine times first-touch cell
     // characterization.
     let mut library = Library::new(Technology::ptm70(), CharGrids::coarse());
-    if let Err(e) = soft_error::aserta::try_analyze_fresh(&circuit, &base, &mut library, &cfg) {
-        eprintln!("error: warming the library: {e}");
-        std::process::exit(1);
-    }
-    sweep_fresh(&circuit, &base, &mut library, &cfg, &corners);
+    soft_error::aserta::try_analyze_fresh(&circuit, &base, &mut library, &cfg)?;
+    sweep_fresh(&circuit, &base, &mut library, &cfg, &corners)?;
     let session_library = library.clone();
 
     let (fresh, fresh_s) = timed(|| sweep_fresh(&circuit, &base, &mut library, &cfg, &corners));
     let (warm, session_s) = timed(|| {
         // threads = 0: one replica per available core, corners dealt
         // round-robin; the result is identical for every thread count.
-        sweep_session(&circuit, &base, session_library, &cfg, &corners, 0)
+        try_sweep_session(&circuit, &base, session_library, &cfg, &corners, 0)
     });
+    let fresh = fresh?;
+    let warm = warm.into_iter().collect::<Result<Vec<_>, _>>()?;
     assert_eq!(fresh, warm, "the engines agree bitwise");
 
     println!(
@@ -73,4 +72,5 @@ fn main() {
         session_s,
         fresh_s / session_s
     );
+    Ok(())
 }

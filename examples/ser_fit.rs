@@ -15,7 +15,7 @@ use soft_error::netlist::generate;
 use soft_error::sertopt::{optimize, OptimizeRequest, OptimizerConfig};
 use soft_error::spice::Technology;
 
-fn main() {
+fn main() -> Result<(), soft_error::aserta::AnalysisError> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "c432".to_owned());
     let circuit = generate::iscas85(&name).unwrap_or_else(|| {
         eprintln!("error: loading circuit: `{name}` is not an ISCAS'85 benchmark name");
@@ -35,7 +35,7 @@ fn main() {
         &engine.pij(),
     );
     let baseline = CircuitCells::nominal(&circuit);
-    let before = soft_error_rate(&circuit, &baseline, &mut library, &pij, &cfg, &model);
+    let before = soft_error_rate(&circuit, &baseline, &mut library, &pij, &cfg, &model)?;
     println!("{name}: nominal SER = {:.3} FIT", before.fit);
     println!("worst 5 gates by FIT:");
     for (id, fit) in rank_by_fit(&before, &circuit).into_iter().take(5) {
@@ -52,10 +52,11 @@ fn main() {
         &pij,
         &cfg,
         &model,
-    );
+    )?;
     println!(
         "\nafter SERTOPT: SER = {:.3} FIT ({:+.1}%)",
         after.fit,
         100.0 * (after.fit - before.fit) / before.fit
     );
+    Ok(())
 }

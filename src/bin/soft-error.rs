@@ -182,6 +182,10 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         Some("dual") | None => AllowedParams::table1_dual(),
         Some(other) => return Err(format!("unknown profile `{other}`")),
     };
+    // `optimize` panics on a config or `SER_*` variable its problem
+    // build rejects, so both are checked here first.
+    EngineConfig::from_env().map_err(|e| e.to_string())?;
+    cfg.aserta.validate().map_err(|e| e.to_string())?;
 
     println!(
         "optimizing {} with {:?} ({} iterations)…",

@@ -16,7 +16,7 @@
 //! # Example: the paper's pipeline in six lines
 //!
 //! ```
-//! use soft_error::aserta::{analyze_fresh, AsertaConfig, CircuitCells};
+//! use soft_error::aserta::{try_analyze_fresh, AsertaConfig, CircuitCells};
 //! use soft_error::cells::{CharGrids, Library};
 //! use soft_error::netlist::generate;
 //! use soft_error::spice::Technology;
@@ -24,8 +24,9 @@
 //! let circuit = generate::c17();
 //! let mut library = Library::new(Technology::ptm70(), CharGrids::coarse());
 //! let cells = CircuitCells::nominal(&circuit);
-//! let report = analyze_fresh(&circuit, &cells, &mut library, &AsertaConfig::fast());
+//! let report = try_analyze_fresh(&circuit, &cells, &mut library, &AsertaConfig::fast())?;
 //! assert!(report.unreliability > 0.0);
+//! # Ok::<(), soft_error::aserta::AnalysisError>(())
 //! ```
 
 pub use aserta;

@@ -2,7 +2,7 @@
 //! persistence feeding identical results, and the c499 error-correcting
 //! story.
 
-use soft_error::aserta::{analyze, AsertaConfig, CircuitCells};
+use soft_error::aserta::{try_analyze, AsertaConfig, CircuitCells};
 use soft_error::cells::{CharGrids, Library};
 use soft_error::logicsim::sensitize::sensitization_probabilities_cfg;
 use soft_error::logicsim::{EngineConfig, SensitizationMatrix};
@@ -32,21 +32,23 @@ fn bench_round_trip_preserves_analysis() {
     let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
     let pij_a = default_pij(&original, 1024, 5);
     let pij_b = default_pij(&reparsed, 1024, 5);
-    let u_a = analyze(
+    let u_a = try_analyze(
         &original,
         &CircuitCells::nominal(&original),
         &mut lib,
         &pij_a,
         &cfg,
     )
+    .unwrap()
     .unreliability;
-    let u_b = analyze(
+    let u_b = try_analyze(
         &reparsed,
         &CircuitCells::nominal(&reparsed),
         &mut lib,
         &pij_b,
         &cfg,
     )
+    .unwrap()
     .unreliability;
     assert_eq!(u_a, u_b, "round trip must not change the analysis");
 }
@@ -59,12 +61,16 @@ fn persisted_library_reproduces_analysis() {
     let pij = default_pij(&circuit, 1024, 5);
 
     let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
-    let u_fresh = analyze(&circuit, &cells, &mut lib, &pij, &cfg).unreliability;
+    let u_fresh = try_analyze(&circuit, &cells, &mut lib, &pij, &cfg)
+        .unwrap()
+        .unreliability;
 
     let path = std::env::temp_dir().join("soft_error_test_lib.json");
     lib.save(&path).expect("temp dir is writable");
     let mut reloaded = Library::load(&path).expect("file we wrote loads");
-    let u_reloaded = analyze(&circuit, &cells, &mut reloaded, &pij, &cfg).unreliability;
+    let u_reloaded = try_analyze(&circuit, &cells, &mut reloaded, &pij, &cfg)
+        .unwrap()
+        .unreliability;
     let _ = std::fs::remove_file(&path);
 
     assert_eq!(u_fresh, u_reloaded);
@@ -110,7 +116,7 @@ fn generated_suite_analyzes_without_panics() {
         let mut lib = Library::new(Technology::ptm70(), CharGrids::coarse());
         let cells = CircuitCells::nominal(&circuit);
         let pij = default_pij(&circuit, 128, 1);
-        let r = analyze(&circuit, &cells, &mut lib, &pij, &cfg);
+        let r = try_analyze(&circuit, &cells, &mut lib, &pij, &cfg).unwrap();
         assert!(r.unreliability > 0.0, "{name}");
         assert!(r.unreliability.is_finite(), "{name}");
     }

@@ -2,7 +2,7 @@
 //! SERTOPT, asserting the paper's headline contract — unreliability goes
 //! down while path delays stay put.
 
-use soft_error::aserta::{analyze_fresh, timing_view, AsertaConfig, CircuitCells, LoadModel};
+use soft_error::aserta::{timing_view, try_analyze_fresh, AsertaConfig, CircuitCells, LoadModel};
 use soft_error::cells::{CharGrids, Library};
 use soft_error::netlist::generate;
 use soft_error::sertopt::matching::vdd_violations;
@@ -77,8 +77,12 @@ fn analysis_is_deterministic_across_library_instances() {
     let cfg = AsertaConfig::fast();
     let mut lib1 = Library::new(Technology::ptm70(), CharGrids::coarse());
     let mut lib2 = Library::new(Technology::ptm70(), CharGrids::coarse());
-    let u1 = analyze_fresh(&circuit, &cells, &mut lib1, &cfg).unreliability;
-    let u2 = analyze_fresh(&circuit, &cells, &mut lib2, &cfg).unreliability;
+    let u1 = try_analyze_fresh(&circuit, &cells, &mut lib1, &cfg)
+        .unwrap()
+        .unreliability;
+    let u2 = try_analyze_fresh(&circuit, &cells, &mut lib2, &cfg)
+        .unwrap()
+        .unreliability;
     assert_eq!(u1, u2);
 }
 
@@ -100,4 +104,19 @@ fn optimized_assignment_realizes_a_valid_timing_view() {
         assert!(tv.delays[g.index()] > 0.0, "gate {g} has no delay");
         assert!(tv.delays[g.index()] < 1e-9, "gate {g} absurdly slow");
     }
+}
+
+/// A malformed `SER_*` variable is a one-line error from `soft-error
+/// optimize`, not a panic backtrace.
+#[test]
+fn cli_optimize_reports_a_malformed_ser_variable() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_soft-error"))
+        .args(["optimize", "c17", "--iters", "1", "--profile", "sizing"])
+        .env("SER_SIM_THREADS", "abc")
+        .output()
+        .expect("the CLI starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "a panic: {stderr}");
+    assert!(stderr.contains("SER_SIM_THREADS"), "{stderr}");
 }

@@ -89,6 +89,7 @@ fn c17_problem<'a>(circuit: &'a Circuit, lib: &mut Library) -> DelayProblem<'a> 
         fast_cfg(),
         EnergyModel::default(),
     )
+    .expect("c17 problem builds")
 }
 
 // ------------------------------------------------- aserta: clean rejections

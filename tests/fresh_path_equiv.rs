@@ -1,4 +1,4 @@
-//! Bitwise equivalence of the single-engine `analyze`/`analyze_fresh`
+//! Bitwise equivalence of the single-engine `try_analyze`/`try_analyze_fresh`
 //! (a cold-start [`AnalysisSession`] since the consolidation) against
 //! the **pre-refactor fresh pipeline**, captured verbatim below:
 //! timing view → static probabilities → generated widths → the hoisted
@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use soft_error::aserta::glitch::attenuate;
 use soft_error::aserta::logical::{pi_weights, successor_sensitizations};
-use soft_error::aserta::{analyze, AsertaConfig, CircuitCells};
+use soft_error::aserta::{try_analyze, AsertaConfig, CircuitCells};
 use soft_error::cells::{CharGrids, Library};
 use soft_error::logicsim::sensitize::sensitization_probabilities_cfg;
 use soft_error::logicsim::{EngineConfig, SensitizationMatrix};
@@ -170,7 +170,7 @@ fn ref_interp(ws: &[f64], node_base: usize, n_pos: usize, j: usize, grid: &[f64]
     a * (1.0 - frac) + b * frac
 }
 
-/// The pre-refactor `analyze`, captured verbatim over public APIs.
+/// The pre-refactor `analyze` pipeline, captured verbatim over public APIs.
 fn reference_analyze(
     circuit: &Circuit,
     cells: &CircuitCells,
@@ -227,7 +227,7 @@ fn lib() -> Library {
     Library::new(soft_error::spice::Technology::ptm70(), CharGrids::coarse())
 }
 
-/// Pins `analyze` (new: cold session) against the captured old pipeline,
+/// Pins `try_analyze` (new: cold session) against the captured old pipeline,
 /// field by field, bit for bit.
 fn assert_bitwise_equal(circuit: &Circuit, cells: &CircuitCells, cfg: &AsertaConfig) {
     let e = EngineConfig::new();
@@ -242,7 +242,7 @@ fn assert_bitwise_equal(circuit: &Circuit, cells: &CircuitCells, cfg: &AsertaCon
     let mut old_lib = lib();
     let want = reference_analyze(circuit, cells, &mut old_lib, &pij, cfg);
     let mut new_lib = lib();
-    let got = analyze(circuit, cells, &mut new_lib, &pij, cfg);
+    let got = try_analyze(circuit, cells, &mut new_lib, &pij, cfg).unwrap();
 
     assert_eq!(got.timing.loads, want.loads, "loads");
     assert_eq!(got.timing.delays, want.delays, "delays");

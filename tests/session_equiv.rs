@@ -3,13 +3,13 @@
 //!
 //! any sequence of random per-gate delta moves (sizes, lengths, VDD,
 //! Vth — the exact move set SERTOPT's matcher emits) followed by session
-//! queries must match `analyze_fresh` on the mutated circuit — bitwise
+//! queries must match `try_analyze_fresh` on the mutated circuit — bitwise
 //! for `P_ij`, within 1e-12 (relative) for expected widths and SER. The
 //! engine actually guarantees bitwise identity everywhere; the looser
 //! bound here is the stable public contract.
 
 use proptest::prelude::*;
-use soft_error::aserta::{analyze_fresh, AnalysisSession, AsertaConfig, CircuitCells};
+use soft_error::aserta::{try_analyze_fresh, AnalysisSession, AsertaConfig, CircuitCells};
 use soft_error::cells::{CharGrids, Library};
 use soft_error::netlist::generate::{layered, LayeredSpec};
 use soft_error::netlist::Circuit;
@@ -72,12 +72,12 @@ proptest! {
                     (g, p)
                 })
                 .collect();
-            session.apply(&deltas);
+            session.try_apply(&deltas).unwrap();
         }
 
         // Fresh oracle over the mutated assignment.
         let mut oracle_lib = Library::new(Technology::ptm70(), CharGrids::coarse());
-        let fresh = analyze_fresh(&circuit, session.cells(), &mut oracle_lib, &cfg);
+        let fresh = try_analyze_fresh(&circuit, session.cells(), &mut oracle_lib, &cfg).unwrap();
 
         // P_ij: bitwise (the session never re-estimates on cell deltas).
         let n_pos = circuit.primary_outputs().len();
@@ -164,10 +164,10 @@ proptest! {
             p.l_nm = [70.0, 150.0][l as usize];
             p.vdd = [1.0, 0.8][v as usize];
             p.vth = [0.2, 0.3][t as usize];
-            session.apply(&[(g, p)]);
+            session.try_apply(&[(g, p)]).unwrap();
         }
         let mut oracle_lib = Library::new(Technology::ptm70(), CharGrids::coarse());
-        let fresh = analyze_fresh(&circuit, session.cells(), &mut oracle_lib, &cfg);
+        let fresh = try_analyze_fresh(&circuit, session.cells(), &mut oracle_lib, &cfg).unwrap();
         prop_assert_eq!(&session.timing().loads, &fresh.timing.loads);
         prop_assert_eq!(&session.timing().in_ramps, &fresh.timing.in_ramps);
         prop_assert_eq!(&session.timing().out_ramps, &fresh.timing.out_ramps);
