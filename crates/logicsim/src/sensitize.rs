@@ -41,26 +41,28 @@
 //! The estimator runs over the flat CSR view ([`CsrView`]) with fan-out
 //! cones and reachable-PO column lists materialized in [`ConeArena`]s,
 //! so each strike resimulates exactly the nodes that can change and
-//! counts differences only at the POs it can reach. Roots are split
-//! across the worker threads in contiguous spans balanced by cone
-//! program size, and the cone-replay interpreter processes four packed
-//! words per step through the row primitives in [`crate::kernel`].
+//! counts differences only at the POs it can reach. The cone-replay
+//! interpreter processes four packed words per step through the row
+//! primitives in [`crate::kernel`].
 //!
 //! Cones are **streamed in chunks** rather than held all at once: the
 //! roots are sorted by PO region ([`po_region_order`]) and the order is
 //! cut into chunks of `chunk_size` roots. For each 64-word block the
-//! estimator builds a [`ConeArena`] over each chunk's *live* roots —
-//! those still sampling — compiles and replays their cone programs,
-//! adds the hits to the per-root counters, and drops the arena before
-//! touching the next chunk. Every root is live in block 0, so block 0
-//! builds each chunk whole; later blocks rebuild only the cones of the
-//! roots the adaptive stop rule has not finished (and of none that
-//! reaches no PO), and skip a chunk with no such root. Peak arena
-//! memory is therefore bounded by one chunk — not the whole-circuit
-//! cone closure, which on 100k-gate circuits runs to gigabytes.
-//! Per-thread simulation buffers and the program-compile scratch live
-//! in a pool that is reused across chunks, so the inner loop performs
-//! no per-node allocation.
+//! estimator visits each chunk's *live* roots — those still sampling —
+//! and deals them into one strided share per worker thread (live root
+//! `j` to share `j % shares`, which spreads the rank-sorted big and
+//! small cones evenly). Each worker builds a [`ConeArena`] over its
+//! share, compiles and replays the share's cone programs and drops the
+//! arena; the calling thread then adds the hits to the per-root
+//! counters before touching the next chunk. Every root is live in
+//! block 0, so block 0 builds each chunk whole; later blocks rebuild
+//! only the cones of the roots the adaptive stop rule has not finished
+//! (and of none that reaches no PO), and skip a chunk with no such
+//! root. Peak arena memory is therefore bounded by one chunk split
+//! across the workers — not the whole-circuit cone closure, which on
+//! 100k-gate circuits runs to gigabytes. Each worker's value rows,
+//! programs and compile scratch are reused across chunks, so the inner
+//! loop performs no per-node allocation.
 //!
 //! **Determinism contract:** results are bitwise identical for every
 //! thread count and chunk size. Word `w` always draws its stimulus from
@@ -299,7 +301,8 @@ pub struct EstimateStats {
     /// Number of cone chunks the run streamed through.
     pub chunks: usize,
     /// High-water mark of arena plus compiled-program bytes across the
-    /// run (including the arena builder's transient assembly buffer).
+    /// run (including the arena builder's transient assembly buffer),
+    /// summed over the workers' shares of one chunk visit.
     pub peak_bytes: usize,
     /// Σ|cone| over the estimated roots: each root's cone counted once,
     /// as block 0 builds it. Later blocks' rebuilds of still-sampling
@@ -519,10 +522,11 @@ fn estimate(
 /// The streamed estimation driver: for each [`BLOCK`]-word block, the
 /// fault-free circuit is evaluated **once** into node-major rows; then
 /// each `chunk_size`-root chunk of `order` with a *live* root — one
-/// still sampling — builds an arena over its live roots only,
-/// recompiles their cone programs into the pooled buffers, replays
-/// their strikes across the worker pool, and drops the arena before the
-/// next chunk is touched.
+/// still sampling — deals its live roots into `min(threads, live)`
+/// strided [`Share`]s, each worker builds, compiles and replays its own
+/// share, and the calling thread adds the hits to the per-root totals
+/// in live-list order before the next chunk is touched. A share of one
+/// runs inline, without spawning.
 ///
 /// Hoisting the base evaluation out of the chunk loop is what makes
 /// small chunks affordable: the full-circuit work is `O(V)` per word
@@ -532,15 +536,15 @@ fn estimate(
 /// Every root is live in block 0; after it, a root leaves the live set
 /// for good once it reaches no PO or the adaptive stop rule (a positive
 /// `pij` tolerance, checked at block boundaries) finishes it. A live
-/// subset's arena and programs are never larger than its whole chunk's,
-/// so block 0 sets the peak. Each replay counts into a buffer aligned
-/// with the programs, added to the roots' totals by integer summation,
+/// subset's arenas and programs are never larger than its whole
+/// chunk's, so block 0 sets the peak. Each root's counters are filled
+/// by exactly one worker and added to its totals by integer summation,
 /// so no total depends on which roots shared a build.
 ///
 /// The returned [`Run`] holds every root's final counters, in `order`.
-/// Beyond the tracked arena (plus the builder's transient assembly copy)
-/// and programs, the run holds the block's base rows (`node_count ×
-/// block` words), the per-root counters, and each root's reachable
+/// Beyond the tracked arenas (plus the builder's transient assembly
+/// copy) and programs, the run holds the block's base rows (`node_count
+/// × block` words), the per-root counters, and each root's reachable
 /// columns (captured on block 0, so the counters can be finalized after
 /// the arenas are gone).
 fn estimate_chunks(
@@ -553,15 +557,7 @@ fn estimate_chunks(
     pij: &PijConfig,
 ) -> Run {
     let n_roots = order.len();
-    // Per-worker cone-local value rows of the replay (cache-line aligned
-    // for the wide kernels), grow-only and reused across chunks and
-    // blocks, so a multi-chunk run performs no per-chunk reallocation
-    // beyond the first.
-    let mut pool: Vec<AlignedWords> = (0..threads.max(1))
-        .map(|_| AlignedWords::default())
-        .collect();
-    let mut compile_scratch = CompileScratch::default();
-    let mut progs = ConePrograms::default();
+    let mut shares: Vec<Share> = (0..threads).map(|_| Share::default()).collect();
     let mut base = AlignedWords::default();
     // Per-root state, indexed by position in `order`.
     // Each root's reachable columns are captured on block 0, and its
@@ -575,13 +571,8 @@ fn estimate_chunks(
     // still sampling, finalized at the end).
     let mut done: Vec<bool> = vec![false; n_roots];
     let mut samples: Vec<u64> = vec![0; n_roots];
-    // The live roots of the chunk being visited: node ids (the arena's
-    // slot order) and positions in `order`.
-    let mut live: Vec<u32> = Vec::new();
+    // Positions in `order` of the live roots of the chunk being visited.
     let mut live_at: Vec<usize> = Vec::new();
-    // One replay's counters, aligned with the compiled programs.
-    let mut hits: Vec<u64> = Vec::new();
-    let mut union_hits: Vec<u64> = Vec::new();
     let mut arena_peak = 0usize;
     let mut stats = EstimateStats {
         chunks: n_roots.div_ceil(chunk_size),
@@ -604,59 +595,58 @@ fn estimate_chunks(
         let w0 = b * BLOCK;
         let wc = BLOCK.min(n_words - w0);
         eval_base_block(csr, seed, w0, wc, &mut base);
+        let base_rows = base.words();
 
-        for (k, chunk_roots) in order.chunks(chunk_size).enumerate() {
-            live.clear();
+        for start in (0..n_roots).step_by(chunk_size) {
             live_at.clear();
-            for (g, &root) in (k * chunk_size..).zip(chunk_roots) {
-                if !done[g] {
-                    live.push(root);
-                    live_at.push(g);
-                }
-            }
-            if live.is_empty() {
+            live_at.extend((start..n_roots.min(start + chunk_size)).filter(|&g| !done[g]));
+            if live_at.is_empty() {
                 continue;
             }
-            let arena = ConeArena::build_for(csr, &live);
-            // The builder's processing-order buffer coexists with the
-            // assembled arena: one extra copy at the high-water mark.
-            arena_peak = arena_peak.max(2 * arena.bytes());
-            progs.recompile(csr, &arena, &live, &mut compile_scratch);
+            let active = &mut shares[..threads.min(live_at.len())];
+            let n_shares = active.len();
+            for share in active.iter_mut() {
+                share.roots.clear();
+            }
+            for (j, &g) in live_at.iter().enumerate() {
+                active[j % n_shares].roots.push(order[g]);
+            }
+            if let [only] = active {
+                only.run(csr, base_rows, wc);
+            } else {
+                std::thread::scope(|scope| {
+                    for share in active.iter_mut() {
+                        scope.spawn(move || share.run(csr, base_rows, wc));
+                    }
+                });
+            }
+
+            arena_peak = arena_peak.max(active.iter().map(|s| s.arena_bytes).sum());
+            let prog_bytes: usize = active.iter().map(|s| s.progs.bytes()).sum();
+            stats.peak_bytes = stats.peak_bytes.max(arena_peak + prog_bytes);
             if b == 0 {
-                stats.cone_entries += arena.total_cone_len();
-                for (slot, &g) in live_at.iter().enumerate() {
-                    let cols = arena.reachable_cols(slot);
-                    cols_flat.extend_from_slice(cols);
+                stats.cone_entries += active.iter().map(|s| s.cone_entries).sum::<usize>();
+            }
+            for (j, &g) in live_at.iter().enumerate() {
+                let (share, ri) = (&active[j % n_shares], j / n_shares);
+                let slots = share.progs.po_off[ri]..share.progs.po_off[ri + 1];
+                if b == 0 {
+                    // Block 0 visits the roots in `order`, so `g` is the
+                    // next row of the column CSR.
+                    let reach = share.progs.po_slots_of(ri);
+                    cols_flat.extend(reach.iter().map(|s| csr.po_col_of(s.po as usize)));
                     col_off.push(cols_flat.len());
+                    counts.resize(cols_flat.len(), 0);
                     // No reachable PO: every counter is structurally
                     // zero, nothing to replay after this block.
-                    done[g] = cols.is_empty();
+                    done[g] = reach.is_empty();
                 }
-                counts.resize(cols_flat.len(), 0);
-            }
-            drop(arena);
-            stats.peak_bytes = stats.peak_bytes.max(arena_peak + progs.bytes());
-
-            hits.clear();
-            hits.resize(progs.total_reachable(), 0);
-            union_hits.clear();
-            union_hits.resize(live.len(), 0);
-            replay_block(
-                &progs,
-                base.words(),
-                wc,
-                &mut pool,
-                &mut hits,
-                &mut union_hits,
-            );
-            for (li, &g) in live_at.iter().enumerate() {
-                let root_hits = &hits[progs.po_off[li]..progs.po_off[li + 1]];
                 let totals = &mut counts[col_off[g]..col_off[g + 1]];
-                debug_assert_eq!(root_hits.len(), totals.len(), "support is fixed");
-                for (total, &h) in totals.iter_mut().zip(root_hits) {
+                debug_assert_eq!(slots.len(), totals.len(), "support is fixed");
+                for (total, &h) in totals.iter_mut().zip(&share.hits[slots]) {
                     *total += h;
                 }
-                obs_counts[g] += union_hits[li];
+                obs_counts[g] += share.union_hits[ri];
             }
         }
         words_done += wc;
@@ -689,15 +679,73 @@ fn estimate_chunks(
             *s = (words_done * 64) as u64;
         }
     }
+    // Free the workers' buffers and the base rows, then move the
+    // grown counters into exact-size copies, before the caller lays out
+    // its long-lived outputs: left in place, the freed holes fragment a
+    // single malloc arena and the next large allocations land above
+    // them, raising the process's peak RSS.
+    drop(shares);
+    drop(base);
     Run {
         stats,
         words_done,
         roots: order,
-        col_off,
-        cols: cols_flat,
-        counts,
+        col_off: col_off.to_vec(),
+        cols: cols_flat.to_vec(),
+        counts: counts.to_vec(),
         obs: obs_counts,
         samples,
+    }
+}
+
+/// One worker's part of a chunk visit: the live roots dealt to it, and
+/// the buffers it builds, compiles and replays them with — reused
+/// across chunks and blocks, so a multi-chunk run performs no per-chunk
+/// reallocation beyond the first.
+#[derive(Default)]
+struct Share {
+    /// Node ids of the share's roots, in the arena's slot order.
+    roots: Vec<u32>,
+    progs: ConePrograms,
+    compile_scratch: CompileScratch,
+    /// Cone-local value rows of the replay (cache-line aligned for the
+    /// wide kernels).
+    vals: AlignedWords,
+    /// The last replay's hits, aligned with the programs' PO slots.
+    hits: Vec<u64>,
+    /// The last replay's any-PO union hits, one per root.
+    union_hits: Vec<u64>,
+    /// The last build's tracked arena bytes and cone entries.
+    arena_bytes: usize,
+    cone_entries: usize,
+}
+
+impl Share {
+    /// Builds the share's cone arena, compiles its programs, drops the
+    /// arena, and replays every root against one block's base rows
+    /// (stride `wc`) into fresh hit counters.
+    fn run(&mut self, csr: &CsrView, base: &[u64], wc: usize) {
+        let arena = ConeArena::build_for(csr, &self.roots);
+        // The builder's processing-order buffer coexists with the
+        // assembled arena: one extra copy at the high-water mark.
+        self.arena_bytes = 2 * arena.bytes();
+        self.cone_entries = arena.total_cone_len();
+        self.progs
+            .recompile(csr, &arena, &self.roots, &mut self.compile_scratch);
+        drop(arena);
+        self.hits.clear();
+        self.hits.resize(self.progs.po_slots.len(), 0);
+        self.union_hits.clear();
+        self.union_hits.resize(self.roots.len(), 0);
+        self.vals.ensure(self.progs.max_cone.max(1) * wc);
+        replay_roots(
+            &self.progs,
+            base,
+            wc,
+            self.vals.words_mut(),
+            &mut self.hits,
+            &mut self.union_hits,
+        );
     }
 }
 
@@ -750,81 +798,6 @@ fn eval_base_block(csr: &CsrView, seed: u64, w0: usize, wc: usize, base: &mut Al
     }
 }
 
-/// Replays one block's strikes for every compiled root, splitting the
-/// roots into contiguous spans balanced by program size, one worker per
-/// span. Each `(root, word)` hit increments exactly one integer counter
-/// owned by exactly one worker, so the totals are bitwise identical for
-/// every thread count. `counts` is aligned with the programs' PO slots
-/// and `obs_counts` with their roots.
-fn replay_block(
-    progs: &ConePrograms,
-    base: &[u64],
-    wc: usize,
-    pool: &mut [AlignedWords],
-    counts: &mut [u64],
-    obs_counts: &mut [u64],
-) {
-    let n_roots = progs.root_count();
-    if n_roots == 0 {
-        return;
-    }
-    let vals_len = progs.max_cone.max(1) * wc;
-    let workers = pool.len().min(n_roots).max(1);
-    if workers == 1 {
-        pool[0].ensure(vals_len);
-        replay_roots(
-            progs,
-            base,
-            wc,
-            0..n_roots,
-            pool[0].words_mut(),
-            counts,
-            obs_counts,
-        );
-        return;
-    }
-
-    // Greedy spans weighted by replay cost; the target guarantees at
-    // most `workers` spans.
-    let total_w: usize = (0..n_roots).map(|ri| progs.replay_weight(ri)).sum();
-    let target = total_w / workers + 1;
-    let mut spans: Vec<std::ops::Range<usize>> = Vec::with_capacity(workers);
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for ri in 0..n_roots {
-        acc += progs.replay_weight(ri);
-        if acc >= target {
-            spans.push(start..ri + 1);
-            start = ri + 1;
-            acc = 0;
-        }
-    }
-    if start < n_roots {
-        spans.push(start..n_roots);
-    }
-    debug_assert!(spans.len() <= workers, "span balancing overflowed the pool");
-
-    std::thread::scope(|scope| {
-        let mut counts_rest = counts;
-        let mut obs_rest = obs_counts;
-        let mut count_consumed = 0usize;
-        let mut root_consumed = 0usize;
-        for (span, scratch) in spans.into_iter().zip(pool.iter_mut()) {
-            scratch.ensure(vals_len);
-            let (c_span, c_rest) =
-                counts_rest.split_at_mut(progs.po_off[span.end] - count_consumed);
-            let (o_span, o_rest) = obs_rest.split_at_mut(span.end - root_consumed);
-            count_consumed = progs.po_off[span.end];
-            root_consumed = span.end;
-            counts_rest = c_rest;
-            obs_rest = o_rest;
-            let vals = scratch.words_mut();
-            let progs = &*progs;
-            scope.spawn(move || replay_roots(progs, base, wc, span, vals, c_span, o_span));
-        }
-    });
-}
-
 /// Words evaluated together in one block: cone programs stay hot in L1
 /// across the whole block and every row operation runs over contiguous
 /// `u64` lanes the compiler can vectorize.
@@ -859,9 +832,9 @@ struct PoSlot {
 }
 
 /// The fan-out cones of a set of *root* nodes compiled into flat
-/// strike-resimulation programs over cone-local value rows. The
-/// estimator compiles one chunk's live roots at a time: every
-/// root in block 0, then only those still sampling.
+/// strike-resimulation programs over cone-local value rows. Each
+/// estimator worker compiles its share of one chunk visit's live roots
+/// at a time: every root in block 0, then only those still sampling.
 ///
 /// Side inputs (fan-ins outside the cone) are untagged global node
 /// indices resolved against the base evaluation, so no scratch state
@@ -871,9 +844,10 @@ struct PoSlot {
 /// All per-root arrays (`op_off`, `po_off`, …) are indexed by *position
 /// in the root list*, not by node index.
 ///
-/// The struct is a reusable buffer: the streamed estimator keeps one
+/// The struct is a reusable buffer: each worker's [`Share`] keeps one
 /// instance and [`recompile`](ConePrograms::recompile)s it per chunk
-/// visit, so no program storage is reallocated between chunks.
+/// visit, so no program storage is reallocated between chunks. A
+/// worker replays exactly the programs it compiled.
 #[derive(Default)]
 struct ConePrograms {
     roots: Vec<u32>,
@@ -989,16 +963,6 @@ impl ConePrograms {
     }
 
     #[inline]
-    fn root_count(&self) -> usize {
-        self.roots.len()
-    }
-
-    #[inline]
-    fn total_reachable(&self) -> usize {
-        self.po_slots.len()
-    }
-
-    #[inline]
     fn ops_of(&self, ri: usize) -> &[ProgOp] {
         &self.ops[self.op_off[ri]..self.op_off[ri + 1]]
     }
@@ -1007,46 +971,29 @@ impl ConePrograms {
     fn po_slots_of(&self, ri: usize) -> &[PoSlot] {
         &self.po_slots[self.po_off[ri]..self.po_off[ri + 1]]
     }
-
-    /// Work-balance weight of root `ri`'s replay: its op count plus one,
-    /// so trivial cones still advance a span, or one alone when it
-    /// reaches no PO (such a root is skipped).
-    #[inline]
-    fn replay_weight(&self, ri: usize) -> usize {
-        if self.po_off[ri] == self.po_off[ri + 1] {
-            1
-        } else {
-            self.op_off[ri + 1] - self.op_off[ri] + 1
-        }
-    }
 }
 
-/// Replays the strike of every root in `roots` against one block's base
+/// Replays the strike of every compiled root against one block's base
 /// rows (stride `wc`, see [`eval_base_block`]), accumulating flat
-/// reachable-PO hit counts and per-root any-PO union counts, [`LANES`]
-/// words per interpreter step. The `counts`/`obs_counts` slices cover exactly
-/// this span's po-slots and roots (offset by the span start), so
-/// concurrent spans never share a counter. A root that reaches no PO is
-/// skipped: it has nothing to count.
+/// reachable-PO hit counts (aligned with the programs' PO slots) and
+/// per-root any-PO union counts, [`LANES`] words per interpreter step.
+/// A root that reaches no PO is skipped: it has nothing to count.
 fn replay_roots(
     progs: &ConePrograms,
     base: &[u64],
     wc: usize,
-    roots: std::ops::Range<usize>,
     vals: &mut [u64],
     counts: &mut [u64],
     obs_counts: &mut [u64],
 ) {
-    let count_base = progs.po_off[roots.start];
-    let obs_base = roots.start;
     let mut union_buf = [0u64; BLOCK];
 
-    for ri in roots {
+    for (ri, &root) in progs.roots.iter().enumerate() {
         let slots = progs.po_slots_of(ri);
         if slots.is_empty() {
             continue;
         }
-        let i = progs.roots[ri] as usize;
+        let i = root as usize;
         // Row 0: the struck node, flipped in every lane.
         kernel::unary_row::<LANES>(&mut vals[..wc], &base[i * wc..][..wc], true);
         for (e, op) in progs.ops_of(ri).iter().enumerate() {
@@ -1064,14 +1011,14 @@ fn replay_roots(
         }
 
         union_buf[..wc].fill(0);
-        let start = progs.po_off[ri] - count_base;
+        let start = progs.po_off[ri];
         for (t, slot) in slots.iter().enumerate() {
             let vrow = &vals[(slot.local as usize) * wc..][..wc];
             let prow = &base[(slot.po as usize) * wc..][..wc];
             counts[start + t] +=
                 kernel::diff_count_union_row::<LANES>(vrow, prow, &mut union_buf[..wc]);
         }
-        obs_counts[ri - obs_base] += union_buf[..wc]
+        obs_counts[ri] += union_buf[..wc]
             .iter()
             .map(|&u| u64::from(u.count_ones()))
             .sum::<u64>();

@@ -402,6 +402,13 @@ pub enum ApiError {
     },
     /// The server is shutting down and no longer accepts work.
     ShuttingDown,
+    /// Handling the request panicked — a bug in the daemon, not in the
+    /// request. The worker survives and keeps serving; the session the
+    /// request had checked out is dropped, not returned to the pool.
+    Internal {
+        /// The panic message.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for ApiError {
@@ -416,6 +423,7 @@ impl std::fmt::Display for ApiError {
             ApiError::Analysis { detail } => write!(f, "analysis failed: {detail}"),
             ApiError::Interrupted { stage } => write!(f, "interrupted at {stage}"),
             ApiError::ShuttingDown => write!(f, "server is shutting down"),
+            ApiError::Internal { detail } => write!(f, "internal error: {detail}"),
         }
     }
 }
@@ -721,6 +729,9 @@ impl Serialize for ApiError {
                 obj("interrupted", vec![("stage".to_owned(), stage.serialize())])
             }
             ApiError::ShuttingDown => obj("shutting_down", vec![]),
+            ApiError::Internal { detail } => {
+                obj("internal", vec![("detail".to_owned(), detail.serialize())])
+            }
         }
     }
 }
@@ -749,6 +760,9 @@ impl Deserialize for ApiError {
                 stage: field(e, "Interrupted", "stage")?,
             }),
             "shutting_down" => Ok(ApiError::ShuttingDown),
+            "internal" => Ok(ApiError::Internal {
+                detail: field(e, "Internal", "detail")?,
+            }),
             other => Err(SerdeError::custom(format!("unknown error type `{other}`"))),
         }
     }
@@ -881,6 +895,9 @@ mod tests {
                 stage: "serve::sweep".into(),
             },
             ApiError::ShuttingDown,
+            ApiError::Internal {
+                detail: "fail point `x`: injected panic".into(),
+            },
         ] {
             round_trip(&Response::Error(err));
         }

@@ -256,6 +256,8 @@ impl SessionPool {
     /// must reach its target state via deltas — exactly the contract the
     /// fidelity guarantee is stated for. If `work` leaves the session
     /// poisoned, the entry is dropped instead of returned to the pool.
+    /// No lock is held while `work` runs, so if it panics the checked-out
+    /// entry unwinds with this frame and is dropped the same way.
     ///
     /// # Errors
     ///

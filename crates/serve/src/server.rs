@@ -18,6 +18,7 @@
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -330,15 +331,35 @@ fn serve_connection(
             return;
         }
 
-        let response = handle(&request, pool);
+        // A panic is a daemon bug, not the client's: answer it as a
+        // typed error and keep serving. `SessionPool::with_session`
+        // holds no lock while the work runs, so unwinding only drops
+        // the session the request had checked out.
+        let response = std::panic::catch_unwind(AssertUnwindSafe(|| handle(&request, pool)))
+            .unwrap_or_else(|payload| {
+                Response::Error(ApiError::Internal {
+                    detail: panic_message(payload.as_ref()),
+                })
+            });
         if proto::write_frame(&mut conn, &response).is_err() {
             return;
         }
     }
 }
 
-/// Routes one request. Never panics; every failure is a typed
-/// [`Response::Error`].
+/// The message a panic was raised with, or a placeholder for a
+/// payload that is not a string.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
+}
+
+/// Routes one request. Every failure the request can cause is a typed
+/// [`Response::Error`]; a panic (a daemon bug) unwinds to
+/// [`serve_connection`], which answers it as [`ApiError::Internal`].
 fn handle(request: &Request, pool: &SessionPool) -> Response {
     match request {
         Request::Ping => Response::Pong {

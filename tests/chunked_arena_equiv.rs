@@ -9,11 +9,16 @@
 //!   the fixed-budget and the default estimator mode — the determinism
 //!   contract the analysis engine's caches rely on;
 //! * selective row re-simulation must agree with the full estimate for
-//!   every chunking of the requested subset.
+//!   every chunking of the requested subset;
+//! * the run's `EstimateStats` work counters must not depend on the
+//!   thread count, and its `peak_bytes` may grow only by the few offset
+//!   entries each extra worker's share adds — one chunk in total, not
+//!   one chunk per worker.
 
 use proptest::prelude::*;
 use soft_error::logicsim::sensitize::{
-    resimulate_rows_cfg, sensitization_probabilities_cfg, PijConfig,
+    resimulate_rows_cfg, sensitization_probabilities_cfg,
+    sensitization_probabilities_with_stats_cfg, PijConfig,
 };
 use soft_error::netlist::csr::{po_region_order, ConeArena, CsrView};
 use soft_error::netlist::generate::{layered, LayeredSpec};
@@ -146,6 +151,53 @@ proptest! {
                             prop_assert_eq!(up.p(id, j), full.p(id, j));
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The estimator's work counters are the same for every worker
+    /// count, and splitting a chunk visit across workers costs at most a
+    /// few offset entries per worker in `peak_bytes`: each worker builds
+    /// only its share of the chunk.
+    #[test]
+    fn estimate_stats_stable_across_threads(
+        circuit in arbitrary_circuit(),
+        seed in 0u64..1 << 40,
+    ) {
+        // Two full blocks and a partial one, so the default mode stops
+        // roots adaptively and later blocks rebuild live subsets.
+        let n_vectors = 64 * (2 * 64 + 3);
+        for pij in [PijConfig::fixed(), PijConfig::default()] {
+            for chunk_size in [1usize, 3, 64] {
+                let (m1, one) = sensitization_probabilities_with_stats_cfg(
+                    &circuit, n_vectors, seed, 1, chunk_size, &pij,
+                );
+                for threads in [2usize, 3, 7] {
+                    let (m, st) = sensitization_probabilities_with_stats_cfg(
+                        &circuit, n_vectors, seed, threads, chunk_size, &pij,
+                    );
+                    let what = format!(
+                        "threads {threads} chunk {chunk_size} tol {}",
+                        pij.tolerance
+                    );
+                    prop_assert_eq!(&m, &m1, "{}", what);
+                    prop_assert_eq!(st.chunks, one.chunks, "chunks, {}", what);
+                    prop_assert_eq!(st.cone_entries, one.cone_entries, "cone_entries, {}", what);
+                    prop_assert_eq!(
+                        st.adaptive_stops,
+                        one.adaptive_stops,
+                        "adaptive_stops, {}",
+                        what
+                    );
+                    prop_assert!(
+                        st.peak_bytes >= one.peak_bytes
+                            && st.peak_bytes - one.peak_bytes <= 64 * threads,
+                        "peak_bytes {} vs {} single-threaded, {}",
+                        st.peak_bytes,
+                        one.peak_bytes,
+                        what
+                    );
                 }
             }
         }

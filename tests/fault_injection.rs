@@ -38,6 +38,10 @@ use soft_error::sertopt::matching::MatchingConfig;
 use soft_error::sertopt::{
     AllowedParams, CostWeights, DelayProblem, EnergyModel, EvalError, MatchPlan,
 };
+use soft_error::serve::{
+    serve, ApiError, CircuitSource, Client, GridKind, Listen, PoolConfig, Request, Response,
+    ServerConfig, DEFAULT_MAX_FRAME,
+};
 use soft_error::spice::transient::{try_simulate_gate, TransientConfig};
 use soft_error::spice::waveform::ramp;
 use soft_error::spice::{GateElectrical, GateParams, Technology, TransientError};
@@ -636,6 +640,85 @@ fn tiled10k_poisoned_session_recovers_bitwise_fresh() {
         fresh,
         "recover_with must be bitwise-fresh at scale"
     );
+}
+
+// ------------------------------------------------ daemon: panic containment
+
+/// A panic inside one daemon request is answered as a typed
+/// `ApiError::Internal` and the only worker keeps serving. The panicking
+/// request's checked-out session unwinds with it instead of being
+/// returned to the pool, so the next analysis of the same circuit is a
+/// pool miss that builds afresh.
+///
+/// A charge delta on a warm session reaches `aserta::set_charge` (it
+/// refreshes the generated widths directly, without the cell-delta
+/// recompute), so that is the point armed to panic.
+#[test]
+fn daemon_request_panic_is_an_internal_error_not_a_dead_worker() {
+    let dir = temp_dir("daemon-panic");
+    let handle = serve(ServerConfig {
+        listen: Listen::Unix(dir.join("daemon.sock")),
+        workers: 1,
+        max_frame: DEFAULT_MAX_FRAME,
+        pool: PoolConfig {
+            dir: None,
+            ..PoolConfig::default()
+        },
+    })
+    .expect("daemon boots");
+    let analyze = |charge: f64| {
+        let mut config = fast_cfg();
+        config.charge = charge;
+        Request::Analyze {
+            circuit: CircuitSource::Named("c17".to_owned()),
+            config,
+            grids: GridKind::Coarse,
+            deadline_ms: None,
+        }
+    };
+    let stats = |client: &mut Client| match client.request(&Request::Stats).expect("stats") {
+        Response::Stats(s) => s,
+        other => panic!("expected Stats, got {other:?}"),
+    };
+    let charge = fast_cfg().charge;
+
+    let _guard = failpoint::scenario();
+    let mut client = Client::connect(&handle.endpoint()).expect("connect");
+    let warm = client.request(&analyze(charge)).expect("cold analyze");
+    assert!(matches!(warm, Response::Analyzed(_)), "{warm:?}");
+
+    failpoint::set_times("aserta::set_charge", FailAction::Panic, 1);
+    match client
+        .request(&analyze(2.0 * charge))
+        .expect("an error reply, not a hang-up")
+    {
+        Response::Error(ApiError::Internal { detail }) => {
+            assert!(detail.contains("aserta::set_charge"), "{detail}");
+        }
+        other => panic!("expected an Internal error, got {other:?}"),
+    }
+    assert_eq!(failpoint::hits("aserta::set_charge"), 1);
+    failpoint::clear("aserta::set_charge");
+    drop(client);
+
+    let mut client = Client::connect(&handle.endpoint()).expect("reconnect");
+    assert!(matches!(
+        client.request(&Request::Ping).expect("ping"),
+        Response::Pong { .. }
+    ));
+    let before = stats(&mut client);
+    assert_eq!(before.sessions, 0, "the panicked session is not pooled");
+    let fresh = client.request(&analyze(charge)).expect("fresh analyze");
+    assert!(matches!(fresh, Response::Analyzed(_)), "{fresh:?}");
+    let after = stats(&mut client);
+    assert_eq!(after.misses, before.misses + 1, "a pool miss");
+    assert_eq!(after.hits, before.hits);
+    assert_eq!(
+        client.request(&Request::Shutdown).expect("shutdown"),
+        Response::ShuttingDown
+    );
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ------------------------------------------------------------ meta coverage
