@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cell::CharacterizedCell;
 use crate::characterize::{characterize_cell, CharGrids};
+use crate::lut::Axis;
 
 /// Exact-match key for a cell variant (bit-exact on the parameter floats;
 /// variants always come from explicit grids, so this is well-defined).
@@ -290,12 +291,21 @@ impl Library {
     }
 
     /// Deserializes a library from JSON, rebuilding the lookup index.
+    /// The JSON is untrusted (a file, a session snapshot): every cell
+    /// table is rebuilt through [`Lut2::new`](crate::lut::Lut2::new), and
+    /// the characterization grids are checked as characterization will
+    /// use them.
     ///
     /// # Errors
     ///
-    /// Any `serde_json` parse error.
+    /// Any `serde_json` parse error; a malformed table (an axis that is
+    /// empty, unsorted or non-finite, or a value array of the wrong
+    /// shape); grids whose loads, ramps or charges are not a valid axis,
+    /// a non-positive charge, or a `dt` or `max_window` that is not
+    /// positive and finite.
     pub fn from_json(json: &str) -> serde_json::Result<Self> {
         let mut lib: Library = serde_json::from_str(json)?;
+        check_grids(&lib.grids).map_err(serde_json::Error::custom)?;
         lib.rebuild_index();
         Ok(lib)
     }
@@ -328,6 +338,29 @@ impl Library {
             .map(|(i, c)| (Key::of(&c.params), i))
             .collect();
     }
+}
+
+/// Checks decoded grids before characterization builds an axis from
+/// each grid, strikes with each charge and integrates at `dt` over
+/// `max_window`.
+fn check_grids(g: &CharGrids) -> Result<(), String> {
+    for (name, grid) in [
+        ("loads", &g.loads),
+        ("ramps", &g.ramps),
+        ("charges", &g.charges),
+    ] {
+        Axis::new(grid.clone()).map_err(|e| format!("grids.{name}: {e}"))?;
+    }
+    // The axis is strictly increasing, so its first point is the least.
+    if g.charges[0] <= 0.0 {
+        return Err("grids.charges: charges must be positive".into());
+    }
+    for (name, x) in [("dt", g.dt), ("max_window", g.max_window)] {
+        if !(x.is_finite() && x > 0.0) {
+            return Err(format!("grids.{name} must be positive and finite, got {x}"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -432,6 +465,47 @@ mod tests {
         let back = Library::from_json(&json).unwrap();
         assert_eq!(back.len(), 1);
         assert!(back.cell_exact(&p).is_some());
+    }
+
+    #[test]
+    fn json_with_a_misshapen_table_is_rejected() {
+        let mut lib = tiny_lib();
+        lib.get_or_characterize(&GateParams::new(GateKind::Not, 1));
+        let json = lib.to_json().unwrap();
+        // Drop the first load point of the delay table's axis: the value
+        // array no longer matches the axes' shape.
+        let head = "\"delay\":{\"axis0\":{\"values\":[";
+        let at = json.find(head).expect("a delay table") + head.len();
+        let comma = at + json[at..].find(',').unwrap();
+        let tampered = format!("{}{}", &json[..at], &json[comma + 1..]);
+        let err = Library::from_json(&tampered).unwrap_err().to_string();
+        assert!(err.contains("entries, axes imply"), "{err}");
+    }
+
+    #[test]
+    fn json_with_bad_grids_is_rejected() {
+        let unsorted = CharGrids {
+            loads: vec![8e-15, 1e-15],
+            ..CharGrids::coarse()
+        };
+        let json = Library::new(Technology::ptm70(), unsorted)
+            .to_json()
+            .unwrap();
+        let err = Library::from_json(&json).unwrap_err().to_string();
+        assert!(err.contains("grids.loads"), "{err}");
+        for grids in [
+            CharGrids {
+                charges: vec![0.0, 8e-15],
+                ..CharGrids::coarse()
+            },
+            CharGrids {
+                dt: 0.0,
+                ..CharGrids::coarse()
+            },
+        ] {
+            let json = Library::new(Technology::ptm70(), grids).to_json().unwrap();
+            assert!(Library::from_json(&json).is_err());
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Lookup tables with multilinear interpolation and clamped extrapolation.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A sorted, strictly-increasing sample axis.
 ///
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(axis.locate(0.0), (0, 0.0));   // clamped low
 /// assert_eq!(axis.locate(9.0), (1, 1.0));   // clamped high
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Axis {
     values: Vec<f64>,
 }
@@ -141,7 +141,7 @@ impl std::error::Error for LutError {}
 /// assert_eq!(lut.eval(2.5), 25.0);
 /// assert_eq!(lut.eval(-5.0), 0.0); // clamped
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Lut1 {
     axis: Axis,
     values: Vec<f64>,
@@ -201,7 +201,7 @@ impl Lut1 {
 /// ).unwrap();
 /// assert_eq!(lut.eval(0.5, 0.5), 1.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Lut2 {
     axis0: Axis,
     axis1: Axis,
@@ -295,6 +295,51 @@ impl Lut2 {
     }
 }
 
+// Decoding goes through the constructors, so a table read from JSON (a
+// library file or a session snapshot) is checked like a built one: a
+// malformed axis or a value array of the wrong shape is a decode error,
+// not an out-of-bounds panic at the first lookup.
+
+impl Deserialize for Axis {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        Axis::new(field(v, "Axis", "values")?).map_err(|e| table_error("Axis", &e))
+    }
+}
+
+impl Deserialize for Lut1 {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        Lut1::new(field(v, "Lut1", "axis")?, field(v, "Lut1", "values")?)
+            .map_err(|e| table_error("Lut1", &e))
+    }
+}
+
+impl Deserialize for Lut2 {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        Lut2::new(
+            field(v, "Lut2", "axis0")?,
+            field(v, "Lut2", "axis1")?,
+            field(v, "Lut2", "values")?,
+        )
+        .map_err(|e| table_error("Lut2", &e))
+    }
+}
+
+/// Decodes field `name` of the serialized `container` object.
+fn field<T: Deserialize>(v: &Value, container: &str, name: &str) -> Result<T, serde::Error> {
+    let obj = v.as_object().ok_or_else(|| {
+        serde::Error::custom(format!(
+            "expected object for `{container}`, found {}",
+            v.kind()
+        ))
+    })?;
+    let x = serde::__find(obj, name).ok_or_else(|| serde::Error::missing_field(container, name))?;
+    T::deserialize(x).map_err(|e| e.context(&format!("{container}.{name}")))
+}
+
+fn table_error(container: &str, e: &LutError) -> serde::Error {
+    serde::Error::custom(format!("invalid `{container}`: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,6 +427,24 @@ mod tests {
         )
         .unwrap();
         assert_eq!(lut.eval(0.0, 0.5), 6.0);
+    }
+
+    #[test]
+    fn decoding_checks_like_the_constructors() {
+        let lut = Lut2::new(
+            Axis::new(vec![0.0, 1.0]).unwrap(),
+            Axis::new(vec![0.0, 1.0]).unwrap(),
+            vec![0.0, 1.0, 2.0, 3.0],
+        )
+        .unwrap();
+        let json = serde_json::to_string(&lut).unwrap();
+        assert_eq!(serde_json::from_str::<Lut2>(&json).unwrap(), lut);
+        let empty_axis = json.replacen("[0.0,1.0]", "[]", 1);
+        assert!(serde_json::from_str::<Lut2>(&empty_axis).is_err());
+        let short = json.replace(",3.0]", "]");
+        assert!(serde_json::from_str::<Lut2>(&short).is_err());
+        assert!(serde_json::from_str::<Axis>(r#"{"values":[2.0,1.0]}"#).is_err());
+        assert!(serde_json::from_str::<Lut1>(r#"{"axis":{"values":[0.0]},"values":[]}"#).is_err());
     }
 
     #[test]

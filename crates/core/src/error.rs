@@ -1,7 +1,8 @@
 //! Typed analysis errors and the poisoned-session taxonomy.
 //!
-//! The fallible entry points (`try_with_pij`, `try_apply`,
-//! `try_set_cells`, `try_set_charge`, `try_resample_pij_rows`,
+//! The fallible entry points
+//! ([`SessionBuilder::build`](crate::SessionBuilder::build),
+//! `try_apply`, `try_set_cells`, `try_set_charge`,
 //! [`try_analyze`](crate::try_analyze)) classify failures in two tiers:
 //!
 //! * **Rejections** — the input was invalid and nothing was mutated: the

@@ -23,28 +23,6 @@ pub fn format_ranked_table(
     out
 }
 
-/// Formats two aligned series (e.g. ASERTA vs reference unreliability)
-/// for the nodes given — the textual Fig. 3.
-pub fn format_comparison(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    left_name: &str,
-    left: &[f64],
-    right_name: &str,
-    right: &[f64],
-) -> String {
-    let mut out = format!("{:<16} {:>14} {:>14}\n", "gate", left_name, right_name);
-    for ((n, l), r) in nodes.iter().zip(left).zip(right) {
-        out.push_str(&format!(
-            "{:<16} {:>14.4e} {:>14.4e}\n",
-            circuit.node(*n).name,
-            l,
-            r
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,15 +36,5 @@ mod tests {
         assert!(t.starts_with("soft spots"));
         // caption + header + 3 rows
         assert_eq!(t.lines().count(), 5);
-    }
-
-    #[test]
-    fn comparison_lines_up() {
-        let c = generate::c17();
-        let nodes = vec![c.find("22").unwrap(), c.find("23").unwrap()];
-        let t = format_comparison(&c, &nodes, "aserta", &[1.0, 2.0], "spice", &[1.1, 2.2]);
-        assert_eq!(t.lines().count(), 3);
-        assert!(t.contains("22"));
-        assert!(t.contains("aserta"));
     }
 }

@@ -20,10 +20,9 @@
 //!   unchanged;
 //! * the Eq. 2 weights `π_isj` and static probabilities depend only on
 //!   the circuit's logic, so they are computed once and served from a
-//!   per-cone weight cache; `P_ij` likewise persists, with
-//!   [`AnalysisSession::try_resample_pij_rows`] re-simulating selected
-//!   cones (via [`ser_logicsim::sensitize::resimulate_rows_cfg`]) when
-//!   the caller wants sharper estimates for specific nodes.
+//!   per-cone weight cache; `P_ij` likewise persists. The session never
+//!   re-estimates it: a sharper matrix is a new estimate at a larger
+//!   budget, passed in with [`SessionBuilder::pij`].
 //!
 //! **Fidelity contract:** after any sequence of
 //! [`AnalysisSession::try_set_cells`] / [`AnalysisSession::try_apply`]
@@ -78,7 +77,7 @@ use std::path::Path;
 use ser_cells::{CharacterizedCell, Library};
 use ser_logicsim::engine::EngineConfig;
 use ser_logicsim::probability::static_probabilities_analytic;
-use ser_logicsim::sensitize::{resimulate_rows_cfg, sensitization_probabilities_cfg};
+use ser_logicsim::sensitize::sensitization_probabilities_cfg;
 use ser_logicsim::SensitizationMatrix;
 use ser_netlist::csr::CsrView;
 use ser_netlist::dirty::{close_over_fanout, strict_ancestors, SparseSet};
@@ -725,112 +724,6 @@ impl<'c> AnalysisSession<'c> {
         self.update_after(changed)
     }
 
-    /// Selectively re-estimates the `P_ij` rows of `nodes` with
-    /// `n_vectors` random vectors at `seed` (re-simulating only those
-    /// fan-out cones), then incrementally re-derives everything
-    /// downstream of the changed rows. With the session's own
-    /// `(sensitization_vectors, seed)` this is a bitwise no-op; with more
-    /// vectors it sharpens the estimate for the listed nodes (e.g. the
-    /// current soft spots) at a fraction of a full re-estimate.
-    ///
-    /// Note the matrix then mixes sample sizes across rows;
-    /// [`SensitizationMatrix::vectors_used`] keeps reporting the
-    /// session-wide default.
-    ///
-    /// # Errors
-    ///
-    /// * [`AnalysisError::Poisoned`] if the session is already poisoned,
-    ///   or if a width-row guard trips mid-recompute;
-    /// * [`AnalysisError::InvalidConfig`] for `n_vectors == 0` (session
-    ///   unchanged).
-    pub fn try_resample_pij_rows(
-        &mut self,
-        nodes: &[NodeId],
-        n_vectors: usize,
-        seed: u64,
-    ) -> Result<ApplyStats, AnalysisError> {
-        self.ensure_clean()?;
-        self.check_entry()?;
-        let mut stats = ApplyStats::default();
-        if nodes.is_empty() {
-            return Ok(stats);
-        }
-        if n_vectors == 0 {
-            return Err(AnalysisError::InvalidConfig {
-                reason: "resampling needs at least one vector",
-            });
-        }
-        ser_netlist::failpoint!(
-            "aserta::resample_rows",
-            return Err(AnalysisError::FaultInjected("aserta::resample_rows"))
-        );
-        // Resampling must reuse the session's estimator tolerance: rows
-        // refilled under a different one would silently mix accuracy
-        // settings in one matrix.
-        resimulate_rows_cfg(
-            self.circuit,
-            nodes,
-            n_vectors,
-            seed,
-            self.engine.threads(),
-            self.engine.cone_chunk(),
-            &self.engine.pij(),
-            &mut self.pij,
-        );
-        // π weights read P rows of both a node and its successors; a full
-        // rebuild is simplest and exact (refinement is a rare, heavy op).
-        self.weights = WeightCache::build(self.circuit, &self.static_probs, &self.pij);
-        self.budget_checkpoint("session::widths")?;
-
-        // Width rows of the changed nodes and all their strict ancestors
-        // are invalid; re-derive in reverse topological order.
-        let seeds: Vec<u32> = nodes.iter().map(|id| id.index() as u32).collect();
-        let scratch = &mut self.scratch;
-        strict_ancestors(&self.csr, &seeds, &mut scratch.row_cand);
-        for &s in &seeds {
-            scratch.row_cand.insert(s);
-        }
-        scratch.row_changed.clear();
-        scratch.u_dirty.clear();
-        let topo = self.circuit.topological_order();
-        for &id in topo.iter().rev() {
-            let i = id.index();
-            if !scratch.row_cand.contains(i as u32) {
-                continue;
-            }
-            stats.rows_recomputed += 1;
-            let kernel = RowKernel {
-                weights: &self.weights,
-                brackets: &self.brackets,
-                grid: &self.grid,
-            };
-            let changed = kernel.recompute_row(i, &mut self.widths, &mut scratch.row_buf);
-            if scratch
-                .row_buf
-                .iter()
-                .any(|&v| !(v.is_finite() && v >= 0.0))
-            {
-                return Err(self.poison_now(PoisonReason::NumericalFault {
-                    stage: "width-row",
-                    node: Some(i as u32),
-                }));
-            }
-            if changed {
-                scratch.row_changed.insert(i as u32);
-                scratch.u_dirty.insert(i as u32);
-            }
-        }
-        stats.rows_changed = scratch.row_changed.len();
-        self.refresh_unreliability();
-        if !self.unreliability.is_finite() {
-            return Err(self.poison_now(PoisonReason::NumericalFault {
-                stage: "unreliability",
-                node: None,
-            }));
-        }
-        Ok(stats)
-    }
-
     /// Moves the session to a new injected strike charge (the corner
     /// sweeps' flux/charge-spectrum axis). Charge feeds only the
     /// generated glitch widths (the strike tables' operating point), so
@@ -1455,57 +1348,6 @@ mod tests {
     }
 
     #[test]
-    fn resample_with_session_settings_is_a_noop() {
-        let c = generate::c17();
-        let mut session = AnalysisSession::builder(&c, CircuitCells::nominal(&c), lib(), cfg())
-            .build()
-            .unwrap();
-        let before_u = session.unreliability();
-        let before_pij = session.pij().clone();
-        let stats = session
-            .try_resample_pij_rows(
-                &[c.find("10").unwrap()],
-                cfg().sensitization_vectors,
-                cfg().seed,
-            )
-            .unwrap();
-        assert_eq!(stats.rows_changed, 0, "same vectors+seed must be a no-op");
-        assert_eq!(session.unreliability(), before_u);
-        // Values, supports and observabilities alike.
-        assert_eq!(session.pij(), &before_pij);
-        assert_matches_fresh(&session);
-    }
-
-    #[test]
-    fn resample_with_more_vectors_matches_a_patched_fresh_analysis() {
-        let c = generate::sec32("s");
-        let mut session = AnalysisSession::builder(&c, CircuitCells::nominal(&c), lib(), cfg())
-            .build()
-            .unwrap();
-        let targets: Vec<NodeId> = c.gates().take(4).collect();
-        session.try_resample_pij_rows(&targets, 2048, 99).unwrap();
-
-        // Oracle: fresh analysis over the hand-patched matrix.
-        let engine = session.engine();
-        let mut pij = estimate_pij(&c, &cfg(), engine);
-        ser_logicsim::sensitize::resimulate_rows_cfg(
-            &c,
-            &targets,
-            2048,
-            99,
-            engine.threads(),
-            engine.cone_chunk(),
-            &engine.pij(),
-            &mut pij,
-        );
-        let mut l = lib();
-        let fresh = try_analyze(&c, session.cells(), &mut l, &pij, session.config()).unwrap();
-        assert_eq!(session.pij(), &pij);
-        assert_eq!(session.expected_widths().ws(), fresh.expected_widths.ws());
-        assert_eq!(session.unreliability(), fresh.unreliability);
-    }
-
-    #[test]
     fn set_charge_matches_fresh_at_the_new_charge() {
         let c = generate::sec32("s");
         let mut session = AnalysisSession::builder(&c, CircuitCells::nominal(&c), lib(), cfg())
@@ -1758,7 +1600,6 @@ mod tests {
                 .try_set_cells(&CircuitCells::nominal(&c))
                 .unwrap_err(),
             session.try_set_charge(32e-15).unwrap_err(),
-            session.try_resample_pij_rows(&[g], 1024, 5).unwrap_err(),
         ] {
             match err {
                 AnalysisError::Interrupted(i) => {

@@ -10,16 +10,17 @@
 //!
 //! # Entry points
 //!
-//! Three functions cover every use, all backed by one private driver
-//! that always runs to completion:
+//! Two functions cover every use; both run the one streamed driver to
+//! completion over every node:
 //!
 //! * [`sensitization_probabilities_cfg`] — the full matrix;
 //! * [`sensitization_probabilities_with_stats_cfg`] — the same plus the
-//!   run's [`EstimateStats`] memory/work profile;
-//! * [`resimulate_rows_cfg`] — refills selected rows of an existing
-//!   matrix in place, bitwise equal to the full estimate's rows.
+//!   run's [`EstimateStats`] memory/work profile.
 //!
-//! None of them reads the environment: callers resolve the `SER_*`
+//! The estimator and the snapshot decoder
+//! ([`SensitizationMatrix::from_raw_parts`]) are the only sources of a
+//! matrix, so every row of one is built at the same vector budget.
+//! Neither function reads the environment: callers resolve the `SER_*`
 //! knobs once with [`EngineConfig::from_env`](crate::engine::EngineConfig::from_env)
 //! and pass the threads, chunk size and [`PijConfig`] down.
 //!
@@ -31,10 +32,9 @@
 //! [`SensitizationMatrix::reachable_columns`]). Wide circuits reach few
 //! of their POs from any one node — an SRAM periphery with hundreds of
 //! outputs fills well under 1% of the `node × PO` array — so no
-//! structure in this module is sized by that product. The full estimate
-//! appends each node's row as it finishes (in ascending node order), a
-//! snapshot persists the same slices, and a refill overwrites a row
-//! after checking its reachable columns match.
+//! structure in this module is sized by that product. The estimator
+//! appends each node's row in ascending node order, and a snapshot
+//! persists the same slices.
 //!
 //! # Hot-path architecture
 //!
@@ -109,7 +109,7 @@ use crate::random::random_word;
 /// `p[reach_off[i] + t]` is `P_ij` for its `t`-th reachable column.
 /// Every other `P_ij` is structurally zero and not stored, so the matrix
 /// costs `O(Σ|reach(i)|)` rather than `O(V·|PO|)` — the same layout the
-/// snapshot's `PIJM` section persists and selective refills write into.
+/// snapshot's `PIJM` section persists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensitizationMatrix {
     outputs: Vec<NodeId>,
@@ -354,8 +354,24 @@ pub fn sensitization_probabilities_with_stats_cfg(
     chunk_size: usize,
     pij: &PijConfig,
 ) -> (SensitizationMatrix, EstimateStats) {
+    assert!(n_vectors > 0, "need at least one vector");
+    assert!(threads > 0, "need at least one worker thread");
+    assert!(chunk_size > 0, "chunk size must be positive");
+
+    // Cones are materialized one chunk at a time, so the setup cost is
+    // one O(V+E) flattening pass plus the root sort.
+    let csr = CsrView::build(circuit);
     let all: Vec<u32> = (0..circuit.node_count() as u32).collect();
-    let run = estimate(circuit, &all, n_vectors, seed, threads, chunk_size, pij);
+    let order = po_region_order(&csr, &all);
+    let run = estimate_chunks(
+        &csr,
+        order,
+        chunk_size,
+        seed,
+        threads,
+        n_vectors.div_ceil(64),
+        pij,
+    );
     // Every node's row, appended to the reachability CSR in ascending
     // node order.
     let n_nodes = circuit.node_count();
@@ -364,7 +380,7 @@ pub fn sensitization_probabilities_with_stats_cfg(
     let mut obs: Vec<f64> = Vec::with_capacity(n_nodes);
     let mut reach_off: Vec<usize> = Vec::with_capacity(n_nodes + 1);
     reach_off.push(0);
-    run.for_each_row(|_, cols, counts, obs_count, samples| {
+    run.for_each_row(|cols, counts, obs_count, samples| {
         let total = samples as f64;
         reach_cols.extend_from_slice(cols);
         p.extend(counts.iter().map(|&c| c as f64 / total));
@@ -380,66 +396,6 @@ pub fn sensitization_probabilities_with_stats_cfg(
         vectors_used: run.words_done * 64,
     };
     (matrix, run.stats)
-}
-
-/// Selectively re-simulates the strike cones of `nodes` only and writes
-/// their rows into `matrix` in place, with the same word-blocked
-/// kernels, vector stream and counting rules as
-/// [`sensitization_probabilities_cfg`] — the rows written are **bitwise
-/// identical** to the corresponding rows of the full estimate at the
-/// same `(n_vectors, seed, pij)`, at a cost proportional to the listed
-/// cones instead of the whole circuit. Sessions that cache a matrix
-/// must therefore refill it with the [`PijConfig`] it was built with.
-///
-/// This is the cache-refill primitive of the incremental engine: when a
-/// consumer invalidates (or wants to re-estimate at higher accuracy) the
-/// `P_ij` rows of a few nodes, only those cones are replayed. Each
-/// listed node's per-PO values and measured union observability are
-/// replaced; everything else, [`SensitizationMatrix::vectors_used`]
-/// included, stays as built. Duplicate nodes are re-simulated once.
-///
-/// # Panics
-///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0, if a node is
-/// out of range, if `matrix` was not estimated over `circuit`
-/// (different outputs or node count), or if a re-simulated row's
-/// reachable columns differ from the matrix's — all checked before any
-/// row is written, so a panic leaves `matrix` as it was.
-#[allow(clippy::too_many_arguments)]
-pub fn resimulate_rows_cfg(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-    pij: &PijConfig,
-    matrix: &mut SensitizationMatrix,
-) {
-    assert!(
-        matrix.outputs() == circuit.primary_outputs()
-            && matrix.node_count() == circuit.node_count(),
-        "refill target must be a matrix of this circuit"
-    );
-    let roots: Vec<u32> = nodes.iter().map(|id| id.index() as u32).collect();
-    let run = estimate(circuit, &roots, n_vectors, seed, threads, chunk_size, pij);
-    // Every support is checked before any row is written, so a refusal
-    // leaves the matrix as it was.
-    run.for_each_row(|root, cols, _, _, _| {
-        let have = matrix.reachable_columns(NodeId::new(root as usize));
-        assert!(
-            have == cols,
-            "refill of node {root}: re-simulated support {cols:?} differs from the matrix's {have:?}"
-        );
-    });
-    run.for_each_row(|root, cols, counts, obs_count, samples| {
-        let total = samples as f64;
-        let lo = matrix.reach_off[root as usize];
-        for (dst, &c) in matrix.p[lo..lo + cols.len()].iter_mut().zip(counts) {
-            *dst = c as f64 / total;
-        }
-        matrix.obs[root as usize] = obs_count as f64 / total;
-    });
 }
 
 /// Outcome of one estimation run: its profile and the final hit
@@ -466,15 +422,14 @@ struct Run {
 }
 
 impl Run {
-    /// Calls `f(root, reachable_cols, counts_per_col, union_count,
-    /// samples)` once per estimated root, in ascending node order.
-    fn for_each_row(&self, mut f: impl FnMut(u32, &[u32], &[u64], u64, u64)) {
+    /// Calls `f(reachable_cols, counts_per_col, union_count, samples)`
+    /// once per estimated root, in ascending node order.
+    fn for_each_row(&self, mut f: impl FnMut(&[u32], &[u64], u64, u64)) {
         let mut order: Vec<usize> = (0..self.roots.len()).collect();
         order.sort_unstable_by_key(|&g| self.roots[g]);
         for g in order {
             let range = self.col_off[g]..self.col_off[g + 1];
             f(
-                self.roots[g],
                 &self.cols[range.clone()],
                 &self.counts[range],
                 self.obs[g],
@@ -482,41 +437,6 @@ impl Run {
             );
         }
     }
-}
-
-/// The one estimation driver behind every public entry point: builds
-/// the CSR view, sorts the roots by PO region and streams the word
-/// blocks through [`estimate_chunks`].
-///
-/// `roots` selects the cones (duplicates once): every node for a full
-/// estimate, the listed ones for a refill.
-fn estimate(
-    circuit: &Circuit,
-    roots: &[u32],
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-    pij: &PijConfig,
-) -> Run {
-    assert!(n_vectors > 0, "need at least one vector");
-    assert!(threads > 0, "need at least one worker thread");
-    assert!(chunk_size > 0, "chunk size must be positive");
-
-    // Only the requested cones are materialized (and only one chunk of
-    // them at a time), so the setup cost is one O(V+E) flattening pass
-    // plus work proportional to the requested cones.
-    let csr = CsrView::build(circuit);
-    let order = po_region_order(&csr, roots);
-    estimate_chunks(
-        &csr,
-        order,
-        chunk_size,
-        seed,
-        threads,
-        n_vectors.div_ceil(64),
-        pij,
-    )
 }
 
 /// The streamed estimation driver: for each [`BLOCK`]-word block, the
@@ -653,9 +573,7 @@ fn estimate_chunks(
 
         // Convergence sweep at the block boundary: each root's decision
         // depends only on its own counter and the global word prefix,
-        // so it is identical for every thread count and chunk size —
-        // and for any co-scheduled root set (selective re-simulation
-        // reproduces full-run rows bitwise).
+        // so it is identical for every thread count and chunk size.
         if adaptive && words_done < n_words {
             let n_samp = (words_done * 64) as u64;
             for g in 0..n_roots {
@@ -1053,42 +971,6 @@ mod tests {
         estimate_at(c, n_vectors, seed, 2, DEFAULT_CONE_CHUNK)
     }
 
-    /// `base` with the rows of `nodes` refilled by a default-config
-    /// re-simulation at an explicit thread count and chunk size.
-    #[allow(clippy::too_many_arguments)]
-    fn resim_at(
-        c: &Circuit,
-        base: &SensitizationMatrix,
-        nodes: &[NodeId],
-        n_vectors: usize,
-        seed: u64,
-        threads: usize,
-        chunk_size: usize,
-    ) -> SensitizationMatrix {
-        let mut m = base.clone();
-        resimulate_rows_cfg(
-            c,
-            nodes,
-            n_vectors,
-            seed,
-            threads,
-            chunk_size,
-            &PijConfig::default(),
-            &mut m,
-        );
-        m
-    }
-
-    fn default_resim(
-        c: &Circuit,
-        base: &SensitizationMatrix,
-        nodes: &[NodeId],
-        n_vectors: usize,
-        seed: u64,
-    ) -> SensitizationMatrix {
-        resim_at(c, base, nodes, n_vectors, seed, 2, DEFAULT_CONE_CHUNK)
-    }
-
     #[test]
     fn po_is_self_sensitized() {
         let c = generate::c17();
@@ -1237,33 +1119,6 @@ mod tests {
     }
 
     #[test]
-    fn resim_chunk_sizes_agree_bitwise() {
-        let c = generate::sec32("t");
-        let base = default_estimate(&c, 128, 1);
-        let subset: Vec<_> = c.node_ids().filter(|id| id.index() % 4 == 1).collect();
-        let whole = resim_at(&c, &base, &subset, 512, 77, 1, c.node_count());
-        for chunk_size in [1, 7] {
-            let up = resim_at(&c, &base, &subset, 512, 77, 2, chunk_size);
-            assert_eq!(up, whole, "chunk {chunk_size}");
-        }
-    }
-
-    #[test]
-    fn resim_handles_duplicate_nodes() {
-        let c = generate::c17();
-        let base = default_estimate(&c, 128, 1);
-        let g = c.gates().next().unwrap();
-        let h = c.gates().nth(2).unwrap();
-        let twice = resim_at(&c, &base, &[g, h, g], 256, 5, 1, 2);
-        assert_eq!(twice, resim_at(&c, &base, &[h, g], 256, 5, 1, 2));
-        let full = default_estimate(&c, 256, 5);
-        for id in [g, h] {
-            assert_eq!(twice.row(id), full.row(id), "row of {id}");
-            assert_eq!(twice.observability(id), full.observability(id));
-        }
-    }
-
-    #[test]
     fn estimate_stats_profile_the_run() {
         let c = generate::sec32("t");
         let (m, stats) =
@@ -1289,125 +1144,10 @@ mod tests {
     }
 
     #[test]
-    fn selective_resim_matches_full_rows_bitwise() {
-        let c = generate::sec32("t");
-        let m = estimate_at(&c, 512, 77, 1, DEFAULT_CONE_CHUNK);
-        let base = default_estimate(&c, 128, 1);
-        // A scattered subset: every third node.
-        let subset: Vec<_> = c.node_ids().filter(|id| id.index() % 3 == 1).collect();
-        for threads in [1usize, 3] {
-            let up = resim_at(&c, &base, &subset, 512, 77, threads, DEFAULT_CONE_CHUNK);
-            for &id in &subset {
-                assert_eq!(up.row(id), m.row(id), "row of {id} ({threads} threads)");
-                assert_eq!(up.reachable_columns(id), m.reachable_columns(id));
-                assert_eq!(
-                    up.observability(id),
-                    m.observability(id),
-                    "obs of {id} ({threads} threads)"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn refill_patches_only_listed_rows() {
-        let c = generate::c17();
-        let m256 = default_estimate(&c, 256, 5);
-        let m512 = default_estimate(&c, 512, 5);
-        let subset: Vec<_> = c.gates().take(3).collect();
-        let patched = default_resim(&c, &m256, &subset, 512, 5);
-        for id in c.node_ids() {
-            let want = if subset.contains(&id) { &m512 } else { &m256 };
-            assert_eq!(patched.row(id), want.row(id), "row of {id}");
-            assert_eq!(patched.observability(id), want.observability(id));
-        }
-        assert_eq!(patched.reach_columns_flat(), m256.reach_columns_flat());
-        assert_eq!(patched.vectors_used(), m256.vectors_used());
-        // Refilling at the matrix's own (vectors, seed) is a no-op.
-        assert_eq!(default_resim(&c, &m256, &subset, 256, 5), m256);
-    }
-
-    #[test]
-    fn empty_resim_is_trivial() {
-        let c = generate::c17();
-        let base = default_estimate(&c, 128, 1);
-        assert_eq!(default_resim(&c, &base, &[], 512, 9), base);
-    }
-
-    #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_size_panics() {
         let c = generate::c17();
         sensitization_probabilities_cfg(&c, 64, 1, 1, 0, &PijConfig::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn zero_chunk_size_refill_panics() {
-        let c = generate::c17();
-        let mut m = default_estimate(&c, 64, 1);
-        let nodes: Vec<NodeId> = c.gates().collect();
-        resimulate_rows_cfg(&c, &nodes, 64, 1, 1, 0, &PijConfig::default(), &mut m);
-    }
-
-    #[test]
-    fn refill_with_a_different_support_panics() {
-        // A matrix whose stored support for one gate lacks a column the
-        // gate's cone reaches: refilling that row must refuse loudly
-        // instead of writing values against the wrong columns, and
-        // leave the matrix untouched.
-        let c = generate::c17();
-        let m = default_estimate(&c, 128, 1);
-        let g = c
-            .gates()
-            .filter(|&g| !m.reachable_columns(g).is_empty())
-            .last()
-            .unwrap();
-        let mut p = m.reachable_probabilities().to_vec();
-        let mut off = m.reach_offsets().to_vec();
-        let mut cols = m.reach_columns_flat().to_vec();
-        let lo = off[g.index()];
-        p.remove(lo);
-        cols.remove(lo);
-        for o in &mut off[g.index() + 1..] {
-            *o -= 1;
-        }
-        let mut damaged = SensitizationMatrix::from_raw_parts(
-            m.outputs().to_vec(),
-            m.node_count(),
-            p,
-            m.observabilities().to_vec(),
-            off,
-            cols,
-            m.vectors_used(),
-        )
-        .unwrap();
-        let before = damaged.clone();
-        let others: Vec<NodeId> = c.gates().filter(|&h| h != g).collect();
-        let refill = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let nodes: Vec<NodeId> = others.iter().copied().chain([g]).collect();
-            resimulate_rows_cfg(
-                &c,
-                &nodes,
-                512,
-                9,
-                1,
-                16,
-                &PijConfig::default(),
-                &mut damaged,
-            );
-        }));
-        let payload = refill.expect_err("a support mismatch must panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .unwrap_or_default();
-        assert!(
-            msg.contains(&format!("refill of node {}", g.index()))
-                && msg.contains("differs from the matrix's"),
-            "{msg}"
-        );
-        assert_eq!(damaged, before, "no row of a refused refill is written");
     }
 
     #[test]

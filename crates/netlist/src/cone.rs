@@ -1,4 +1,4 @@
-//! Fan-in and fan-out cones and reconvergence detection.
+//! Fan-out cones and reconvergence detection.
 //!
 //! The per-call queries here share a single forward scan
 //! ([`ConeScan`]); batch workloads that need *every* node's cone should
@@ -59,12 +59,6 @@ impl ConeScan {
         self.cone
     }
 
-    /// Consumes the scan, returning the membership mask.
-    #[inline]
-    pub fn into_mask(self) -> Vec<bool> {
-        self.mask
-    }
-
     /// Primary outputs inside the cone, in PO declaration order.
     pub fn reachable_outputs(&self, circuit: &Circuit) -> Vec<NodeId> {
         circuit
@@ -92,26 +86,6 @@ impl ConeScan {
 /// ```
 pub fn fanout_cone(circuit: &Circuit, root: NodeId) -> Vec<NodeId> {
     ConeScan::of(circuit, root).into_cone()
-}
-
-/// The transitive fan-in cone of `root` (inclusive), in topological order.
-pub fn fanin_cone(circuit: &Circuit, root: NodeId) -> Vec<NodeId> {
-    let mut in_cone = vec![false; circuit.node_count()];
-    in_cone[root.index()] = true;
-    // Walk reverse-topologically to mark, then collect forward for order.
-    for &id in circuit.topological_order().iter().rev() {
-        if in_cone[id.index()] {
-            for &f in &circuit.node(id).fanin {
-                in_cone[f.index()] = true;
-            }
-        }
-    }
-    circuit
-        .topological_order()
-        .iter()
-        .copied()
-        .filter(|id| in_cone[id.index()])
-        .collect()
 }
 
 /// Marks, for every node, whether `root` lies in its fan-in cone
@@ -204,15 +178,6 @@ mod tests {
             let outs = reachable_outputs(&c, pi);
             assert!(!outs.is_empty(), "{pi} reaches no PO");
         }
-    }
-
-    #[test]
-    fn fanin_cone_of_po_contains_inputs() {
-        let c = generate::c17();
-        let po = c.primary_outputs()[0];
-        let cone = fanin_cone(&c, po);
-        assert!(cone.iter().any(|&id| c.node(id).is_input()));
-        assert_eq!(*cone.last().unwrap(), po);
     }
 
     #[test]

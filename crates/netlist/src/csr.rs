@@ -210,8 +210,8 @@ impl ConeArena {
 
     /// Materializes the cones of `roots` only, **slot-indexed**: slot `t`
     /// of the arena holds the cone and reachable-PO list of `roots[t]`.
-    /// Selective re-simulation uses this to pay for exactly the cones it
-    /// replays instead of the whole circuit.
+    /// The `P_ij` estimator builds one per worker share of a chunk
+    /// visit, so it pays for exactly the cones that share replays.
     ///
     /// The builder deduplicates shared sub-cones across roots: requested
     /// roots are processed in descending topological rank, and a root

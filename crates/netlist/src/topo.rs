@@ -4,7 +4,6 @@
 //! so each runs in `O(V + E)`.
 
 use crate::circuit::Circuit;
-use crate::id::NodeId;
 
 /// Logic level of every node counted **from the primary inputs**: inputs
 /// are level 0, every gate is one more than its deepest fan-in.
@@ -58,44 +57,9 @@ pub fn levels_to_outputs(circuit: &Circuit) -> Vec<usize> {
     level
 }
 
-/// Longest distance (in gate count) from every node to any primary output
-/// it reaches; `usize::MAX` marks unreachable nodes. Useful for worst-case
-/// attenuation depth.
-pub fn max_levels_to_outputs(circuit: &Circuit) -> Vec<usize> {
-    let mut level = vec![usize::MAX; circuit.node_count()];
-    for &po in circuit.primary_outputs() {
-        level[po.index()] = 0;
-    }
-    for &id in circuit.topological_order().iter().rev() {
-        let mut best = level[id.index()];
-        for &s in circuit.fanout(id) {
-            let ls = level[s.index()];
-            if ls != usize::MAX {
-                let cand = ls + 1;
-                if best == usize::MAX || cand > best {
-                    best = cand;
-                }
-            }
-        }
-        level[id.index()] = best;
-    }
-    level
-}
-
 /// Circuit depth: the maximum level from inputs over all nodes.
 pub fn depth(circuit: &Circuit) -> usize {
     levels_from_inputs(circuit).into_iter().max().unwrap_or(0)
-}
-
-/// Returns node ids grouped by level-from-inputs, level 0 first.
-pub fn level_buckets(circuit: &Circuit) -> Vec<Vec<NodeId>> {
-    let levels = levels_from_inputs(circuit);
-    let depth = levels.iter().max().copied().unwrap_or(0);
-    let mut buckets = vec![Vec::new(); depth + 1];
-    for (i, &l) in levels.iter().enumerate() {
-        buckets[l].push(NodeId::new(i));
-    }
-    buckets
 }
 
 #[cfg(test)]
@@ -104,6 +68,7 @@ mod tests {
     use crate::builder::CircuitBuilder;
     use crate::gate::GateKind;
     use crate::generate;
+    use crate::id::NodeId;
 
     /// a -> g -> h(PO), b -> g ; b -> k(PO)
     fn diamondish() -> (Circuit, [NodeId; 5]) {
@@ -141,23 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn max_levels_prefers_longer_route() {
-        let (c, [_, bb, ..]) = diamondish();
-        let lv = max_levels_to_outputs(&c);
-        assert_eq!(lv[bb.index()], 2); // via g->h rather than k
-    }
-
-    #[test]
     fn c17_depth() {
         assert_eq!(depth(&generate::c17()), 3);
-    }
-
-    #[test]
-    fn buckets_partition_nodes() {
-        let c = generate::c17();
-        let buckets = level_buckets(&c);
-        let total: usize = buckets.iter().map(|b| b.len()).sum();
-        assert_eq!(total, c.node_count());
-        assert_eq!(buckets[0].len(), c.primary_inputs().len());
     }
 }

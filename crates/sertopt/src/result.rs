@@ -76,18 +76,6 @@ impl Outcome {
     pub fn delay_ratio(&self) -> f64 {
         ratio(self.optimized.delay, self.baseline.delay)
     }
-
-    /// A Table 1-style text row.
-    pub fn table1_row(&self) -> String {
-        format!(
-            "{:<8} {:>6.2}X {:>7.2}X {:>6.2}X {:>8.0}%",
-            self.circuit_name,
-            self.area_ratio(),
-            self.energy_ratio(),
-            self.delay_ratio(),
-            100.0 * self.unreliability_decrease()
-        )
-    }
 }
 
 fn ratio(x: f64, base: f64) -> f64 {
@@ -137,13 +125,5 @@ mod tests {
         assert!((o.area_ratio() - 1.5).abs() < 1e-12);
         assert!((o.energy_ratio() - 1.5).abs() < 1e-12);
         assert!((o.delay_ratio() - 1.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn row_formats() {
-        let o = dummy(10.0, 6.0);
-        let row = o.table1_row();
-        assert!(row.contains("c432"));
-        assert!(row.contains("40%"));
     }
 }

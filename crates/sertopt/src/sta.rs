@@ -1,7 +1,7 @@
 //! Static timing analysis: arrival/required times, slacks and the
-//! critical path over a per-node delay vector.
+//! critical delay over a per-node delay vector.
 
-use ser_netlist::{Circuit, NodeId};
+use ser_netlist::Circuit;
 
 /// STA result over one delay assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,43 +62,10 @@ pub fn analyze(circuit: &Circuit, delays: &[f64], clock: f64) -> Timing {
     }
 }
 
-/// Extracts one critical path (PO back to PI) under `delays`.
-pub fn critical_path(circuit: &Circuit, delays: &[f64]) -> Vec<NodeId> {
-    let t = analyze(circuit, delays, 0.0);
-    // Walk back from the worst PO along worst-arrival fan-ins.
-    let Some(&worst_po) = circuit
-        .primary_outputs()
-        .iter()
-        .max_by(|a, b| t.arrival[a.index()].total_cmp(&t.arrival[b.index()]))
-    else {
-        panic!("circuits have outputs")
-    };
-    let mut at = worst_po;
-    let mut path = vec![at];
-    loop {
-        let node = circuit.node(at);
-        if node.is_input() {
-            break;
-        }
-        let Some(next) = node
-            .fanin
-            .iter()
-            .copied()
-            .max_by(|a, b| t.arrival[a.index()].total_cmp(&t.arrival[b.index()]))
-        else {
-            panic!("gates have fan-ins")
-        };
-        path.push(next);
-        at = next;
-    }
-    path.reverse();
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ser_netlist::{generate, CircuitBuilder, GateKind};
+    use ser_netlist::{CircuitBuilder, GateKind};
 
     #[test]
     fn chain_arrival_accumulates() {
@@ -137,28 +104,5 @@ mod tests {
         assert_eq!(t.critical_delay, 3.0);
         assert!((t.slack[short.index()] - 1.0).abs() < 1e-12);
         assert!(t.slack[long1.index()].abs() < 1e-12);
-    }
-
-    #[test]
-    fn critical_path_is_connected_pi_to_po() {
-        let c = generate::iscas85("c432").unwrap();
-        let delays: Vec<f64> = (0..c.node_count())
-            .map(|i| {
-                if c.node(NodeId::new(i)).is_input() {
-                    0.0
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        let path = critical_path(&c, &delays);
-        assert!(c.node(path[0]).is_input());
-        assert!(c.is_primary_output(*path.last().unwrap()));
-        for w in path.windows(2) {
-            assert!(c.node(w[1]).fanin.contains(&w[0]), "path edge broken");
-        }
-        // Unit delays: path length−1 gates = critical delay.
-        let t = analyze(&c, &delays, 0.0);
-        assert_eq!((path.len() - 1) as f64, t.critical_delay);
     }
 }

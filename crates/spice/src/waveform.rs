@@ -1,5 +1,5 @@
-//! Sampled voltage waveforms and analytic stimulus shapes (ramps,
-//! triangular and trapezoidal glitches).
+//! Sampled voltage waveforms and analytic stimulus shapes (ramps and
+//! trapezoidal glitches).
 
 use serde::{Deserialize, Serialize};
 
@@ -118,28 +118,6 @@ pub fn ramp(v_from: f64, v_to: f64, t_start: f64, ramp: f64) -> impl Fn(f64) -> 
     }
 }
 
-/// A triangular voltage glitch of the paper's Eq. 1 idealization: departs
-/// `v_base` at `t_start`, reaches the opposite rail excursion `v_peak`
-/// at `t_start + width/2`, and returns at `t_start + width`.
-///
-/// Width is measured at the *base*; the width at 50% amplitude is
-/// `width/2`, matching the linear-ramp glitch model of the paper.
-pub fn triangle_glitch(v_base: f64, v_peak: f64, t_start: f64, width: f64) -> impl Fn(f64) -> f64 {
-    move |t: f64| {
-        if t <= t_start || t >= t_start + width || width <= 0.0 {
-            v_base
-        } else {
-            let half = width / 2.0;
-            let x = t - t_start;
-            if x <= half {
-                v_base + (v_peak - v_base) * (x / half)
-            } else {
-                v_peak + (v_base - v_peak) * ((x - half) / half)
-            }
-        }
-    }
-}
-
 /// A trapezoidal glitch: ramps to `v_peak` in `edge`, holds so the total
 /// duration at 50% amplitude equals `width_50`, ramps back. Used to drive
 /// gate inputs with a glitch of defined 50%-width (the paper's `w_i`).
@@ -202,17 +180,6 @@ mod tests {
         assert_eq!(f(9.0), 0.0);
         assert_eq!(f(12.0), 0.5);
         assert_eq!(f(15.0), 1.0);
-    }
-
-    #[test]
-    fn triangle_peaks_midway() {
-        let f = triangle_glitch(0.0, 1.0, 0.0, 100.0);
-        assert_eq!(f(50.0), 1.0);
-        assert_eq!(f(25.0), 0.5);
-        assert_eq!(f(75.0), 0.5);
-        assert_eq!(f(100.0), 0.0);
-        // 50% width is half the base width.
-        assert_eq!(f(75.0) - f(25.0), 0.0);
     }
 
     #[test]

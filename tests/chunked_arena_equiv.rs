@@ -8,8 +8,6 @@
 //!   matrices for every `(threads, chunk_size)` combination, in both
 //!   the fixed-budget and the default estimator mode — the determinism
 //!   contract the analysis engine's caches rely on;
-//! * selective row re-simulation must agree with the full estimate for
-//!   every chunking of the requested subset;
 //! * the run's `EstimateStats` work counters must not depend on the
 //!   thread count, and its `peak_bytes` may grow only by the few offset
 //!   entries each extra worker's share adds — one chunk in total, not
@@ -17,12 +15,11 @@
 
 use proptest::prelude::*;
 use soft_error::logicsim::sensitize::{
-    resimulate_rows_cfg, sensitization_probabilities_cfg,
-    sensitization_probabilities_with_stats_cfg, PijConfig,
+    sensitization_probabilities_cfg, sensitization_probabilities_with_stats_cfg, PijConfig,
 };
 use soft_error::netlist::csr::{po_region_order, ConeArena, CsrView};
 use soft_error::netlist::generate::{layered, LayeredSpec};
-use soft_error::netlist::{Circuit, NodeId};
+use soft_error::netlist::Circuit;
 
 fn arbitrary_circuit() -> impl Strategy<Value = Circuit> {
     (2usize..9, 1usize..5, 8usize..70, 0u64..5000).prop_map(|(pi, po, gates, seed)| {
@@ -96,60 +93,6 @@ proptest! {
                             "vectors {} threads {} chunk {} tol {}",
                             n_vectors, threads, chunk_size, pij.tolerance
                         );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Selective re-simulation of a scattered subset matches the full
-    /// estimate row for row, for every `(threads, chunk_size)`.
-    #[test]
-    fn resimulated_rows_chunk_invariant(
-        circuit in arbitrary_circuit(),
-        seed in 0u64..1 << 40,
-        stride in 2usize..5,
-    ) {
-        let pij = PijConfig::default();
-        let subset: Vec<NodeId> = circuit
-            .node_ids()
-            .filter(|id| id.index() % stride == 1)
-            .collect();
-        prop_assert!(!subset.is_empty(), "node index 1 always exists at these sizes");
-        // Refill a coarser estimate of the same circuit in place: the
-        // listed rows must become the full estimate's, bit for bit.
-        let base = sensitization_probabilities_cfg(
-            &circuit, 64, seed ^ 1, 1, circuit.node_count(), &pij,
-        );
-        let n_pos = circuit.primary_outputs().len();
-        // One partial block, then two full blocks and a partial one.
-        for n_vectors in [192, 64 * (2 * 64 + 3)] {
-            let full = sensitization_probabilities_cfg(
-                &circuit, n_vectors, seed, 1, circuit.node_count(), &pij,
-            );
-            for threads in [1usize, 3] {
-                for chunk_size in [1usize, 4, 64] {
-                    let mut up = base.clone();
-                    resimulate_rows_cfg(
-                        &circuit, &subset, n_vectors, seed, threads, chunk_size, &pij, &mut up,
-                    );
-                    for &id in &subset {
-                        prop_assert_eq!(
-                            up.reachable_columns(id),
-                            full.reachable_columns(id),
-                            "support {} vectors {} threads {} chunk {}",
-                            id, n_vectors, threads, chunk_size
-                        );
-                        prop_assert_eq!(
-                            up.row(id),
-                            full.row(id),
-                            "row {} vectors {} threads {} chunk {}",
-                            id, n_vectors, threads, chunk_size
-                        );
-                        prop_assert_eq!(up.observability(id), full.observability(id));
-                        for j in 0..n_pos {
-                            prop_assert_eq!(up.p(id, j), full.p(id, j));
-                        }
                     }
                 }
             }

@@ -125,30 +125,6 @@ fn set_charge_fault_rejects_and_leaves_session_intact() {
     assert_eq!(snapshot(&session), snapshot(&twin));
 }
 
-/// `aserta::resample_rows` — same contract for the Monte-Carlo
-/// refinement entry point.
-#[test]
-fn resample_rows_fault_rejects_and_leaves_session_intact() {
-    let circuit = generate::c17();
-    let (mut session, mut twin) = session_pair(&circuit);
-    let g = first_gate(&circuit);
-    let before = snapshot(&session);
-
-    let _guard = failpoint::scenario();
-    failpoint::set_times("aserta::resample_rows", FailAction::Error, 1);
-    let err = session.try_resample_pij_rows(&[g], 256, 7).unwrap_err();
-    assert_eq!(err, AnalysisError::FaultInjected("aserta::resample_rows"));
-    assert_eq!(failpoint::hits("aserta::resample_rows"), 1);
-    assert!(!session.is_poisoned());
-    assert_eq!(snapshot(&session), before);
-
-    session
-        .try_resample_pij_rows(&[g], 256, 7)
-        .expect("disarmed");
-    twin.try_resample_pij_rows(&[g], 256, 7).expect("twin");
-    assert_eq!(snapshot(&session), snapshot(&twin));
-}
-
 // -------------------------------------------- aserta: poisoning + recovery
 
 /// `aserta::session_recompute` — a mid-recompute fault poisons the
@@ -723,13 +699,15 @@ fn daemon_request_panic_is_an_internal_error_not_a_dead_worker() {
 
 // ------------------------------------------------------------ meta coverage
 
-/// The harness above must exercise every fail point the workspace
-/// declares — grep-level insurance that a new hook gets a test.
+/// The harness above must exercise exactly the fail points the
+/// workspace declares: the `failpoint!` names in the library sources of
+/// `crates/*/src` (each file up to its `#[cfg(test)]` module) must equal
+/// `COVERED`, so a new hook without a test and a stale name whose hook
+/// is gone both fail here.
 #[test]
 fn harness_covers_all_declared_fail_points() {
-    const COVERED: [&str; 13] = [
+    const COVERED: [&str; 12] = [
         "aserta::set_charge",
-        "aserta::resample_rows",
         "aserta::session_recompute",
         "aserta::full_rebuild",
         "spice::transient_step",
@@ -742,6 +720,17 @@ fn harness_covers_all_declared_fail_points() {
         "snapshot::crc_flip",
         "govern::deadline",
     ];
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut declared = std::collections::BTreeSet::new();
+    for krate in std::fs::read_dir(&crates).expect("crates dir") {
+        let src = krate.expect("crate entry").path().join("src");
+        if src.is_dir() {
+            declared_fail_points(&src, &mut declared);
+        }
+    }
+    let covered: std::collections::BTreeSet<String> =
+        COVERED.iter().map(|s| s.to_string()).collect();
+    assert_eq!(declared, covered, "declared fail points vs COVERED");
     assert!(COVERED.len() >= 8, "ISSUE floor: at least 8 fail points");
     // Each name must actually be armable and consumable.
     let _guard = failpoint::scenario();
@@ -749,5 +738,37 @@ fn harness_covers_all_declared_fail_points() {
         failpoint::set_times(name, FailAction::Error, 1);
         assert_eq!(failpoint::check(name), Some(FailAction::Error), "{name}");
         assert_eq!(failpoint::hits(name), 1, "{name}");
+    }
+}
+
+/// Adds the name of every `failpoint!("name", ..)` call in the `.rs`
+/// files under `dir` to `out`. Comment lines and everything from a
+/// file's `#[cfg(test)]` on are skipped; a call may span lines.
+fn declared_fail_points(dir: &std::path::Path, out: &mut std::collections::BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("source dir") {
+        let path = entry.expect("source entry").path();
+        if path.is_dir() {
+            declared_fail_points(&path, out);
+            continue;
+        }
+        if path.extension().and_then(|e| e.to_str()) != Some("rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("source file");
+        let code: String = text
+            .lines()
+            .take_while(|l| l.trim() != "#[cfg(test)]")
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let mut rest = code.as_str();
+        while let Some(at) = rest.find("failpoint!(") {
+            rest = rest[at + "failpoint!(".len()..].trim_start();
+            if let Some(quoted) = rest.strip_prefix('"') {
+                let close = quoted.find('"').expect("closing quote");
+                out.insert(quoted[..close].to_string());
+                rest = &quoted[close..];
+            }
+        }
     }
 }

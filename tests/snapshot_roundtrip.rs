@@ -8,17 +8,20 @@
 //!   through a real filesystem;
 //! * **every** corruption — random truncation, random single-bit flips,
 //!   wrong magic, wrong version (including the retired version 1),
-//!   duplicated sections — is rejected with
-//!   a typed [`SnapshotError`], never a panic and never a
+//!   duplicated sections, a malformed cell table under a valid CRC — is
+//!   rejected with a typed [`SnapshotError`], never a panic and never a
 //!   silently-wrong session, and the live donor session is untouched.
 
 use proptest::prelude::*;
+use soft_error::aserta::snapshot::TAG_LIBRARY;
 use soft_error::aserta::{
     AnalysisSession, AsertaConfig, CircuitCells, SessionSnapshot, SessionSnapshotError,
 };
 use soft_error::cells::{CharGrids, Library};
 use soft_error::netlist::generate::{self, LayeredSpec, TiledSpec};
-use soft_error::netlist::snapshot::{write_circuit_section, SnapshotError, SnapshotWriter};
+use soft_error::netlist::snapshot::{
+    write_circuit_section, Snapshot, SnapshotError, SnapshotWriter,
+};
 use soft_error::netlist::Circuit;
 use soft_error::spice::{GateParams, Technology};
 
@@ -213,6 +216,48 @@ fn duplicated_sections_are_typed_rejections() {
     };
     assert!(
         matches!(err, SnapshotError::DuplicateSection { .. }),
+        "{err}"
+    );
+}
+
+/// A library section that passes its CRC but holds a malformed cell
+/// table (the first delay table's load axis emptied) is a typed decode
+/// rejection, not a panic at the first table lookup of a restore.
+#[test]
+fn malformed_library_tables_are_typed_rejections() {
+    let circuit = generate::c17();
+    let bytes = session(&circuit, 256)
+        .snapshot()
+        .expect("clean")
+        .to_bytes()
+        .expect("encode");
+    let snap = Snapshot::from_bytes(&bytes).expect("a valid image");
+    let json = snap
+        .section(TAG_LIBRARY)
+        .expect("a library section")
+        .str()
+        .expect("library JSON");
+    let head = "\"delay\":{\"axis0\":{\"values\":[";
+    let at = json.find(head).expect("a delay table") + head.len();
+    let close = at + json[at..].find(']').expect("end of the axis");
+    let tampered = format!("{}{}", &json[..at], &json[close..]);
+
+    let mut w = SnapshotWriter::new();
+    for tag in snap.tags() {
+        w.begin_section(tag);
+        if tag == TAG_LIBRARY {
+            w.str(&tampered);
+        } else {
+            w.bytes(snap.section(tag).expect("listed section").rest());
+        }
+        w.end_section();
+    }
+    let err = match SessionSnapshot::from_bytes(&w.to_bytes()) {
+        Ok(_) => panic!("a malformed cell table decoded"),
+        Err(e) => e,
+    };
+    assert!(
+        matches!(err, SnapshotError::Malformed { .. }) && err.to_string().contains("Axis"),
         "{err}"
     );
 }
