@@ -17,7 +17,7 @@
 //!   identical outcomes (asserted), so the ratio measures warm-session
 //!   reuse against the cold-start oracle path;
 //! * `corners_fresh` / `corners_session` — the multi-corner scenario
-//!   sweep ([`ser_bench::corners`]): a VDD × Vth × charge grid analyzed
+//!   sweep ([`aserta::corners`]): a VDD × Vth × charge grid analyzed
 //!   fresh per corner (cold session + `P_ij` re-estimate each time)
 //!   versus driven through one warm session as per-corner deltas.
 //!   Identical points (asserted), same warm-vs-cold reading;
@@ -90,11 +90,12 @@
 //! not gated against the baseline; CI runs it under the scaling job's
 //! address-space ceiling, which a dense `node × PO` matrix overruns.
 
+use aserta::corners::sweep;
 use aserta::{
     timing_view, AnalysisSession, AsertaConfig, AsertaReport, CircuitCells, ExpectedWidths,
     LoadModel, SessionSnapshot,
 };
-use ser_bench::corners::{sweep_fresh, try_sweep_session, CornerGrid};
+use ser_bench::corners::{sweep_fresh, CornerGrid};
 use ser_bench::timed;
 use ser_cells::{CharGrids, Library};
 use ser_logicsim::probability::static_probabilities_analytic;
@@ -557,10 +558,14 @@ fn measure_corners(circuit: &Circuit, smoke: bool) -> Value {
     let lib_session = lib_fresh.clone();
 
     let (fresh, fresh_s) = timed(|| sweep_fresh(circuit, &cells, &mut lib_fresh, &cfg, &corners));
-    let (warm, session_s) =
-        timed(|| try_sweep_session(circuit, &cells, lib_session, &cfg, &corners, 1));
+    let (warm, session_s) = timed(|| {
+        AnalysisSession::builder(circuit, cells.clone(), lib_session, cfg.clone())
+            .build()
+            .map(|mut session| sweep(&mut session, &cells, &corners, 1))
+    });
     let fresh = fresh.unwrap_or_else(|e| sweep_err(&e));
     let warm: Vec<_> = warm
+        .unwrap_or_else(|e| die(&format!("building {}", circuit.name()), e))
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| sweep_err(&e));

@@ -21,8 +21,9 @@
 //!    `U_i = Z_i · Σ_j W_ij` (Eq. 3) and `U = Σ_i U_i` (Eq. 4).
 //!
 //! The crate also provides the Fig. 3 validation harness (correlation
-//! against the transistor-level reference) and a FIT-rate extension over
-//! a charge spectrum (the paper's stated future work).
+//! against the transistor-level reference), multi-corner sweeps over a
+//! warm session ([`corners`]) and a FIT-rate extension over a charge
+//! spectrum (the paper's stated future work).
 //!
 //! # Error handling
 //!
@@ -59,6 +60,8 @@
 mod analysis;
 mod binding;
 mod config;
+pub mod corners;
+mod deal;
 pub mod electrical;
 pub mod error;
 pub mod glitch;
@@ -73,6 +76,7 @@ pub mod validate;
 pub use analysis::{try_analyze, try_analyze_fresh, AsertaReport};
 pub use binding::{gate_input_ramp, node_load, timing_view, CircuitCells, LoadModel, TimingView};
 pub use config::AsertaConfig;
+pub use deal::deal;
 pub use electrical::ExpectedWidths;
 pub use error::{AnalysisError, PoisonReason};
 pub use ser_logicsim::engine::{EngineConfig, EngineConfigError};

@@ -47,8 +47,10 @@ pub struct CorrelationReport {
 ///
 /// # Errors
 ///
-/// Any [`AnalysisError`] of the ASERTA side (see
-/// [`try_analyze_fresh`]); the reference run is not started then.
+/// [`AnalysisError::InvalidConfig`] when `n_vectors` is 0, before
+/// either side runs; otherwise any [`AnalysisError`] of the ASERTA side
+/// (see [`try_analyze_fresh`]), and the reference run is not started
+/// then.
 pub fn correlate_with_reference(
     tech: &Technology,
     circuit: &Circuit,
@@ -58,6 +60,11 @@ pub fn correlate_with_reference(
     n_vectors: usize,
     max_level: usize,
 ) -> Result<CorrelationReport, AnalysisError> {
+    if n_vectors == 0 {
+        return Err(AnalysisError::InvalidConfig {
+            reason: "the reference run needs at least one vector",
+        });
+    }
     // ASERTA side.
     let report = try_analyze_fresh(circuit, cells, library, cfg)?;
 
@@ -130,5 +137,17 @@ mod tests {
             r.aserta,
             r.reference
         );
+    }
+
+    #[test]
+    fn zero_reference_vectors_is_invalid_config() {
+        let tech = Technology::ptm70();
+        let c = generate::c17();
+        let cells = CircuitCells::nominal(&c);
+        let mut lib = Library::new(tech.clone(), CharGrids::coarse());
+        let err =
+            correlate_with_reference(&tech, &c, &cells, &mut lib, &AsertaConfig::fast(), 0, 5)
+                .unwrap_err();
+        assert!(matches!(err, AnalysisError::InvalidConfig { .. }), "{err}");
     }
 }

@@ -27,9 +27,9 @@ pub enum EvalError {
         /// What the matcher objected to.
         reason: &'static str,
     },
-    /// A replica panicked mid-evaluation; the panic was caught at the
-    /// thread-scope boundary and the replica is rebuilt from scratch
-    /// before its next evaluation.
+    /// A replica panicked mid-evaluation; the panic was caught for that
+    /// candidate alone ([`aserta::deal`]) and the replica is rebuilt
+    /// from scratch before its next evaluation.
     Panicked {
         /// Where the panic was caught.
         context: &'static str,

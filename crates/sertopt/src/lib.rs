@@ -27,8 +27,9 @@
 //!
 //! Candidate evaluation is fallible: [`DelayProblem::try_evaluate_phi`]
 //! and [`DelayProblem::evaluate_batch`] return typed [`EvalError`]s,
-//! replica panics are caught per candidate at the thread-scope boundary,
-//! and every optimizer skips or penalizes failed candidates
+//! replica panics are caught per candidate by the replica deal
+//! ([`aserta::deal`], shared with ASERTA's corner sweeps), and every
+//! optimizer skips or penalizes failed candidates
 //! deterministically — see [`error`]. The library code itself is
 //! compiled with `clippy::unwrap_used`/`clippy::expect_used` denied;
 //! remaining panics are documented invariants.

@@ -25,7 +25,9 @@
 //!   the session's current assignment and only the invalidated cones,
 //!   rows and per-gate terms are recomputed. Independent candidates
 //!   (finite-difference probes, GA populations) additionally batch
-//!   across threads via [`DelayProblem::evaluate_batch`].
+//!   across threads via [`DelayProblem::evaluate_batch`], which deals
+//!   them over per-worker replicas with [`aserta::deal`] — the same
+//!   deal that runs ASERTA's corner sweeps.
 //! * [`EvalStrategy::FreshPerMove`] — one full
 //!   [`cost::evaluate`](crate::cost::evaluate) per move. Since the
 //!   single-engine consolidation this is a *cold-start session* per move
@@ -77,6 +79,7 @@ pub enum EvalStrategy {
 /// One worker's private evaluation state: an incremental session plus
 /// the per-gate energy cache it keeps aligned with the session's
 /// dirty-set reports.
+#[derive(Clone)]
 struct Replica<'a> {
     session: AnalysisSession<'a>,
     gate_energy: Vec<f64>,
@@ -87,17 +90,14 @@ struct Replica<'a> {
 }
 
 impl<'a> Replica<'a> {
-    fn new(mut session: AnalysisSession<'a>, energy_model: &EnergyModel) -> Self {
-        let circuit = session.circuit();
-        let mut gate_energy = vec![0.0f64; circuit.node_count()];
-        for id in circuit.gates() {
-            gate_energy[id.index()] = replica_gate_energy(&mut session, id, energy_model);
-        }
-        Replica {
+    fn new(session: AnalysisSession<'a>, energy_model: &EnergyModel) -> Self {
+        let mut replica = Replica {
+            gate_energy: vec![0.0f64; session.circuit().node_count()],
             session,
-            gate_energy,
             wrecked: false,
-        }
+        };
+        replica.refresh_all_energy(energy_model);
+        replica
     }
 
     /// Moves the session to `cells` and measures it; mirrors
@@ -152,16 +152,6 @@ impl<'a> Replica<'a> {
         let circuit = self.session.circuit();
         for id in circuit.gates() {
             self.gate_energy[id.index()] = replica_gate_energy(&mut self.session, id, energy_model);
-        }
-    }
-}
-
-impl Clone for Replica<'_> {
-    fn clone(&self) -> Self {
-        Replica {
-            session: self.session.clone(),
-            gate_energy: self.gate_energy.clone(),
-            wrecked: self.wrecked,
         }
     }
 }
@@ -404,11 +394,10 @@ impl<'a> DelayProblem<'a> {
     /// property of the candidate, not of the replica it landed on). The
     /// fresh strategy evaluates sequentially.
     ///
-    /// Panics inside a replica evaluation are caught per candidate at
-    /// the [`std::thread::scope`] boundary and surface as
+    /// The batch is dealt by [`aserta::deal`]: a panic inside a replica
+    /// evaluation is caught for that candidate alone and surfaces as
     /// [`EvalError::Panicked`]; the replica rebuilds itself before its
-    /// next evaluation, so no panic escapes the scope and no later
-    /// candidate sees the wreckage.
+    /// next evaluation, so no later candidate sees the wreckage.
     pub fn evaluate_batch(&mut self, phis: &[Vec<f64>]) -> Vec<Result<Candidate, EvalError>> {
         let workers = match self.strategy {
             EvalStrategy::FreshPerMove => 1,
@@ -430,8 +419,8 @@ impl<'a> DelayProblem<'a> {
             self.replicas.push(clone);
         }
         // Realize all candidates up front, in input order (the plan's
-        // scan memo makes this cheap and needs `&mut`), then measure
-        // them on per-worker sessions in round-robin strides.
+        // scan memo makes this cheap and needs `&mut`), then deal them
+        // over the per-worker sessions.
         let mut jobs: Vec<Result<CircuitCells, EvalError>> = Vec::with_capacity(phis.len());
         for phi in phis {
             let targets = self.targets_for(phi);
@@ -440,72 +429,20 @@ impl<'a> DelayProblem<'a> {
         let energy = &self.energy;
         let weights = &self.weights;
         let baseline = &self.baseline;
-        let n_jobs = jobs.len();
-        let mut tagged: Vec<(usize, Result<Candidate, EvalError>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .replicas
-                .iter_mut()
-                .take(workers)
-                .enumerate()
-                .map(|(w, replica)| {
-                    let jobs = &jobs;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        for (idx, cells) in jobs.iter().enumerate().skip(w).step_by(workers) {
-                            let result = match cells {
-                                Ok(cells) => {
-                                    let attempt = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| {
-                                            replica.evaluate(
-                                                cells.clone(),
-                                                energy,
-                                                weights,
-                                                baseline,
-                                            )
-                                        }),
-                                    );
-                                    match attempt {
-                                        Ok(r) => r,
-                                        Err(_) => {
-                                            replica.wrecked = true;
-                                            Err(EvalError::Panicked {
-                                                context: "replica evaluation",
-                                            })
-                                        }
-                                    }
-                                }
-                                Err(e) => Err(e.clone()),
-                            };
-                            out.push((idx, result));
-                        }
-                        out
-                    })
+        aserta::deal(
+            &mut self.replicas[..workers],
+            &jobs,
+            |replica, cells| match cells {
+                Ok(cells) => replica.evaluate(cells.clone(), energy, weights, baseline),
+                Err(e) => Err(e.clone()),
+            },
+            |replica| {
+                replica.wrecked = true;
+                Err(EvalError::Panicked {
+                    context: "replica evaluation",
                 })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .flat_map(|(w, h)| match h.join() {
-                    Ok(out) => out,
-                    // Backstop: a panic outside the per-candidate
-                    // catch (none is known) loses the worker's
-                    // stride; report each of its candidates failed.
-                    Err(_) => (w..n_jobs)
-                        .step_by(workers)
-                        .map(|idx| {
-                            (
-                                idx,
-                                Err(EvalError::Panicked {
-                                    context: "evaluation worker",
-                                }),
-                            )
-                        })
-                        .collect(),
-                })
-                .collect()
-        });
-        tagged.sort_by_key(|&(idx, _)| idx);
-        tagged.into_iter().map(|(_, c)| c).collect()
+            },
+        )
     }
 
     /// The fresh measurement: one cold-start analysis session over the

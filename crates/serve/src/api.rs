@@ -214,9 +214,12 @@ pub enum Request {
         /// Optional per-request wall-clock budget, milliseconds.
         deadline_ms: Option<u64>,
     },
-    /// A VDD × Vth × charge operating-corner sweep, each corner applied
-    /// to the warm session as a cell-delta batch and dealt round-robin
-    /// over session replicas.
+    /// A VDD × Vth × charge operating-corner sweep through
+    /// [`aserta::corners::sweep`]: each corner is applied to the warm
+    /// session as a cell-delta batch, and the corners are dealt over
+    /// session replicas. A grid of more than
+    /// [`MAX_SWEEP_CORNERS`](crate::server::MAX_SWEEP_CORNERS) corners,
+    /// or with an empty axis, is refused with [`ApiError::BadRequest`].
     CornerSweep {
         /// The circuit to sweep.
         circuit: CircuitSource,
@@ -230,7 +233,8 @@ pub enum Request {
         vths: Vec<f64>,
         /// Strike-charge axis, coulombs.
         charges: Vec<f64>,
-        /// Replica threads (0 = server default).
+        /// Replica threads, at most the daemon engine's thread count
+        /// (0 = that count; larger values are clamped to it).
         threads: u64,
         /// Optional per-request wall-clock budget, milliseconds.
         deadline_ms: Option<u64>,

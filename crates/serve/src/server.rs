@@ -26,10 +26,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use aserta::{AnalysisSession, AsertaConfig, CircuitCells};
+use aserta::corners::{self, CornerGrid, SweepError};
+use aserta::{AsertaConfig, CircuitCells};
 use ser_cells::Library;
 use ser_netlist::govern::Deadline;
-use ser_netlist::Circuit;
 use ser_spice::Technology;
 use sertopt::OptimizeRequest;
 
@@ -386,17 +386,12 @@ fn handle(request: &Request, pool: &SessionPool) -> Response {
             threads,
             deadline_ms,
         } => {
-            match sweep(
-                pool,
-                circuit,
-                config,
-                *grids,
-                vdds,
-                vths,
-                charges,
-                *threads,
-                *deadline_ms,
-            ) {
+            let grid = CornerGrid {
+                vdds: vdds.clone(),
+                vths: vths.clone(),
+                charges: charges.clone(),
+            };
+            match sweep(pool, circuit, config, *grids, grid, *threads, *deadline_ms) {
                 Ok(points) => Response::Swept { points },
                 Err(e) => Response::Error(e),
             }
@@ -471,147 +466,53 @@ fn analyze(
     })
 }
 
-/// One corner's target assignment: `base` with VDD/Vth moved, exactly
-/// like `ser_bench::corners::Corner::cells`.
-fn corner_cells(circuit: &Circuit, base: &CircuitCells, vdd: f64, vth: f64) -> CircuitCells {
-    CircuitCells::from_fn(circuit, |id| {
-        let Some(&(mut p)) = base.get(id) else {
-            unreachable!("gates carry parameters")
-        };
-        p.vdd = vdd;
-        p.vth = vth;
-        p
-    })
-}
+/// The most corners one [`Request::CornerSweep`] may ask for: two
+/// orders above [`CornerGrid::table1_style`]'s 27. Larger grids are
+/// refused before anything is allocated for them.
+pub const MAX_SWEEP_CORNERS: usize = 4096;
 
-#[derive(Clone, Copy)]
-struct CornerReq {
-    vdd: f64,
-    vth: f64,
-    charge: f64,
-}
-
-/// Evaluates one corner on a session, in the same order as
-/// `ser_bench::corners::eval_corner` (charge first, then cells) so the
-/// daemon's points are bitwise identical to the library sweep's.
-fn eval_corner(
-    session: &mut AnalysisSession<'_>,
-    circuit: &Circuit,
-    base: &CircuitCells,
-    corner: CornerReq,
-) -> Result<SweepPoint, ApiError> {
-    if session.is_poisoned() {
-        session
-            .recover_with(corner_cells(circuit, base, corner.vdd, corner.vth))
-            .map_err(|e| api_err(&e))?;
-    }
-    session
-        .try_set_charge(corner.charge)
-        .map_err(|e| api_err(&e))?;
-    session
-        .try_set_cells(&corner_cells(circuit, base, corner.vdd, corner.vth))
-        .map_err(|e| api_err(&e))?;
-    Ok(SweepPoint {
-        vdd: corner.vdd,
-        vth: corner.vth,
-        charge: corner.charge,
-        unreliability: session.unreliability(),
-        critical_delay_s: session.critical_delay(),
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
 fn sweep(
     pool: &SessionPool,
     source: &crate::api::CircuitSource,
     cfg: &AsertaConfig,
     grids: crate::api::GridKind,
-    vdds: &[f64],
-    vths: &[f64],
-    charges: &[f64],
+    grid: CornerGrid,
     threads: u64,
     deadline_ms: Option<u64>,
 ) -> Result<Vec<SweepPoint>, ApiError> {
-    let circuit = intern_circuit(source.instantiate()?);
-    let mut corners = Vec::with_capacity(vdds.len() * vths.len() * charges.len());
-    for &vdd in vdds {
-        for &vth in vths {
-            for &charge in charges {
-                corners.push(CornerReq { vdd, vth, charge });
-            }
-        }
-    }
-    if corners.is_empty() {
+    let count = [grid.vths.len(), grid.charges.len()]
+        .into_iter()
+        .try_fold(grid.vdds.len(), usize::checked_mul);
+    if count.is_none_or(|n| n == 0 || n > MAX_SWEEP_CORNERS) {
         return Err(ApiError::BadRequest {
-            detail: "empty corner grid".to_owned(),
+            detail: format!("a corner grid needs 1 to {MAX_SWEEP_CORNERS} corners"),
         });
     }
+    let circuit = intern_circuit(source.instantiate()?);
     pool.with_session(circuit, cfg, grids, |session| {
         session.set_deadline(request_deadline(deadline_ms));
+        // Off the wire: no more replicas (clones + threads) than the engine has.
+        let engine_threads = session.engine().threads();
+        let threads = usize::try_from(threads).map_or(engine_threads, |t| t.min(engine_threads));
         let base = CircuitCells::nominal(circuit);
-        let workers = if threads == 0 {
-            session.engine().threads()
-        } else {
-            threads as usize
-        }
-        .min(corners.len())
-        .max(1);
-        let results: Vec<Result<SweepPoint, ApiError>> = if workers == 1 {
-            corners
-                .iter()
-                .map(|&c| eval_corner(session, circuit, &base, c))
-                .collect()
-        } else {
-            // The thread-replica deal from `ser_bench::corners`: clone
-            // the warm session per worker, stride the corners, re-sort.
-            // Bitwise identical for every worker count because each
-            // corner's result is independent of its replica's prior
-            // state (the session fidelity contract).
-            let mut replicas: Vec<AnalysisSession<'_>> =
-                (0..workers).map(|_| session.clone()).collect();
-            let mut tagged: Vec<(usize, Result<SweepPoint, ApiError>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = replicas
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(w, replica)| {
-                            let corners = &corners;
-                            let base = &base;
-                            scope.spawn(move || {
-                                corners
-                                    .iter()
-                                    .enumerate()
-                                    .skip(w)
-                                    .step_by(workers)
-                                    .map(|(idx, &c)| (idx, eval_corner(replica, circuit, base, c)))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .enumerate()
-                        .flat_map(|(w, h)| match h.join() {
-                            Ok(out) => out,
-                            Err(_) => (w..corners.len())
-                                .step_by(workers)
-                                .map(|idx| {
-                                    (
-                                        idx,
-                                        Err(ApiError::Analysis {
-                                            detail: "corner replica panicked".to_owned(),
-                                        }),
-                                    )
-                                })
-                                .collect(),
-                        })
-                        .collect()
-                });
-            tagged.sort_by_key(|&(idx, _)| idx);
-            tagged.into_iter().map(|(_, r)| r).collect()
-        };
+        let points = corners::sweep(session, &base, &grid.corners(), threads);
         session.clear_deadline();
-        results.into_iter().collect()
+        points
+            .into_iter()
+            .map(|point| match point {
+                Ok(p) => Ok(SweepPoint {
+                    vdd: p.corner.vdd,
+                    vth: p.corner.vth,
+                    charge: p.corner.charge,
+                    unreliability: p.unreliability,
+                    critical_delay_s: p.critical_delay,
+                }),
+                Err(SweepError::Analysis(e)) => Err(api_err(&e)),
+                Err(e) => Err(ApiError::Internal {
+                    detail: e.to_string(),
+                }),
+            })
+            .collect()
     })
 }
 

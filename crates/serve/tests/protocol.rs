@@ -6,8 +6,9 @@
 //!   numbers;
 //! * malformed frames and oversized payloads come back as typed
 //!   [`ApiError`]s (and a malformed frame does not kill the
-//!   connection), and so does an `optimize` request whose analysis
-//!   config fails validation (the worker survives it);
+//!   connection), and so do an `optimize` request whose analysis
+//!   config fails validation and a corner sweep over too many corners
+//!   (the worker survives both);
 //! * a daemon `kill -9`'d mid-trace and restarted on the same pool
 //!   directory restores its sessions from the eager `.sersnap` images
 //!   and keeps answering bitwise-identically;
@@ -329,6 +330,60 @@ fn invalid_optimize_config_is_an_error_reply_not_a_dead_worker() {
             assert!(detail.contains("sensitization_vectors"), "{detail}");
         }
         other => panic!("expected an Analysis error, got {other:?}"),
+    }
+    drop(client);
+
+    let mut client = Client::connect(&handle.endpoint()).expect("reconnect");
+    assert!(matches!(
+        client.request(&Request::Ping).expect("ping"),
+        Response::Pong { .. }
+    ));
+    assert_eq!(
+        client.request(&Request::Shutdown).expect("shutdown"),
+        Response::ShuttingDown
+    );
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A corner sweep over three 1,000-value axes (10^9 corners) is refused
+/// with a typed error before anything is allocated for it, and the only
+/// worker keeps serving: a ping on a new connection is answered.
+#[test]
+fn oversized_sweep_grid_is_a_bad_request_not_a_dead_daemon() {
+    let dir = temp_dir("oversized-sweep");
+    let handle = serve(ServerConfig {
+        listen: Listen::Unix(dir.join("daemon.sock")),
+        workers: 1,
+        max_frame: ser_serve::DEFAULT_MAX_FRAME,
+        pool: PoolConfig {
+            dir: None,
+            ..PoolConfig::default()
+        },
+    })
+    .expect("daemon boots");
+
+    let axis =
+        |lo: f64, step: f64| -> Vec<f64> { (0..1000).map(|i| lo + step * i as f64).collect() };
+    let mut client = Client::connect(&handle.endpoint()).expect("connect");
+    let request = Request::CornerSweep {
+        circuit: CircuitSource::Named("c17".to_owned()),
+        config: fast_cfg(256),
+        grids: GridKind::Coarse,
+        vdds: axis(0.8, 1.0e-4),
+        vths: axis(0.15, 1.0e-4),
+        charges: axis(8.0e-15, 1.0e-17),
+        threads: 1,
+        deadline_ms: None,
+    };
+    match client
+        .request(&request)
+        .expect("an error reply, not a hang-up")
+    {
+        Response::Error(ApiError::BadRequest { detail }) => {
+            assert!(detail.contains("1 to 4096 corners"), "{detail}");
+        }
+        other => panic!("expected a BadRequest error, got {other:?}"),
     }
     drop(client);
 

@@ -12,9 +12,10 @@
 //! cargo run --release --example corner_sweep
 //! ```
 
-use ser_bench::corners::{sweep_fresh, try_sweep_session, CornerGrid};
+use ser_bench::corners::{sweep_fresh, CornerGrid};
 use ser_bench::timed;
-use soft_error::aserta::{AsertaConfig, CircuitCells};
+use soft_error::aserta::corners::sweep;
+use soft_error::aserta::{AnalysisSession, AsertaConfig, CircuitCells};
 use soft_error::cells::{CharGrids, Library};
 use soft_error::netlist::generate;
 use soft_error::spice::Technology;
@@ -46,12 +47,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let (fresh, fresh_s) = timed(|| sweep_fresh(&circuit, &base, &mut library, &cfg, &corners));
     let (warm, session_s) = timed(|| {
+        let mut session =
+            AnalysisSession::builder(&circuit, base.clone(), session_library, cfg.clone())
+                .build()?;
         // threads = 0: one replica per available core, corners dealt
         // round-robin; the result is identical for every thread count.
-        try_sweep_session(&circuit, &base, session_library, &cfg, &corners, 0)
+        Ok::<_, soft_error::aserta::AnalysisError>(sweep(&mut session, &base, &corners, 0))
     });
     let fresh = fresh?;
-    let warm = warm.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let warm = warm?.into_iter().collect::<Result<Vec<_>, _>>()?;
     assert_eq!(fresh, warm, "the engines agree bitwise");
 
     println!(

@@ -262,9 +262,6 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     let spec = args.first().ok_or("validate needs a circuit")?;
     let circuit = load_circuit(spec)?;
     let vectors: usize = flag_parse(args, "--vectors", 25)?;
-    if vectors == 0 {
-        return Err("--vectors must be at least 1".into());
-    }
     let levels: usize = flag_parse(args, "--levels", 5)?;
     let tech = Technology::ptm70();
     let mut library = Library::new(tech.clone(), CharGrids::standard());

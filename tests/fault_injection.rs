@@ -23,7 +23,7 @@
 
 #![cfg(feature = "fail-points")]
 
-use ser_bench::corners::{try_sweep_session, CornerGrid, SweepError};
+use soft_error::aserta::corners::{sweep, CornerGrid, SweepError};
 use soft_error::aserta::{
     AnalysisError, AnalysisSession, AsertaConfig, CircuitCells, PoisonReason, SessionSnapshot,
     SessionSnapshotError,
@@ -383,12 +383,12 @@ fn replica_panics_are_caught_and_replicas_self_heal() {
     }
 }
 
-// --------------------------------------------------- ser-bench: corner sweep
+// ------------------------------------------------------ aserta: corner sweep
 
-/// `ser_bench::corner_eval` — a corner fault surfaces as a typed
+/// `aserta::corner_eval` — a corner fault surfaces as a typed
 /// `SweepError` for that corner only; the replica heals and the rest of
 /// the grid is bitwise equal to a clean sweep. A persistent panic storm
-/// is caught per corner at the thread-scope boundary.
+/// is caught per corner, on every replica.
 #[test]
 fn corner_faults_and_panics_are_contained_per_corner() {
     let circuit = generate::c17();
@@ -397,18 +397,24 @@ fn corner_faults_and_panics_are_contained_per_corner() {
     let cfg = fast_cfg();
     let corners = CornerGrid::smoke().corners();
 
+    let session = |lib: Library| {
+        AnalysisSession::builder(&circuit, base.clone(), lib, cfg.clone())
+            .build()
+            .expect("session builds")
+    };
+
     let _guard = failpoint::scenario();
-    let clean: Vec<_> = try_sweep_session(&circuit, &base, lib.clone(), &cfg, &corners, 1)
+    let clean: Vec<_> = sweep(&mut session(lib.clone()), &base, &corners, 1)
         .into_iter()
         .map(|p| p.expect("no faults armed"))
         .collect();
 
-    failpoint::set_times("ser_bench::corner_eval", FailAction::Error, 1);
-    let faulted = try_sweep_session(&circuit, &base, lib.clone(), &cfg, &corners, 1);
-    assert_eq!(failpoint::hits("ser_bench::corner_eval"), 1);
+    failpoint::set_times("aserta::corner_eval", FailAction::Error, 1);
+    let faulted = sweep(&mut session(lib.clone()), &base, &corners, 1);
+    assert_eq!(failpoint::hits("aserta::corner_eval"), 1);
     assert_eq!(
         faulted[0],
-        Err(SweepError::FaultInjected("ser_bench::corner_eval"))
+        Err(SweepError::FaultInjected("aserta::corner_eval"))
     );
     for (i, p) in faulted.iter().enumerate().skip(1) {
         assert_eq!(
@@ -420,8 +426,8 @@ fn corner_faults_and_panics_are_contained_per_corner() {
 
     // Panic storm across two workers: every corner fails typed, nothing
     // escapes the scope.
-    failpoint::set("ser_bench::corner_eval", FailAction::Panic);
-    let stormed = try_sweep_session(&circuit, &base, lib, &cfg, &corners, 2);
+    failpoint::set("aserta::corner_eval", FailAction::Panic);
+    let stormed = sweep(&mut session(lib), &base, &corners, 2);
     assert_eq!(stormed.len(), corners.len());
     for p in &stormed {
         assert_eq!(p, &Err(SweepError::Panicked));
@@ -710,11 +716,11 @@ fn harness_covers_all_declared_fail_points() {
         "aserta::set_charge",
         "aserta::session_recompute",
         "aserta::full_rebuild",
+        "aserta::corner_eval",
         "spice::transient_step",
         "sertopt::match_realize",
         "sertopt::match_refine",
         "sertopt::replica_evaluate",
-        "ser_bench::corner_eval",
         "snapshot::torn_write",
         "snapshot::short_read",
         "snapshot::crc_flip",
